@@ -23,7 +23,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import AnnotatedLead, ParseTree
@@ -462,12 +461,3 @@ def space_from_lines(lines: Sequence[str]) -> FeatureSpace:
             f"space {name}: header says dim {dim_text}, table has {space.dim}"
         )
     return space
-
-
-def save_space(space: FeatureSpace, path: str | Path) -> None:
-    Path(path).write_text("\n".join(space_to_lines(space)) + "\n", encoding="utf-8")
-
-
-def load_space(path: str | Path) -> FeatureSpace:
-    text = Path(path).read_text(encoding="utf-8")
-    return space_from_lines([l for l in text.split("\n") if l])

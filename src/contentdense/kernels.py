@@ -6,20 +6,10 @@ Training a linear model means evaluating
 
 and its gradient many times per fit, across grid search, cross-validation
 folds, and learning-curve points. These evaluations are the package's hot
-path, so they exist in two interchangeable backends:
-
-* ``numba``: ``@njit(cache=True)``-compiled loops over the raw CSR arrays.
-* ``numpy``: vectorized ``np.bincount`` scatter/gather, no compilation.
-
-The backend is selected per call by the ``CONTENTDENSE_NUMBA`` environment
-variable: ``"0"`` forces the numpy path, ``"1"`` forces numba (an error if
-numba is not importable), and unset prefers numba when available. The
-benchmark script ``benchmarks/bench_kernels.py`` compares the two.
-
-Both backends are bitwise deterministic run to run, but they accumulate
-sums in different orders, so results may differ between backends in the
-last floating-point ulps. Byte-for-byte reproducibility statements
-therefore hold per backend.
+path. They are vectorized numpy: the margin is a gather of ``w`` at the
+stored column indices followed by an ``np.bincount`` sum per row, and the
+weight gradient is an ``np.bincount`` scatter back onto the columns. Both
+are bitwise deterministic run to run.
 
 Supported losses (``y`` in {-1, +1}, margin ``m = y * (x.w + b)``):
 
@@ -32,7 +22,6 @@ Supported losses (``y`` in {-1, +1}, margin ``m = y * (x.w + b)``):
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -41,51 +30,14 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - sandbox always has numba
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def decorate(func):
-            return func
-
-        return decorate
-
-
-ENV_FLAG = "CONTENTDENSE_NUMBA"
-
 LOSS_LOGISTIC = "logistic"
 LOSS_HINGE = "hinge"
 LOSSES = (LOSS_LOGISTIC, LOSS_HINGE)
 
 
-def backend(override: str | None = None) -> str:
-    """Resolve the active backend name ("numba" or "numpy")."""
-    if override is not None:
-        if override not in ("numba", "numpy"):
-            raise ValidationError(f"unknown backend {override!r}")
-        if override == "numba" and not NUMBA_AVAILABLE:
-            raise NumericError("numba backend requested but numba is not importable")
-        return override
-    flag = os.environ.get(ENV_FLAG)
-    if flag is None:
-        return "numba" if NUMBA_AVAILABLE else "numpy"
-    if flag.lower() in ("0", "false", "no", "off"):
-        return "numpy"
-    if flag.lower() in ("1", "true", "yes", "on"):
-        if not NUMBA_AVAILABLE:
-            raise NumericError(
-                f"{ENV_FLAG}={flag} forces the numba backend but numba "
-                "is not importable"
-            )
-        return "numba"
-    raise ValidationError(f"{ENV_FLAG}={flag!r} is not a recognized setting")
+def backend() -> str:
+    """Name of the kernel implementation, recorded with benchmark runs."""
+    return "numpy"
 
 
 @dataclass
@@ -100,7 +52,7 @@ class CsrMatrix:
 
     @cached_property
     def rows(self) -> np.ndarray:
-        """Row index per stored value; used by the numpy backend."""
+        """Row index per stored value, for the per-row gather and scatter."""
         return np.repeat(np.arange(self.n_rows, dtype=np.int64),
                          np.diff(self.indptr))
 
@@ -134,130 +86,29 @@ def build_csr(vectors: Sequence, dim: int) -> CsrMatrix:
                      n_rows=len(vectors), n_cols=dim)
 
 
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _margins_nb(data, indices, indptr, w, b):
-    n = indptr.shape[0] - 1
-    z = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        acc = b
-        for k in range(indptr[i], indptr[i + 1]):
-            acc += data[k] * w[indices[k]]
-        z[i] = acc
-    return z
-
-
-@njit(cache=True)
-def _logistic_obj_nb(data, indices, indptr, y, w, b, c):
-    n = y.shape[0]
-    grad_w = w.copy()
-    reg = 0.0
-    for j in range(w.shape[0]):
-        reg += w[j] * w[j]
-    loss_sum = 0.0
-    grad_b = 0.0
-    for i in range(n):
-        z = b
-        for k in range(indptr[i], indptr[i + 1]):
-            z += data[k] * w[indices[k]]
-        m = y[i] * z
-        if m >= 0.0:
-            e = math.exp(-m)
-            loss_sum += math.log1p(e)
-            gz = -y[i] * (e / (1.0 + e))
-        else:
-            e = math.exp(m)
-            loss_sum += -m + math.log1p(e)
-            gz = -y[i] / (1.0 + e)
-        grad_b += gz
-        for k in range(indptr[i], indptr[i + 1]):
-            grad_w[indices[k]] += c * data[k] * gz
-    value = 0.5 * reg + c * loss_sum
-    return value, grad_w, c * grad_b
-
-
-@njit(cache=True)
-def _sqhinge_obj_nb(data, indices, indptr, y, w, b, c):
-    n = y.shape[0]
-    grad_w = w.copy()
-    reg = 0.0
-    for j in range(w.shape[0]):
-        reg += w[j] * w[j]
-    loss_sum = 0.0
-    grad_b = 0.0
-    for i in range(n):
-        z = b
-        for k in range(indptr[i], indptr[i + 1]):
-            z += data[k] * w[indices[k]]
-        slack = 1.0 - y[i] * z
-        if slack > 0.0:
-            loss_sum += slack * slack
-            gz = -2.0 * y[i] * slack
-            grad_b += gz
-            for k in range(indptr[i], indptr[i + 1]):
-                grad_w[indices[k]] += c * data[k] * gz
-    value = 0.5 * reg + c * loss_sum
-    return value, grad_w, c * grad_b
-
-
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
-
-def _margins_np(X: CsrMatrix, w: np.ndarray, b: float) -> np.ndarray:
+def margins(X: CsrMatrix, w: np.ndarray, b: float) -> np.ndarray:
+    """Decision values x_i.w + b for every row."""
     contrib = X.data * w[X.indices]
     return np.bincount(X.rows, weights=contrib, minlength=X.n_rows) + b
 
 
-def _logistic_obj_np(X: CsrMatrix, y, w, b, c):
-    z = _margins_np(X, w, b)
-    m = y * z
-    loss_sum = float(np.logaddexp(0.0, -m).sum())
-    gz = -y * 0.5 * (1.0 - np.tanh(0.5 * m))
-    grad_w = w + c * np.bincount(X.indices, weights=X.data * gz[X.rows],
-                                 minlength=X.n_cols)
-    value = 0.5 * float(w @ w) + c * loss_sum
-    return value, grad_w, c * float(gz.sum())
-
-
-def _sqhinge_obj_np(X: CsrMatrix, y, w, b, c):
-    z = _margins_np(X, w, b)
-    slack = np.maximum(0.0, 1.0 - y * z)
-    loss_sum = float((slack * slack).sum())
-    gz = -2.0 * y * slack
-    grad_w = w + c * np.bincount(X.indices, weights=X.data * gz[X.rows],
-                                 minlength=X.n_cols)
-    value = 0.5 * float(w @ w) + c * loss_sum
-    return value, grad_w, c * float(gz.sum())
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
 def objective_and_grad(w: np.ndarray, b: float, X: CsrMatrix, y: np.ndarray,
-                       c: float, loss: str, which: str | None = None):
-    """Objective value and (grad_w, grad_b) at (w, b) on the active backend."""
+                       c: float, loss: str):
+    """Objective value and (grad_w, grad_b) at (w, b)."""
     if loss not in LOSSES:
         raise ValidationError(f"unknown loss {loss!r}")
-    name = backend(which)
-    if name == "numba":
-        fn = _logistic_obj_nb if loss == LOSS_LOGISTIC else _sqhinge_obj_nb
-        value, grad_w, grad_b = fn(X.data, X.indices, X.indptr, y, w, b, c)
+    z = margins(X, w, b)
+    if loss == LOSS_LOGISTIC:
+        m = y * z
+        loss_sum = float(np.logaddexp(0.0, -m).sum())
+        gz = -y * 0.5 * (1.0 - np.tanh(0.5 * m))
     else:
-        fn = _logistic_obj_np if loss == LOSS_LOGISTIC else _sqhinge_obj_np
-        value, grad_w, grad_b = fn(X, y, w, b, c)
+        slack = np.maximum(0.0, 1.0 - y * z)
+        loss_sum = float((slack * slack).sum())
+        gz = -2.0 * y * slack
+    grad_w = w + c * np.bincount(X.indices, weights=X.data * gz[X.rows],
+                                 minlength=X.n_cols)
+    value = 0.5 * float(w @ w) + c * loss_sum
     if not math.isfinite(value):
         raise NumericError("objective evaluated to a non-finite value")
-    return value, grad_w, grad_b
-
-
-def margins(X: CsrMatrix, w: np.ndarray, b: float,
-            which: str | None = None) -> np.ndarray:
-    """Decision values x_i.w + b for every row."""
-    if backend(which) == "numba":
-        return _margins_nb(X.data, X.indices, X.indptr, w, b)
-    return _margins_np(X, w, b)
+    return value, grad_w, c * float(gz.sum())

@@ -1,8 +1,8 @@
 """Linear classifiers and the two fusion architectures.
 
 Training minimizes 0.5*||w||^2 + c * sum(loss) with an unregularized bias
-via deterministic L-BFGS (zero start, no randomness), so identical data,
-config, and backend give bitwise-identical weights. Class encoding is
+via deterministic L-BFGS (zero start, no randomness), so identical data
+and config give bitwise-identical weights. Class encoding is
 content_dense = +1; a lead is predicted content_dense when its decision
 margin is >= 0 (exact ties go to content_dense).
 
@@ -211,7 +211,7 @@ def train_linear(X: Sequence[SparseFeatureVector], y: Sequence[str],
 
     Minimizes 0.5*||w||^2 + c*sum(loss_i) from a zero start to within
     config.tol of a stationary point (gradient infinity norm). The bias is
-    not regularized. Deterministic for a fixed backend.
+    not regularized. Deterministic.
     """
     config = config or TrainConfig()
     if len(X) != len(y):

@@ -38,11 +38,7 @@ from contentdense.evaluation import (
     strata_from_predictions,
 )
 from contentdense.features import extract_production_rules, select_mi_vocabulary
-from contentdense.kernels import (
-    NUMBA_AVAILABLE,
-    build_csr,
-    objective_and_grad,
-)
+from contentdense.kernels import build_csr, objective_and_grad
 from contentdense.labeling import (
     CONTENT_DENSE,
     NON_CONTENT_DENSE,
@@ -228,13 +224,12 @@ def test_criterion_04_gradient_check():
     with gate(4, "analytic gradients match central differences at h=1e-5"):
         rng = np.random.default_rng(41)
         h = 1e-5
-        backends = ["numpy"] + (["numba"] if NUMBA_AVAILABLE else [])
 
         class Vec:
             def __init__(self, entries):
                 self.entries = entries
 
-        for trial in range(20):
+        for _ in range(20):
             n_rows = int(rng.integers(4, 25))
             n_cols = int(rng.integers(3, 9))
             vectors = []
@@ -248,24 +243,18 @@ def test_criterion_04_gradient_check():
             w = rng.normal(0.0, 0.8, size=n_cols)
             b = float(rng.normal())
             c = float(rng.uniform(0.1, 4.0))
-            backend = backends[trial % len(backends)]
             for loss in ("logistic", "hinge"):
-                _, grad_w, grad_b = objective_and_grad(w, b, X, y, c, loss,
-                                                       which=backend)
+                _, grad_w, grad_b = objective_and_grad(w, b, X, y, c, loss)
                 num_w = np.empty_like(w)
                 for j in range(n_cols):
                     wp, wm = w.copy(), w.copy()
                     wp[j] += h
                     wm[j] -= h
-                    fp, _, _ = objective_and_grad(wp, b, X, y, c, loss,
-                                                  which=backend)
-                    fm, _, _ = objective_and_grad(wm, b, X, y, c, loss,
-                                                  which=backend)
+                    fp, _, _ = objective_and_grad(wp, b, X, y, c, loss)
+                    fm, _, _ = objective_and_grad(wm, b, X, y, c, loss)
                     num_w[j] = (fp - fm) / (2 * h)
-                fp, _, _ = objective_and_grad(w, b + h, X, y, c, loss,
-                                              which=backend)
-                fm, _, _ = objective_and_grad(w, b - h, X, y, c, loss,
-                                              which=backend)
+                fp, _, _ = objective_and_grad(w, b + h, X, y, c, loss)
+                fm, _, _ = objective_and_grad(w, b - h, X, y, c, loss)
                 num_b = (fp - fm) / (2 * h)
                 assert float(np.max(np.abs(grad_w - num_w))) <= 1e-5
                 assert abs(grad_b - num_b) <= 1e-5

@@ -3,25 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from contentdense import kernels
 from contentdense.errors import NumericError, ValidationError
 from contentdense.features import SparseFeatureVector
 from contentdense.kernels import (
     LOSS_HINGE,
     LOSS_LOGISTIC,
-    NUMBA_AVAILABLE,
-    backend,
     build_csr,
     margins,
     objective_and_grad,
 )
 
-BACKENDS = ["numpy"] + (["numba"] if NUMBA_AVAILABLE else [])
 
-
-def random_problem(rng, n=10, d=8, density=0.5):
+def random_problem(rng, n=10, d=8, density=0.5, empty_row=None):
     vectors = []
-    for _ in range(n):
+    for i in range(n):
+        if i == empty_row:
+            vectors.append(SparseFeatureVector("MI", {}))
+            continue
         entries = {int(j): float(rng.normal())
                    for j in rng.choice(d, size=max(1, int(d * density)),
                                        replace=False)}
@@ -31,6 +29,15 @@ def random_problem(rng, n=10, d=8, density=0.5):
     if np.all(y == y[0]):
         y[0] = -y[0]
     return X, y
+
+
+def problems(rng, count, n=10, d=8):
+    """`count` random problems, then one with an empty row in the middle and
+    one with an empty row at the end (an MI lead with no selected word)."""
+    for _ in range(count):
+        yield random_problem(rng, n=n, d=d)
+    yield random_problem(rng, n=n, d=d, empty_row=n // 2)
+    yield random_problem(rng, n=n, d=d, empty_row=n - 1)
 
 
 def dense_of(X):
@@ -68,61 +75,37 @@ class TestBuildCsr:
     def test_empty_dataset(self):
         X = build_csr([], 4)
         assert X.n_rows == 0 and X.n_cols == 4
-        assert margins(X, np.zeros(4), 0.0, which="numpy").shape == (0,)
+        assert margins(X, np.zeros(4), 0.0).shape == (0,)
 
 
-class TestBackendSelection:
-    def test_forced_numpy(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_FLAG, "0")
-        assert backend() == "numpy"
-
-    @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-    def test_forced_numba(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_FLAG, "1")
-        assert backend() == "numba"
-
-    def test_invalid_flag(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_FLAG, "maybe")
-        with pytest.raises(ValidationError):
-            backend()
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_FLAG, "0")
-        assert backend("numpy") == "numpy"
-
-
-@pytest.mark.parametrize("which", BACKENDS)
 @pytest.mark.parametrize("loss", [LOSS_LOGISTIC, LOSS_HINGE])
 class TestObjective:
-    def test_matches_dense_oracle(self, which, loss):
+    def test_matches_dense_oracle(self, loss):
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            X, y = random_problem(rng)
+        for X, y in problems(rng, 20):
             w = rng.normal(size=X.n_cols)
             b = float(rng.normal())
             c = float(rng.uniform(0.1, 4.0))
-            value, _, _ = objective_and_grad(w, b, X, y, c, loss, which=which)
+            value, _, _ = objective_and_grad(w, b, X, y, c, loss)
             expected = reference_objective(X, y, w, b, c, loss)
             assert value == pytest.approx(expected, rel=1e-12)
 
-    def test_gradient_matches_central_differences(self, which, loss):
+    def test_gradient_matches_central_differences(self, loss):
         rng = np.random.default_rng(6)
         h = 1e-5
-        for _ in range(10):
-            X, y = random_problem(rng)
+        for X, y in problems(rng, 10):
             w = rng.normal(size=X.n_cols) * 0.5
             b = float(rng.normal()) * 0.5
             c = 1.3
-            _, grad_w, grad_b = objective_and_grad(w, b, X, y, c, loss,
-                                                   which=which)
+            _, grad_w, grad_b = objective_and_grad(w, b, X, y, c, loss)
             for j in range(X.n_cols):
                 wp = w.copy(); wp[j] += h
                 wm = w.copy(); wm[j] -= h
-                fp, _, _ = objective_and_grad(wp, b, X, y, c, loss, which=which)
-                fm, _, _ = objective_and_grad(wm, b, X, y, c, loss, which=which)
+                fp, _, _ = objective_and_grad(wp, b, X, y, c, loss)
+                fm, _, _ = objective_and_grad(wm, b, X, y, c, loss)
                 assert grad_w[j] == pytest.approx((fp - fm) / (2 * h), abs=1e-5)
-            fp, _, _ = objective_and_grad(w, b + h, X, y, c, loss, which=which)
-            fm, _, _ = objective_and_grad(w, b - h, X, y, c, loss, which=which)
+            fp, _, _ = objective_and_grad(w, b + h, X, y, c, loss)
+            fm, _, _ = objective_and_grad(w, b - h, X, y, c, loss)
             assert grad_b == pytest.approx((fp - fm) / (2 * h), abs=1e-5)
 
 
@@ -131,7 +114,7 @@ def test_zero_weights_balanced_logistic_loss_is_ln2():
     X, _ = random_problem(rng, n=12)
     y = np.array([1.0, -1.0] * 6)
     value, _, _ = objective_and_grad(np.zeros(X.n_cols), 0.0, X, y, 1.0,
-                                     LOSS_LOGISTIC, which="numpy")
+                                     LOSS_LOGISTIC)
     assert value / len(y) == pytest.approx(math.log(2), abs=1e-12)
 
 
@@ -140,38 +123,21 @@ def test_squared_hinge_zero_beyond_unit_margin():
     X = build_csr([vec], 1)
     y = np.ones(1)
     w = np.array([5.0])
-    value, grad_w, grad_b = objective_and_grad(w, 0.0, X, y, 1.0, LOSS_HINGE,
-                                               which="numpy")
+    value, grad_w, grad_b = objective_and_grad(w, 0.0, X, y, 1.0, LOSS_HINGE)
     assert value == pytest.approx(0.5 * 25.0)
     assert grad_w[0] == pytest.approx(5.0)
     assert grad_b == 0.0
 
 
-@pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-def test_backends_agree():
-    rng = np.random.default_rng(12)
-    for loss in (LOSS_LOGISTIC, LOSS_HINGE):
-        X, y = random_problem(rng, n=40, d=16)
-        w = rng.normal(size=X.n_cols)
-        b = float(rng.normal())
-        f_np, gw_np, gb_np = objective_and_grad(w, b, X, y, 0.7, loss,
-                                                which="numpy")
-        f_nb, gw_nb, gb_nb = objective_and_grad(w, b, X, y, 0.7, loss,
-                                                which="numba")
-        assert f_np == pytest.approx(f_nb, rel=1e-12)
-        np.testing.assert_allclose(gw_np, gw_nb, rtol=1e-10, atol=1e-12)
-        assert gb_np == pytest.approx(gb_nb, rel=1e-10, abs=1e-12)
-
-
-@pytest.mark.parametrize("which", BACKENDS)
-def test_margins_match_dense(which):
+def test_margins_match_dense():
     rng = np.random.default_rng(14)
-    X, _ = random_problem(rng, n=15, d=6)
-    w = rng.normal(size=6)
-    b = 0.3
-    expected = dense_of(X) @ w + b
-    np.testing.assert_allclose(margins(X, w, b, which=which), expected,
-                               rtol=1e-12)
+    for X, _ in problems(rng, 1, n=15, d=6):
+        w = rng.normal(size=6)
+        b = 0.3
+        z = margins(X, w, b)
+        np.testing.assert_allclose(z, dense_of(X) @ w + b, rtol=1e-12)
+        empty = np.diff(X.indptr) == 0
+        assert np.all(z[empty] == b)
 
 
 def test_non_finite_feature_rejected():
