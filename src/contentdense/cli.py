@@ -70,6 +70,7 @@ from .learn import (
     LeadClassifier,
     TrainConfig,
     load_classifier,
+    margin_label,
     save_classifier,
     train_decision_fusion,
     train_feature_fusion,
@@ -282,7 +283,8 @@ def cmd_train(args) -> None:
     _save_atomic(out / "model.json", lambda p: save_classifier(classifier, p))
 
     n_correct = sum(
-        classifier.predict_label(lead) == mapping[lead.id] for lead in dev_leads
+        margin_label(m) == mapping[lead.id]
+        for lead, m in zip(dev_leads, classifier.margins(dev_leads).tolist())
     )
     print(f"labeled {len(labeled)} of {len(leads)} leads "
           f"({n_skipped} skipped: missing or short summary)")
@@ -297,10 +299,10 @@ def cmd_predict(args) -> None:
     if not leads:
         raise ValidationError(f"{args.corpus}: corpus is empty")
     out = _out_dir(args)
-    lines = []
-    for lead in leads:
-        proba = classifier.predict_proba(lead)
-        lines.append(f"{lead.id}\t{proba:.6f}\t{classifier.predict_label(lead)}\n")
+    z = classifier.margins(leads)
+    lines = [f"{lead.id}\t{p:.6f}\t{margin_label(m)}\n"
+             for lead, m, p in zip(leads, z.tolist(),
+                                   classifier.proba_from_margins(z).tolist())]
     _write_atomic(out / "predictions.tsv", "".join(lines))
     print(f"predicted {len(leads)} leads with {classifier.mode} model "
           f"-> {out / 'predictions.tsv'}")

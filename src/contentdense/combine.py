@@ -142,15 +142,18 @@ def sweep_cutoffs(pairs: Sequence[SummaryPair], classifier,
                   ) -> list[CutoffRow]:
     """Evaluate the combination rule at each cutoff.
 
-    Summaries are scored once; every cutoff reuses the same score
-    differences, so decisions are a pure function of (scores, cutoff).
+    ``classifier`` is anything with probabilities(leads) -> the
+    content_dense probability of each lead, normally a trained
+    LeadClassifier. Summaries are scored once, in one batch; every cutoff
+    reuses the same score differences, so decisions are a pure function of
+    (scores, cutoff).
     """
     if not pairs:
         raise ValidationError("no summary pairs to sweep")
-    diffs = []
-    for pair in pairs:
-        decision = decide(pair, classifier, 0.0)
-        diffs.append(decision.score_difference)
+    scores = classifier.probabilities(
+        [s for pair in pairs for s in (pair.system_summary, pair.lead_summary)])
+    diffs = [float(system) - float(lead)
+             for system, lead in zip(scores[0::2], scores[1::2])]
     rows = []
     for cutoff in cutoffs:
         chosen = [PREF_SYSTEM if d >= cutoff else PREF_LEAD for d in diffs]

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -29,6 +28,7 @@ from .learn import (
     SINGLE_MODE_SPACE,
     LeadClassifier,
     TrainConfig,
+    margin_label,
     train_decision_fusion,
     train_feature_fusion,
     train_single,
@@ -48,11 +48,6 @@ class FoldPlan:
     @property
     def n_folds(self) -> int:
         return len(self.folds)
-
-    @cached_property
-    def fold_assignments(self) -> dict[str, int]:
-        return {lead_id: t for t, fold in enumerate(self.folds)
-                for lead_id in fold}
 
     def roles(self, t: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         """(test fold, first-layer training folds, second-layer folds).
@@ -211,13 +206,14 @@ def cross_validate(leads: Sequence[AnnotatedLead],
                         train_leads, dev_leads, labels, bundle, config,
                         first_layer=space_models)
                 clf = LeadClassifier(mode=mode, bundle=bundle, model=model)
+                z = clf.margins(test_leads)
                 correct = 0
-                for lead in test_leads:
-                    predicted = clf.predict_label(lead)
+                for lead, m, p in zip(test_leads, z.tolist(),
+                                      clf.proba_from_margins(z).tolist()):
+                    predicted = margin_label(m)
                     correct += predicted == labels[lead.id]
                     results[mode].predictions.append(Prediction(
-                        lead_id=lead.id, fold=t,
-                        proba=clf.predict_proba(lead),
+                        lead_id=lead.id, fold=t, proba=p,
                         predicted=predicted, actual=labels[lead.id]))
                 results[mode].folds.append(FoldAccuracy(
                     fold=t, n_test=len(test_leads), n_correct=correct))
@@ -312,8 +308,9 @@ def learning_curve(leads: Sequence[AnnotatedLead],
                     model = train_decision_fusion(train_leads, dev_leads,
                                                   labels, bundle, config)
                 clf = LeadClassifier(mode=mode, bundle=bundle, model=model)
-                correct = sum(clf.predict_label(l) == labels[l.id]
-                              for l in test_leads)
+                correct = sum(margin_label(m) == labels[l.id]
+                              for l, m in zip(test_leads,
+                                              clf.margins(test_leads).tolist()))
                 accs[size].append(correct / len(test_leads))
         except ContentDenseError as e:
             raise type(e)(f"fold {t}: {e}") from e

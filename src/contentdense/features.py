@@ -12,18 +12,22 @@ rules read off the leads' constituency parses; preterminal-to-word
 productions are never included, so no surface word reaches a feature key.
 
 Each representation owns a FeatureSpace mapping feature keys to dense
-indices; extractors emit SparseFeatureVectors against a named space, and
-concat_features merges per-space vectors into one combined vector with
-cumulative index offsets in the fixed order MRC, MI, PR.
+indices. FeatureBundle.matrix packs leads straight into CSR rows over one
+space or over several side by side, with cumulative column offsets in the
+fixed order MRC, MI, PR; the per-lead extractors return one such row as a
+SparseFeatureVector.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .corpus import AnnotatedLead, ParseTree
 from .errors import (
@@ -32,6 +36,7 @@ from .errors import (
     SingleClassError,
     ValidationError,
 )
+from .kernels import CsrMatrix, pack_csr
 from .labeling import CONTENT_DENSE, LABELS, NON_CONTENT_DENSE
 
 SPACE_MRC = "MRC"
@@ -92,17 +97,13 @@ class FeatureSpace:
 
 @dataclass(frozen=True)
 class SparseFeatureVector:
-    """index → value map over a named feature space; zero entries omitted."""
+    """index → value map over a named feature space; zero entries omitted.
+
+    Indices and values are checked where vectors are packed (build_csr).
+    """
 
     space_name: str
     entries: dict
-
-    def __post_init__(self):
-        for idx, value in self.entries.items():
-            if idx < 0:
-                raise ValidationError(f"negative feature index {idx}")
-            if not math.isfinite(value):
-                raise ValidationError(f"non-finite feature value at index {idx}")
 
 
 def mrc_space(lexicon: Iterable[str]) -> FeatureSpace:
@@ -117,17 +118,7 @@ def mrc_features(lead: AnnotatedLead,
                  lexicon: Iterable[str] | FeatureSpace) -> SparseFeatureVector:
     """Per-lexicon-word occurrence rate: count(word) / lead token count."""
     space = lexicon if isinstance(lexicon, FeatureSpace) else mrc_space(lexicon)
-    if space.name != SPACE_MRC:
-        raise ValidationError(f"expected an {SPACE_MRC} space, got {space.name!r}")
-    n = lead.n_tokens
-    if n == 0:
-        raise EmptyLeadError(f"lead {lead.id} has no tokens")
-    entries = {
-        space.index_of[w]: count / n
-        for w, count in lead.word_counts.items()
-        if w in space.index_of
-    }
-    return SparseFeatureVector(SPACE_MRC, entries)
+    return FeatureBundle(mrc=space).extract_single(lead, SPACE_MRC)
 
 
 def select_mi_vocabulary(leads: Sequence[AnnotatedLead],
@@ -199,19 +190,7 @@ def select_mi_vocabulary(leads: Sequence[AnnotatedLead],
 
 def mi_features(lead: AnnotatedLead, space: FeatureSpace) -> SparseFeatureVector:
     """Binary presence indicators over the selected vocabulary."""
-    if space.name != SPACE_MI:
-        raise ValidationError(f"expected an {SPACE_MI} space, got {space.name!r}")
-    if lead.n_tokens == 0:
-        raise EmptyLeadError(f"lead {lead.id} has no tokens")
-    # Walk tokens in order (not word_set): frozenset iteration order
-    # varies with per-process hash randomization, and downstream margin
-    # sums follow dict insertion order.
-    entries: dict[int, float] = {}
-    for w in lead.words:
-        idx = space.index_of.get(w)
-        if idx is not None:
-            entries[idx] = 1.0
-    return SparseFeatureVector(SPACE_MI, entries)
+    return FeatureBundle(mi=space).extract_single(lead, SPACE_MI)
 
 
 def extract_production_rules(tree: ParseTree) -> Counter:
@@ -272,46 +251,22 @@ def pr_features(lead: AnnotatedLead, space: FeatureSpace,
 
     Rules absent from the space (unseen at space-building time) are ignored.
     """
-    if space.name != SPACE_PR:
-        raise ValidationError(f"expected a {SPACE_PR} space, got {space.name!r}")
-    if value not in ("count", "binary"):
-        raise ValidationError(f"value mode must be 'count' or 'binary', got {value!r}")
-    entries = {}
-    for rule, count in lead_rules(lead).items():
-        idx = space.index_of.get(rule)
-        if idx is not None:
-            entries[idx] = float(count) if value == "count" else 1.0
-    return SparseFeatureVector(SPACE_PR, entries)
+    return FeatureBundle(pr=space, pr_value=value).extract_single(lead, SPACE_PR)
 
 
-def _canonical_pairs(vectors: Sequence[SparseFeatureVector] | None,
-                     spaces: Sequence[FeatureSpace]):
+def _canonical_spaces(spaces: Sequence[FeatureSpace]) -> list[FeatureSpace]:
     names = [s.name for s in spaces]
     if len(set(names)) != len(names):
         raise ValidationError(f"duplicate feature space in {names}")
     for name in names:
         if name not in SPACE_ORDER:
             raise ValidationError(f"unknown feature space {name!r}")
-    if vectors is not None:
-        if len(vectors) != len(spaces):
-            raise ValidationError(
-                f"{len(vectors)} vectors for {len(spaces)} spaces"
-            )
-        for v, s in zip(vectors, spaces):
-            if v.space_name != s.name:
-                raise ValidationError(
-                    f"vector from space {v.space_name!r} paired with {s.name!r}"
-                )
-        pairs = sorted(zip(vectors, spaces),
-                       key=lambda vs: SPACE_ORDER.index(vs[1].name))
-        return [v for v, _ in pairs], [s for _, s in pairs]
-    ordered = sorted(spaces, key=lambda s: SPACE_ORDER.index(s.name))
-    return None, ordered
+    return sorted(spaces, key=lambda s: SPACE_ORDER.index(s.name))
 
 
 def concat_spaces(spaces: Sequence[FeatureSpace]) -> FeatureSpace:
     """Combined space with (space_name, key) keys and cumulative offsets."""
-    _, ordered = _canonical_pairs(None, spaces)
+    ordered = _canonical_spaces(spaces)
     index_of = {}
     offset = 0
     for space in ordered:
@@ -319,28 +274,6 @@ def concat_spaces(spaces: Sequence[FeatureSpace]) -> FeatureSpace:
             index_of[(space.name, key)] = offset + idx
         offset += space.dim
     return FeatureSpace("+".join(s.name for s in ordered), index_of)
-
-
-def concat_features(vectors: Sequence[SparseFeatureVector],
-                    spaces: Sequence[FeatureSpace]) -> SparseFeatureVector:
-    """Merge per-space vectors into one vector over the concatenated space.
-
-    Index offsets are the cumulative space dims in the fixed order MRC, MI,
-    PR (inputs given in another order are reordered). Raises ValidationError
-    on duplicate spaces or a vector/space pairing mismatch.
-    """
-    ordered_vectors, ordered_spaces = _canonical_pairs(vectors, spaces)
-    entries = {}
-    offset = 0
-    for v, s in zip(ordered_vectors, ordered_spaces):
-        for idx, value in v.entries.items():
-            if idx >= s.dim:
-                raise ValidationError(
-                    f"index {idx} out of range for space {s.name} (dim {s.dim})"
-                )
-            entries[offset + idx] = value
-        offset += s.dim
-    return SparseFeatureVector("+".join(s.name for s in ordered_spaces), entries)
 
 
 @dataclass(frozen=True)
@@ -358,6 +291,13 @@ class FeatureBundle:
     pr_value: str = "count"
     mi_entries: tuple[MiEntry, ...] = ()
 
+    def __post_init__(self):
+        for name, space in zip(SPACE_ORDER, (self.mrc, self.mi, self.pr)):
+            if space is not None and space.name != name:
+                raise ValidationError(f"{space.name!r} space given as {name}")
+        if self.pr_value not in ("count", "binary"):
+            raise ValidationError(f"unknown PR value mode {self.pr_value!r}")
+
     def space(self, name: str) -> FeatureSpace:
         found = {SPACE_MRC: self.mrc, SPACE_MI: self.mi, SPACE_PR: self.pr}.get(name)
         if found is None:
@@ -371,18 +311,53 @@ class FeatureBundle:
     def combined_space(self) -> FeatureSpace:
         return concat_spaces(self.active_spaces())
 
+    def matrix(self, leads: Sequence[AnnotatedLead],
+               names: Sequence[str]) -> CsrMatrix:
+        """One CSR row per lead over the named spaces, side by side.
+
+        Columns follow ``concat_spaces`` of the named spaces (order MRC, MI,
+        PR). Values: MRC a word's count over the lead's token count, MI 1.0
+        per present word, PR a rule's count (1.0 when ``pr_value`` is
+        binary); keys outside a space are skipped. Raises EmptyLeadError
+        for a lead without tokens (MRC, MI) and MissingParseError for one
+        without parses (PR).
+        """
+        spaces = _canonical_spaces([self.space(n) for n in names])
+        binary = self.pr_value == "binary"
+        cols, vals = array("q"), array("d")
+        counts: list[int] = []
+        for lead in leads:
+            start, offset = len(cols), 0
+            for space in spaces:
+                if space.name == SPACE_PR:
+                    items, unit, n = lead_rules(lead).items(), binary, 1
+                elif lead.n_tokens == 0:
+                    raise EmptyLeadError(f"lead {lead.id} has no tokens")
+                else:
+                    items, unit = lead.word_counts.items(), space.name == SPACE_MI
+                    n = lead.n_tokens
+                index_of = space.index_of
+                for key, count in items:
+                    idx = index_of.get(key)
+                    if idx is not None:
+                        cols.append(offset + idx)
+                        vals.append(1.0 if unit else count / n)
+                offset += space.dim
+            counts.append(len(cols) - start)
+        rows = np.repeat(np.arange(len(leads)), counts)
+        return pack_csr(rows, np.frombuffer(cols, np.int64), np.frombuffer(vals),
+                        len(leads), sum(s.dim for s in spaces))
+
     def extract_single(self, lead: AnnotatedLead, name: str) -> SparseFeatureVector:
-        space = self.space(name)
-        if name == SPACE_MRC:
-            return mrc_features(lead, space)
-        if name == SPACE_MI:
-            return mi_features(lead, space)
-        return pr_features(lead, space, value=self.pr_value)
+        """The lead's row of ``matrix`` over the space ``name``; a name
+        joining several spaces with "+" names their combined space."""
+        X = self.matrix([lead], name.split("+"))
+        return SparseFeatureVector(
+            name, dict(zip(X.indices.tolist(), X.data.tolist())))
 
     def extract_combined(self, lead: AnnotatedLead) -> SparseFeatureVector:
-        spaces = self.active_spaces()
-        vectors = [self.extract_single(lead, s.name) for s in spaces]
-        return concat_features(vectors, spaces)
+        """The lead's row of ``matrix`` over every active space."""
+        return self.extract_single(lead, self.combined_space.name)
 
 
 def build_feature_bundle(train_leads: Sequence[AnnotatedLead],
@@ -446,8 +421,8 @@ def space_to_lines(space: FeatureSpace) -> list[str]:
 
 
 def space_from_lines(lines: Sequence[str]) -> FeatureSpace:
-    if not lines:
-        raise ValidationError("empty feature space table")
+    if not lines or not all(isinstance(line, str) for line in lines):
+        raise ValidationError("feature space table is not a list of rows")
     name, _, dim_text = lines[0].partition("\t")
     if name not in SPACE_ORDER:
         raise ValidationError(f"unknown feature space {name!r}")

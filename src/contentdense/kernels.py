@@ -54,36 +54,36 @@ class CsrMatrix:
     def rows(self) -> np.ndarray:
         """Row index per stored value, for the per-row gather and scatter."""
         return np.repeat(np.arange(self.n_rows, dtype=np.int64),
-                         np.diff(self.indptr))
+                         self.indptr[1:] - self.indptr[:-1])
+
+
+def pack_csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+             n_rows: int, n_cols: int) -> CsrMatrix:
+    """Pack (row, column, value) entries, at most one per cell, into CSR
+    sorted by row and then column, whatever order they come in. Raises
+    ValidationError for a column outside [0, n_cols), NumericError for a
+    non-finite value."""
+    outside = (cols < 0) | (cols >= n_cols)
+    if outside.any():
+        raise ValidationError(
+            f"row {rows[outside].min()}: feature index outside [0, {n_cols})")
+    if not np.isfinite(vals).all():
+        raise NumericError(
+            f"row {rows[~np.isfinite(vals)].min()}: non-finite feature value")
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
+    return CsrMatrix(data=vals[order], indices=cols[order], indptr=indptr,
+                     n_rows=n_rows, n_cols=n_cols)
 
 
 def build_csr(vectors: Sequence, dim: int) -> CsrMatrix:
-    """Pack sparse feature vectors into CSR arrays.
-
-    Entries are sorted by column index within each row, so the packed form
-    is independent of dict insertion order. Raises ValidationError when an
-    index falls outside [0, dim) and NumericError on non-finite values.
-    """
-    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
-    chunks_idx: list[np.ndarray] = []
-    chunks_val: list[np.ndarray] = []
-    for r, vec in enumerate(vectors):
-        items = sorted(vec.entries.items())
-        idx = np.fromiter((i for i, _ in items), dtype=np.int64, count=len(items))
-        val = np.fromiter((v for _, v in items), dtype=np.float64, count=len(items))
-        if len(idx) and (idx[0] < 0 or idx[-1] >= dim):
-            raise ValidationError(
-                f"row {r}: feature index outside [0, {dim})"
-            )
-        if len(val) and not np.all(np.isfinite(val)):
-            raise NumericError(f"row {r}: non-finite feature value")
-        chunks_idx.append(idx)
-        chunks_val.append(val)
-        indptr[r + 1] = indptr[r] + len(idx)
-    indices = np.concatenate(chunks_idx) if chunks_idx else np.zeros(0, np.int64)
-    data = np.concatenate(chunks_val) if chunks_val else np.zeros(0, np.float64)
-    return CsrMatrix(data=data, indices=indices, indptr=indptr,
-                     n_rows=len(vectors), n_cols=dim)
+    """Pack sparse feature vectors (``entries``: index -> value) into CSR
+    rows, in vector order, with ``pack_csr``."""
+    rows = np.repeat(np.arange(len(vectors)), [len(v.entries) for v in vectors])
+    cols = np.array([i for v in vectors for i in v.entries], dtype=np.int64)
+    vals = np.array([x for v in vectors for x in v.entries.values()],
+                    dtype=np.float64)
+    return pack_csr(rows, cols, vals, len(vectors), dim)
 
 
 def margins(X: CsrMatrix, w: np.ndarray, b: float) -> np.ndarray:

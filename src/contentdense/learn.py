@@ -28,6 +28,7 @@ import numpy as np
 
 from .corpus import AnnotatedLead
 from .errors import (
+    CorpusFormatError,
     DataLeakError,
     NumericError,
     SingleClassError,
@@ -52,6 +53,7 @@ from .kernels import (
     build_csr,
     margins,
     objective_and_grad,
+    pack_csr,
 )
 from .labeling import CONTENT_DENSE, NON_CONTENT_DENSE
 from .optimize import fit_platt_sigmoid, minimize_lbfgs
@@ -66,9 +68,8 @@ MODES = (MODE_MRC, MODE_MI, MODE_PR, MODE_FEATURE_FUSION, MODE_DECISION_FUSION)
 SINGLE_MODE_SPACE = {MODE_MRC: SPACE_MRC, MODE_MI: SPACE_MI, MODE_PR: SPACE_PR}
 
 SPACE_META = "META"
-META_SPACE = FeatureSpace(SPACE_META,
-                          {f"p_{name.lower()}": k
-                           for k, name in enumerate(SPACE_ORDER)})
+
+SCORE_BLOCK = 1024  # leads per scoring pass; bounds feature-matrix memory
 
 DEFAULT_C_GRID = (2.0 ** -5, 2.0 ** -3, 2.0 ** -1, 2.0, 2.0 ** 3, 2.0 ** 5)
 
@@ -129,6 +130,8 @@ class LinearModel:
             raise ValidationError(f"unknown loss {self.loss!r}")
         if self.l2_c <= 0:
             raise ValidationError("l2_c must be positive")
+        if self.platt is not None and len(self.platt) != 2:
+            raise ValidationError("platt must be two numbers (a, b)")
         if not (np.all(np.isfinite(self.weights)) and math.isfinite(self.bias)):
             raise NumericError("model parameters are not finite")
 
@@ -136,46 +139,49 @@ class LinearModel:
     def dim(self) -> int:
         return len(self.weights)
 
-    def margin(self, x: SparseFeatureVector) -> float:
-        if x.space_name != self.space_name:
+    def margins(self, X: CsrMatrix) -> np.ndarray:
+        """Decision margins of every row, summed by the training kernel."""
+        if X.n_cols != self.dim:
             raise ValidationError(
-                f"vector from space {x.space_name!r} scored by a "
-                f"{self.space_name!r} model"
+                f"{X.n_cols}-column rows scored by a {self.dim}-dim model"
             )
-        acc = self.bias
-        for idx, value in x.entries.items():
-            if idx >= self.dim:
-                raise ValidationError(
-                    f"feature index {idx} outside model dimension {self.dim}"
-                )
-            acc += value * self.weights[idx]
-        return acc
+        return margins(X, self.weights, self.bias)
 
-    def predict_proba(self, x: SparseFeatureVector) -> float:
-        """Probability of the content_dense class.
+    def proba_from_margins(self, z: np.ndarray) -> np.ndarray:
+        """Probability of the content_dense class for each margin.
 
         Logistic models apply the sigmoid to the margin directly; hinge
         models require a fitted Platt calibration (a, b) and return
         sigmoid(a*margin + b).
         """
-        m = self.margin(x)
         if self.loss == LOSS_LOGISTIC:
-            return _sigmoid(m)
+            return np.array([_sigmoid(m) for m in z.tolist()])
         if self.platt is None:
             raise ValidationError(
                 "hinge model has no Platt calibration; fit one on held-out "
                 "margins before asking for probabilities"
             )
         a, b = self.platt
-        return _sigmoid(a * m + b)
+        return np.array([_sigmoid(a * m + b) for m in z.tolist()])
+
+    def margin(self, x: SparseFeatureVector) -> float:
+        if x.space_name != self.space_name:
+            raise ValidationError(
+                f"vector from space {x.space_name!r} scored by a "
+                f"{self.space_name!r} model"
+            )
+        return float(self.margins(build_csr([x], self.dim))[0])
+
+    def predict_proba(self, x: SparseFeatureVector) -> float:
+        return float(self.proba_from_margins(np.array([self.margin(x)]))[0])
 
     def predict_label(self, x: SparseFeatureVector) -> str:
-        return CONTENT_DENSE if self.margin(x) >= 0.0 else NON_CONTENT_DENSE
+        return margin_label(self.margin(x))
 
 
-def predict_proba(model: LinearModel, x: SparseFeatureVector) -> float:
-    """Module-level alias for LinearModel.predict_proba."""
-    return model.predict_proba(x)
+def margin_label(z: float) -> str:
+    """Predicted class of a decision margin; exact ties go to content_dense."""
+    return CONTENT_DENSE if z >= 0.0 else NON_CONTENT_DENSE
 
 
 def _train_on_csr(X: CsrMatrix, y: np.ndarray, space_name: str, loss: str,
@@ -226,16 +232,6 @@ def train_linear(X: Sequence[SparseFeatureVector], y: Sequence[str],
     return _train_on_csr(csr, y_arr, space.name, loss, c, config)
 
 
-def _accuracy_from_margins(margin_values: np.ndarray, y: np.ndarray) -> float:
-    predicted = np.where(margin_values >= 0.0, 1.0, -1.0)
-    return float((predicted == y).mean())
-
-
-def accuracy(model: LinearModel, X: CsrMatrix, y: np.ndarray) -> float:
-    """Fraction of rows whose margin sign matches y (ties count positive)."""
-    return _accuracy_from_margins(margins(X, model.weights, model.bias), y)
-
-
 def _grid_search(train_X: CsrMatrix, train_y: np.ndarray,
                  dev_X: CsrMatrix | None, dev_y: np.ndarray | None,
                  space_name: str, loss: str,
@@ -255,7 +251,8 @@ def _grid_search(train_X: CsrMatrix, train_y: np.ndarray,
     best_acc = -1.0
     for c in grid:
         model = _train_on_csr(train_X, train_y, space_name, loss, c, config)
-        acc = accuracy(model, dev_X, dev_y)
+        predicted = np.where(model.margins(dev_X) >= 0.0, 1.0, -1.0)
+        acc = float((predicted == dev_y).mean())
         if acc > best_acc:
             best_model, best_acc = model, acc
     return best_model
@@ -280,20 +277,19 @@ def train_single(train_leads: Sequence[AnnotatedLead],
                  ) -> LinearModel:
     """Grid-searched logistic model on one feature space.
 
-    Also serves as one first-layer member of the decision-fusion stack, so
-    a model trained here can be passed to train_decision_fusion unchanged.
+    A ``space_name`` joining several spaces with "+" (a combined space's
+    name) trains on their rows side by side. A model trained on one space
+    can be passed to train_decision_fusion as a first-layer member.
     """
     config = config or TrainConfig()
     if dev_leads:
         _check_disjoint(train_leads, dev_leads)
-    space = bundle.space(space_name)
-    train_X = build_csr([bundle.extract_single(l, space_name)
-                         for l in train_leads], space.dim)
+    names = space_name.split("+")
+    train_X = bundle.matrix(train_leads, names)
     train_y = _label_to_y([labels[l.id] for l in train_leads])
     dev_X = dev_y = None
     if dev_leads:
-        dev_X = build_csr([bundle.extract_single(l, space_name)
-                           for l in dev_leads], space.dim)
+        dev_X = bundle.matrix(dev_leads, names)
         dev_y = _label_to_y([labels[l.id] for l in dev_leads])
     return _grid_search(train_X, train_y, dev_X, dev_y, space_name,
                         LOSS_LOGISTIC, config)
@@ -310,20 +306,8 @@ def train_feature_fusion(train_leads: Sequence[AnnotatedLead],
     A development set is required whenever config.c_grid has more than one
     value (grid search selects by development accuracy).
     """
-    config = config or TrainConfig()
-    if dev_leads:
-        _check_disjoint(train_leads, dev_leads)
-    space = bundle.combined_space
-    train_X = build_csr([bundle.extract_combined(l) for l in train_leads],
-                        space.dim)
-    train_y = _label_to_y([labels[l.id] for l in train_leads])
-    dev_X = dev_y = None
-    if dev_leads:
-        dev_X = build_csr([bundle.extract_combined(l) for l in dev_leads],
-                          space.dim)
-        dev_y = _label_to_y([labels[l.id] for l in dev_leads])
-    return _grid_search(train_X, train_y, dev_X, dev_y, space.name,
-                        LOSS_LOGISTIC, config)
+    return train_single(train_leads, labels, bundle,
+                        bundle.combined_space.name, config, dev_leads)
 
 
 @dataclass
@@ -349,16 +333,17 @@ class FusionModel:
                 f"match {len(self.first_layer)} first-layer models"
             )
 
-    def meta_vector(self, probs: Mapping[str, float]) -> SparseFeatureVector:
-        entries = {META_SPACE.index_of[f"p_{name.lower()}"]: probs[name]
-                   for name in SPACE_ORDER}
-        return SparseFeatureVector(SPACE_META, entries)
+    def margins(self, probs: Mapping[str, Sequence[float]]) -> np.ndarray:
+        """Second-layer margins of rows of first-layer probabilities."""
+        return self.second_layer.margins(_meta_matrix(probs))
 
-    def decision_margin(self, probs: Mapping[str, float]) -> float:
-        return self.second_layer.margin(self.meta_vector(probs))
 
-    def predict_proba(self, probs: Mapping[str, float]) -> float:
-        return self.second_layer.predict_proba(self.meta_vector(probs))
+def _meta_matrix(probs: Mapping[str, Sequence[float]]) -> CsrMatrix:
+    """Dense second-layer rows: the MRC, MI and PR probabilities."""
+    values = np.column_stack([probs[name] for name in SPACE_ORDER])
+    n, d = values.shape
+    return pack_csr(np.repeat(np.arange(n), d), np.tile(np.arange(d), n),
+                    values.ravel(), n, d)
 
 
 def _platt_from_cv(dev_X: CsrMatrix, dev_y: np.ndarray, space_name: str,
@@ -385,22 +370,19 @@ def _platt_from_cv(dev_X: CsrMatrix, dev_y: np.ndarray, space_name: str,
                 break
             sub = _csr_take(dev_X, rest)
             model = _train_on_csr(sub, dev_y[rest], space_name, loss, c, config)
-            margin_out[part] = margins(_csr_take(dev_X, part), model.weights,
-                                       model.bias)
+            margin_out[part] = model.margins(_csr_take(dev_X, part))
     if not ok:
         model = _train_on_csr(dev_X, dev_y, space_name, loss, c, config)
-        margin_out = margins(dev_X, model.weights, model.bias)
+        margin_out = model.margins(dev_X)
     return fit_platt_sigmoid(margin_out, dev_y)
 
 
 def _csr_take(X: CsrMatrix, rows: np.ndarray) -> CsrMatrix:
     """Row-subset of a CSR matrix."""
-    counts = np.diff(X.indptr)
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum(counts[rows])
-    take = np.concatenate(
-        [np.arange(X.indptr[r], X.indptr[r + 1]) for r in rows]
-    ) if len(rows) else np.zeros(0, dtype=np.int64)
+    counts = np.diff(X.indptr)[rows]
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    take = (np.repeat(X.indptr[rows] - indptr[:-1], counts)
+            + np.arange(indptr[-1]))
     return CsrMatrix(data=X.data[take], indices=X.indices[take],
                      indptr=indptr, n_rows=len(rows), n_cols=X.n_cols)
 
@@ -434,17 +416,14 @@ def train_decision_fusion(train_leads: Sequence[AnnotatedLead],
         )
 
     first_layer = dict(first_layer) if first_layer is not None else {}
-    dev_probs: dict[str, list[float]] = {}
+    dev_probs: dict[str, np.ndarray] = {}
     train_y = _label_to_y([labels[l.id] for l in train_leads])
     dev_y = _label_to_y([labels[l.id] for l in dev_leads])
     for name in SPACE_ORDER:
-        space = bundle.space(name)
-        dev_vecs = [bundle.extract_single(l, name) for l in dev_leads]
+        dev_X = bundle.matrix(dev_leads, [name])
         model = first_layer.get(name)
         if model is None:
-            train_X = build_csr([bundle.extract_single(l, name)
-                                 for l in train_leads], space.dim)
-            dev_X = build_csr(dev_vecs, space.dim)
+            train_X = bundle.matrix(train_leads, [name])
             model = _grid_search(train_X, train_y, dev_X, dev_y, name,
                                  LOSS_LOGISTIC, config)
             first_layer[name] = model
@@ -453,15 +432,9 @@ def train_decision_fusion(train_leads: Sequence[AnnotatedLead],
                 f"first-layer model for {name!r} was trained on "
                 f"{model.space_name!r}"
             )
-        dev_probs[name] = [model.predict_proba(v) for v in dev_vecs]
+        dev_probs[name] = model.proba_from_margins(model.margins(dev_X))
 
-    meta_vectors = [
-        SparseFeatureVector(SPACE_META,
-                            {k: dev_probs[name][i]
-                             for k, name in enumerate(SPACE_ORDER)})
-        for i in range(len(dev_leads))
-    ]
-    meta_X = build_csr(meta_vectors, META_SPACE.dim)
+    meta_X = _meta_matrix(dev_probs)
     second = _grid_search(meta_X, dev_y, meta_X, dev_y, SPACE_META,
                           LOSS_HINGE, config)
     second.platt = _platt_from_cv(meta_X, dev_y, SPACE_META, LOSS_HINGE,
@@ -483,31 +456,56 @@ class LeadClassifier:
         is_fusion = isinstance(self.model, FusionModel)
         if is_fusion != (self.mode == MODE_DECISION_FUSION):
             raise ValidationError(f"model type does not match mode {self.mode!r}")
+        for names, model in self._layers():
+            dim = sum(self.bundle.space(name).dim for name in names)
+            if model.space_name != "+".join(names) or model.dim != dim:
+                raise ValidationError(
+                    f"{model.space_name!r} model with {model.dim} weights "
+                    f"does not fit the {dim}-dim {'+'.join(names)!r} space")
 
-    def _first_layer_probs(self, lead: AnnotatedLead) -> dict[str, float]:
-        return {name: self.model.first_layer[name].predict_proba(
-                    self.bundle.extract_single(lead, name))
-                for name in SPACE_ORDER}
+    def _layers(self) -> list[tuple[list[str], LinearModel]]:
+        """(space names, model) of each model that scores feature rows."""
+        if self.mode == MODE_DECISION_FUSION:
+            return [([name], self.model.first_layer[name])
+                    for name in SPACE_ORDER]
+        if self.mode == MODE_FEATURE_FUSION:
+            return [([s.name for s in self.bundle.active_spaces()], self.model)]
+        return [([SINGLE_MODE_SPACE[self.mode]], self.model)]
+
+    def margins(self, leads: Sequence[AnnotatedLead]) -> np.ndarray:
+        """Decision margins of the leads, scored SCORE_BLOCK at a time."""
+        return np.concatenate([np.zeros(0)] + [
+            self._block_margins(leads[i:i + SCORE_BLOCK])
+            for i in range(0, len(leads), SCORE_BLOCK)])
+
+    def _block_margins(self, leads: Sequence[AnnotatedLead]) -> np.ndarray:
+        layers = self._layers()
+        if self.mode != MODE_DECISION_FUSION:
+            [(names, model)] = layers
+            return model.margins(self.bundle.matrix(leads, names))
+        return self.model.margins(
+            {names[0]: model.proba_from_margins(
+                model.margins(self.bundle.matrix(leads, names)))
+             for names, model in layers})
+
+    def proba_from_margins(self, z: np.ndarray) -> np.ndarray:
+        """Content-dense probability of each decision margin."""
+        fusion = self.mode == MODE_DECISION_FUSION
+        return (self.model.second_layer if fusion
+                else self.model).proba_from_margins(z)
+
+    def probabilities(self, leads: Sequence[AnnotatedLead]) -> np.ndarray:
+        """Content-dense probability of each lead."""
+        return self.proba_from_margins(self.margins(leads))
 
     def decision_margin(self, lead: AnnotatedLead) -> float:
-        if self.mode == MODE_DECISION_FUSION:
-            return self.model.decision_margin(self._first_layer_probs(lead))
-        if self.mode == MODE_FEATURE_FUSION:
-            return self.model.margin(self.bundle.extract_combined(lead))
-        name = SINGLE_MODE_SPACE[self.mode]
-        return self.model.margin(self.bundle.extract_single(lead, name))
+        return float(self.margins([lead])[0])
 
     def predict_proba(self, lead: AnnotatedLead) -> float:
-        if self.mode == MODE_DECISION_FUSION:
-            return self.model.predict_proba(self._first_layer_probs(lead))
-        if self.mode == MODE_FEATURE_FUSION:
-            return self.model.predict_proba(self.bundle.extract_combined(lead))
-        name = SINGLE_MODE_SPACE[self.mode]
-        return self.model.predict_proba(self.bundle.extract_single(lead, name))
+        return float(self.probabilities([lead])[0])
 
     def predict_label(self, lead: AnnotatedLead) -> str:
-        return (CONTENT_DENSE if self.decision_margin(lead) >= 0.0
-                else NON_CONTENT_DENSE)
+        return margin_label(self.decision_margin(lead))
 
 
 def _linear_to_record(model: LinearModel) -> dict:
@@ -521,15 +519,29 @@ def _linear_to_record(model: LinearModel) -> dict:
     }
 
 
-def _linear_from_record(rec: dict) -> LinearModel:
-    platt = rec.get("platt")
+def _field(rec, key: str, kind, where: str):
+    """``rec[key]``, required to be present and of type ``kind``."""
+    if not isinstance(rec, dict) or not isinstance(rec.get(key), kind):
+        raise ValidationError(f"{where}: {key!r} is missing or mistyped")
+    return rec[key]
+
+
+def _numbers(rec, key: str, where: str) -> list:
+    values = _field(rec, key, list, where)
+    if not all(isinstance(v, (int, float)) for v in values):
+        raise ValidationError(f"{where}: {key!r} must hold numbers")
+    return values
+
+
+def _linear_from_record(rec, where: str) -> LinearModel:
     return LinearModel(
-        weights=np.array(rec["weights"], dtype=np.float64),
-        bias=float(rec["bias"]),
-        space_name=rec["space_name"],
-        loss=rec["loss"],
-        l2_c=float(rec["l2_c"]),
-        platt=tuple(platt) if platt is not None else None,
+        weights=np.array(_numbers(rec, "weights", where), dtype=np.float64),
+        bias=float(_field(rec, "bias", (int, float), where)),
+        space_name=_field(rec, "space_name", str, where),
+        loss=_field(rec, "loss", str, where),
+        l2_c=float(_field(rec, "l2_c", (int, float), where)),
+        platt=(None if rec.get("platt") is None
+               else tuple(_numbers(rec, "platt", where))),
     )
 
 
@@ -559,25 +571,29 @@ def classifier_to_record(clf: LeadClassifier) -> dict:
 
 
 def classifier_from_record(rec: dict) -> LeadClassifier:
-    if rec.get("format") != MODEL_FORMAT:
+    """Rebuild a classifier from its JSON object; ValidationError when a
+    field is missing or mistyped or a weight count misses its space's dim."""
+    if not isinstance(rec, dict) or rec.get("format") != MODEL_FORMAT:
         raise ValidationError("not a model file (missing format marker)")
     if rec.get("version") != MODEL_VERSION:
         raise ValidationError(f"unsupported model version {rec.get('version')!r}")
-    spaces = {name: space_from_lines(lines)
-              for name, lines in rec["spaces"].items()}
+    tables = _field(rec, "spaces", dict, "model")
+    spaces = {name: space_from_lines(_field(tables, name, list, "spaces"))
+              for name in tables}
     bundle = FeatureBundle(
         mrc=spaces.get(SPACE_MRC), mi=spaces.get(SPACE_MI),
         pr=spaces.get(SPACE_PR), pr_value=rec.get("pr_value", "count"),
     )
-    mode = rec["mode"]
+    mode = _field(rec, "mode", str, "model")
     if mode == MODE_DECISION_FUSION:
+        layers = _field(rec, "first_layer", dict, "model")
         model: LinearModel | FusionModel = FusionModel(
-            first_layer={name: _linear_from_record(m)
-                         for name, m in rec["first_layer"].items()},
-            second_layer=_linear_from_record(rec["second_layer"]),
-        )
+            first_layer={name: _linear_from_record(m, f"first_layer {name}")
+                         for name, m in layers.items()},
+            second_layer=_linear_from_record(rec.get("second_layer"),
+                                             "second_layer"))
     else:
-        model = _linear_from_record(rec["model"])
+        model = _linear_from_record(rec.get("model"), "model")
     return LeadClassifier(mode=mode, bundle=bundle, model=model)
 
 
@@ -588,5 +604,10 @@ def save_classifier(clf: LeadClassifier, path: str | Path) -> None:
 
 
 def load_classifier(path: str | Path) -> LeadClassifier:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        return classifier_from_record(json.load(fh))
+    """Read a model file; CorpusFormatError when it is not JSON or not a
+    well-formed model (see classifier_from_record)."""
+    try:
+        with Path(path).open("r", encoding="utf-8") as fh:
+            return classifier_from_record(json.load(fh))
+    except (ValueError, ValidationError) as e:
+        raise CorpusFormatError(f"{path}: {e}") from e

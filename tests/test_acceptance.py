@@ -391,8 +391,8 @@ class StubScorer:
     def __init__(self, probs):
         self.probs = probs
 
-    def predict_proba(self, lead):
-        return self.probs[lead.id]
+    def probabilities(self, leads):
+        return [self.probs[lead.id] for lead in leads]
 
 
 def binomial_tail_oracle(successes, n, p0):

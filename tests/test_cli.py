@@ -93,6 +93,37 @@ def model_for_pairs(workspace):
     return str(out / "model.json")
 
 
+@pytest.fixture(scope="module")
+def fusion_model_path(workspace):
+    out = workspace["root"] / "model_df"
+    code = main(["train", "--corpus", workspace["corpus"],
+                 "--lexicon", workspace["lexicon"],
+                 "--mode", "decision-fusion", "--c-grid", "1.0",
+                 "--seed", "0", "--out", str(out)])
+    assert code == 0
+    return out / "model.json"
+
+
+def _edit_record(edit):
+    def corrupt(text):
+        rec = json.loads(text)
+        edit(rec)
+        return json.dumps(rec)
+    return corrupt
+
+
+# name -> (model the corruption starts from, text -> corrupted text)
+MODEL_CORRUPTIONS = {
+    "missing_weights": ("mi", _edit_record(
+        lambda rec: rec["model"].pop("weights"))),
+    "truncated": ("mi", lambda text: text[:len(text) // 2]),
+    "short_mi_weights": ("mi", _edit_record(
+        lambda rec: rec["model"]["weights"].pop())),
+    "two_weight_second_layer": ("decision_fusion", _edit_record(
+        lambda rec: rec["second_layer"]["weights"].pop())),
+}
+
+
 class TestGenerate:
     def test_writes_three_files(self, workspace):
         root = workspace["root"]
@@ -312,6 +343,19 @@ class TestExitCodes:
         code = main(["label", "--corpus", str(dup), "--out", str(tmp_path)])
         assert code == 5
         capsys.readouterr()
+
+    @pytest.mark.parametrize("corruption", sorted(MODEL_CORRUPTIONS))
+    def test_malformed_model_file(self, workspace, model_path,
+                                  fusion_model_path, tmp_path, capsys,
+                                  corruption):
+        source, corrupt = MODEL_CORRUPTIONS[corruption]
+        bad = tmp_path / "model.json"
+        bad.write_text(corrupt(read(model_path if source == "mi"
+                                    else fusion_model_path)))
+        code = main(["predict", "--corpus", workspace["corpus"],
+                     "--model", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 4
+        assert str(bad) in capsys.readouterr().err
 
     def test_every_error_class_has_a_distinct_code(self):
         codes = [code for _, code in _EXIT_CODES]

@@ -61,6 +61,9 @@ class StubScorer:
     def predict_proba(self, lead):
         return self.scores[lead.id]
 
+    def probabilities(self, leads):
+        return [self.scores[lead.id] for lead in leads]
+
 
 def stub_for(pairs, score_pairs):
     scores = {}

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contentdense.corpus import AnnotatedLead, Sentence, parse_ptb_tree
 from contentdense.errors import (
@@ -13,10 +15,10 @@ from contentdense.errors import (
     ValidationError,
 )
 from contentdense.features import (
+    SPACE_ORDER,
+    FeatureBundle,
     FeatureSpace,
     ProductionRule,
-    SparseFeatureVector,
-    concat_features,
     concat_spaces,
     extract_production_rules,
     lead_rules,
@@ -361,43 +363,132 @@ def space_of(name, n):
     return FeatureSpace(name, {k: i for i, k in enumerate(keys)})
 
 
+VOCAB = ("alpha", "Alpha", "beta", "gamma", "delta")
+TREE_STRUCTS = st.recursive(
+    st.tuples(st.sampled_from(("NN", "VB")), st.sampled_from(VOCAB)),
+    lambda kids: st.tuples(st.sampled_from(("S", "NP", "VP")),
+                           st.lists(kids, min_size=1, max_size=3)),
+    max_leaves=6)
+
+
+def lead_of_structs(id, structs):
+    sentences = []
+    for struct in structs:
+        tree = parse_ptb_tree(struct_to_bracketed(struct))
+        sentences.append(Sentence(tokens=tuple(tree.leaves()),
+                                  pos=tuple("XX" for _ in tree.leaves()),
+                                  parse=tree))
+    return AnnotatedLead(id=id, domain="general", lead_text="x",
+                         sentences=tuple(sentences), article_word_count=1000)
+
+
+@st.composite
+def corpora(draw):
+    """(leads, each lead's tree structs, bundle) over a tiny vocabulary.
+
+    Spaces are random subsets, so some leads hit no key of a space; tokens
+    repeat, and case differs between tokens and lexicon entries.
+    """
+    structs = draw(st.lists(st.lists(TREE_STRUCTS, min_size=1, max_size=2),
+                            min_size=1, max_size=6))
+    leads = [lead_of_structs(f"l{k}", s) for k, s in enumerate(structs)]
+    mi_words = sorted(set(draw(st.lists(
+        st.sampled_from(("alpha", "beta", "gamma", "zeta"))))))
+    bundle = FeatureBundle(
+        mrc=mrc_space(draw(st.lists(st.sampled_from(VOCAB + ("zeta",)),
+                                    min_size=1))),
+        mi=FeatureSpace("MI", {w: k for k, w in enumerate(mi_words)}),
+        pr=pr_space(draw(st.lists(st.sampled_from(leads), max_size=3))),
+        pr_value=draw(st.sampled_from(("count", "binary"))))
+    return leads, structs, bundle
+
+
+def dense_oracle(leads, structs, bundle, name):
+    """Feature matrix by brute force over tokens and reference rule counts."""
+    space = bundle.space(name)
+    out = np.zeros((len(leads), space.dim))
+    for r, (lead, lead_structs) in enumerate(zip(leads, structs)):
+        words = [t.lower() for s in lead.sentences for t in s.tokens]
+        rules = Counter()
+        for struct in lead_structs:
+            rules.update(rules_oracle(struct))
+        for key, idx in space.index_of.items():
+            if name == "MRC" and key in words:
+                out[r, idx] = words.count(key) / len(words)
+            elif name == "MI" and key in words:
+                out[r, idx] = 1.0
+            elif name == "PR" and rules[(key.lhs, key.rhs)]:
+                count = rules[(key.lhs, key.rhs)]
+                out[r, idx] = 1.0 if bundle.pr_value == "binary" else count
+    return out
+
+
+class TestMatrixOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(corpora())
+    def test_matrix_equals_dense_oracle(self, corpus):
+        leads, structs, bundle = corpus
+        dense = {name: dense_oracle(leads, structs, bundle, name)
+                 for name in SPACE_ORDER}
+        cases = [([name], dense[name]) for name in SPACE_ORDER]
+        cases.append((list(SPACE_ORDER),
+                      np.hstack([dense[name] for name in SPACE_ORDER])))
+        for names, expected in cases:
+            X = bundle.matrix(leads, names)
+            assert (X.n_rows, X.n_cols) == expected.shape
+            got = np.zeros(expected.shape)
+            for r in range(X.n_rows):
+                row = slice(X.indptr[r], X.indptr[r + 1])
+                assert np.all(np.diff(X.indices[row]) > 0)
+                got[r, X.indices[row]] = X.data[row]
+            assert len(X.data) == np.count_nonzero(expected)
+            assert np.array_equal(got, expected)
+
+
+def bundle_of(*spaces):
+    return FeatureBundle(**{s.name.lower(): s for s in spaces})
+
+
 class TestConcat:
     def test_offset_arithmetic(self):
         spaces = [space_of("MRC", 5), space_of("MI", 7), space_of("PR", 9)]
         pr_key = spaces[2].key_at[2]
-        vectors = [SparseFeatureVector("MRC", {}),
-                   SparseFeatureVector("MI", {}),
-                   SparseFeatureVector("PR", {2: 3.0})]
-        combined = concat_features(vectors, spaces)
-        assert combined.entries == {14: 3.0}
+        lead = make_doc("a", [], parse="(S (X (pr2 w)) (X (pr2 w)) (X (pr2 w)))")
+        bundle = bundle_of(*spaces)
+        assert bundle.extract_combined(lead).entries == {14: 3.0}
+        X = bundle.matrix([lead], SPACE_ORDER)
+        assert (X.indices.tolist(), X.data.tolist(), X.n_cols) == ([14], [3.0], 21)
         assert concat_spaces(spaces).index_of[("PR", pr_key)] == 14
 
     def test_empty_vectors(self):
         spaces = [space_of("MRC", 5), space_of("MI", 7), space_of("PR", 9)]
-        vectors = [SparseFeatureVector(s.name, {}) for s in spaces]
-        combined = concat_features(vectors, spaces)
-        assert combined.entries == {}
+        lead = make_doc("a", [], parse="(S (NP (NN cat)))")
+        bundle = bundle_of(*spaces)
+        assert bundle.extract_combined(lead).entries == {}
+        X = bundle.matrix([lead, lead], SPACE_ORDER)
+        assert X.indptr.tolist() == [0, 0, 0] and X.n_cols == 21
         assert concat_spaces(spaces).dim == 21
 
     def test_single_vector_identity(self):
-        space = space_of("MI", 4)
-        vec = SparseFeatureVector("MI", {1: 2.0, 3: 4.0})
-        combined = concat_features([vec], [space])
-        assert combined.entries == vec.entries
+        bundle = bundle_of(space_of("MI", 4))
+        lead = make_doc("a", ["mi3", "mi1", "mi3", "other"])
+        combined = bundle.extract_combined(lead)
+        assert combined.entries == bundle.extract_single(lead, "MI").entries
+        assert combined.entries == {1: 1.0, 3: 1.0}
 
     def test_duplicate_space_rejected(self):
-        spaces = [space_of("MI", 4), space_of("MI", 4)]
-        vecs = [SparseFeatureVector("MI", {}), SparseFeatureVector("MI", {})]
+        bundle = bundle_of(space_of("MI", 4))
         with pytest.raises(ValidationError):
-            concat_features(vecs, spaces)
+            bundle.matrix([make_doc("a", ["mi0"])], ["MI", "MI"])
 
     def test_canonical_reorder(self):
-        spaces = [space_of("PR", 2), space_of("MRC", 3)]
-        vectors = [SparseFeatureVector("PR", {0: 1.0}),
-                   SparseFeatureVector("MRC", {1: 5.0})]
-        combined = concat_features(vectors, spaces)
+        bundle = bundle_of(space_of("PR", 2), space_of("MRC", 3))
+        lead = make_doc("a", [], parse="(S (X (pr0 mrc1)))")
+        combined = bundle.extract_combined(lead)
         assert combined.space_name == "MRC+PR"
-        assert combined.entries == {1: 5.0, 3: 1.0}
+        assert combined.entries == {1: 1.0, 3: 1.0}
+        X = bundle.matrix([lead], ["PR", "MRC"])
+        assert (X.indices.tolist(), X.data.tolist(), X.n_cols) == ([1, 3], [1.0, 1.0], 5)
 
     def test_combined_index_injective(self):
         spaces = [space_of("MRC", 11), space_of("MI", 13), space_of("PR", 7)]

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from contentdense import learn
 from contentdense.corpus import AnnotatedLead, Sentence, parse_ptb_tree
 from contentdense.errors import DataLeakError, SingleClassError, ValidationError
 from contentdense.features import (
@@ -25,17 +28,21 @@ from contentdense.learn import (
     MODE_DECISION_FUSION,
     MODE_FEATURE_FUSION,
     MODE_MI,
+    MODES,
+    SINGLE_MODE_SPACE,
     FusionModel,
     LeadClassifier,
     LinearModel,
     TrainConfig,
     classifier_from_record,
     load_classifier,
+    margin_label,
     save_classifier,
     train_decision_fusion,
     train_feature_fusion,
     train_linear,
 )
+from test_features import corpora
 
 MRC_LEXICON = ("glass", "iron", "river", "stone")
 DENSE_MARKERS = ("fact", "figure")
@@ -287,9 +294,10 @@ class TestDecisionFusion:
                            loss=LOSS_HINGE, l2_c=1.0, platt=(1.0, 0.0))
         tied = FusionModel(first_layer=dict(fusion.first_layer),
                            second_layer=flat)
-        probs = {SPACE_MRC: 0.9, SPACE_MI: 0.1, SPACE_PR: 0.4}
-        assert tied.decision_margin(probs) == 0.0
-        assert tied.predict_proba(probs) == 0.5
+        z = tied.margins({SPACE_MRC: [0.9], SPACE_MI: [0.1], SPACE_PR: [0.4]})
+        assert z.tolist() == [0.0]
+        assert tied.second_layer.proba_from_margins(z).tolist() == [0.5]
+        assert margin_label(0.0) == CONTENT_DENSE
 
     def test_second_layer_dim_checked(self, fusion):
         bad = LinearModel(weights=np.zeros(2), bias=0.0, space_name="META",
@@ -324,6 +332,55 @@ class TestLeadClassifier:
             vec = bundle.extract_single(lead, SPACE_MI)
             assert clf.decision_margin(lead) == model.margin(vec)
             assert clf.predict_label(lead) == model.predict_label(vec)
+
+
+def random_model(rng, mode, bundle):
+    def linear(space, loss=LOSS_LOGISTIC, platt=None):
+        return LinearModel(weights=rng.normal(size=space.dim),
+                           bias=float(rng.normal()), space_name=space.name,
+                           loss=loss, l2_c=1.0, platt=platt)
+
+    if mode in SINGLE_MODE_SPACE:
+        return linear(bundle.space(SINGLE_MODE_SPACE[mode]))
+    if mode == MODE_FEATURE_FUSION:
+        return linear(bundle.combined_space)
+    return FusionModel(
+        first_layer={name: linear(bundle.space(name)) for name in SPACE_ORDER},
+        second_layer=linear(FeatureSpace("META", {k: k for k in range(3)}),
+                            LOSS_HINGE, tuple(rng.normal(size=2).tolist())))
+
+
+class TestBatchScoring:
+    @settings(max_examples=40, deadline=None)
+    @given(corpora(), st.integers(0, 2 ** 32 - 1))
+    def test_batch_matches_per_lead_wrappers(self, corpus, seed):
+        leads, _, bundle = corpus
+        rng = np.random.default_rng(seed)
+        for mode in MODES:
+            model = random_model(rng, mode, bundle)
+            clf = LeadClassifier(mode=mode, bundle=bundle, model=model)
+            z = clf.margins(leads)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(learn, "SCORE_BLOCK", 2)
+                assert clf.margins(leads).tolist() == z.tolist()
+            assert z.tolist() == [clf.decision_margin(l) for l in leads]
+            assert clf.probabilities(leads).tolist() == [
+                clf.predict_proba(l) for l in leads]
+            assert [margin_label(m) for m in z.tolist()] == [
+                clf.predict_label(l) for l in leads]
+            if mode in SINGLE_MODE_SPACE:
+                vecs = [bundle.extract_single(l, SINGLE_MODE_SPACE[mode])
+                        for l in leads]
+            elif mode == MODE_FEATURE_FUSION:
+                vecs = [bundle.extract_combined(l) for l in leads]
+            else:
+                vecs = [{name: model.first_layer[name].predict_proba(
+                            bundle.extract_single(l, name))
+                         for name in SPACE_ORDER} for l in leads]
+                assert z.tolist() == [model.margins(
+                    {name: [p] for name, p in v.items()})[0] for v in vecs]
+                continue
+            assert z.tolist() == [model.margin(v) for v in vecs]
 
 
 class TestSerialization:
