@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import AnnotatedLead, lead_from_record, lead_to_record
+from .corpus import AnnotatedLead, json_lines, lead_from_record, lead_to_record
 from .errors import (
     ContentDenseError,
     CorpusFormatError,
@@ -292,10 +292,19 @@ def pair_from_record(rec: dict) -> SummaryPair:
                 "system_summary"):
         if key not in rec:
             raise CorpusFormatError(f"pair record missing field {key!r}")
+    for key in ("article_id", "human_preference"):
+        if type(rec[key]) is not str:
+            raise CorpusFormatError(f"field {key!r} must be a JSON string")
+    summaries = []
+    for key in ("lead_summary", "system_summary"):
+        try:
+            summaries.append(lead_from_record(rec[key]))
+        except ContentDenseError as e:
+            raise type(e)(f"{key}: {e}") from e
     return SummaryPair(
         article_id=rec["article_id"],
-        lead_summary=lead_from_record(rec["lead_summary"]),
-        system_summary=lead_from_record(rec["system_summary"]),
+        lead_summary=summaries[0],
+        system_summary=summaries[1],
         human_preference=rec["human_preference"],
     )
 
@@ -303,18 +312,11 @@ def pair_from_record(rec: dict) -> SummaryPair:
 def load_pairs(path: str | Path) -> list[SummaryPair]:
     """Load a JSON-lines pair file, naming the line of any bad record."""
     pairs = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusFormatError(f"line {lineno}: {e}") from e
-            try:
-                pairs.append(pair_from_record(rec))
-            except ContentDenseError as e:
-                raise type(e)(f"line {lineno}: {e}") from e
+    for lineno, rec in json_lines(path):
+        try:
+            pairs.append(pair_from_record(rec))
+        except ContentDenseError as e:
+            raise type(e)(f"line {lineno}: {e}") from e
     return pairs
 
 

@@ -14,11 +14,14 @@ form. POS tags are kept verbatim.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     CorpusFormatError,
@@ -37,162 +40,204 @@ class WordPosTuple(NamedTuple):
     pos: str
 
 
-@dataclass(frozen=True)
-class ParseTree:
+# A token is "(", ")", an atom, or a whole preterminal "(TAG word)"; the
+# scan tries the preterminal first, so a well-formed one is always one token.
+_TOKEN = re.compile(r"\(\s*[^\s()]+\s+[^\s()]+\s*\)|[()]|[^\s()]+")
+_new_node = tuple.__new__
+
+
+class InternTable(dict):
+    """Maps each key to one shared immutable value, made by ``make(key)`` on
+    first lookup; the table starts over when it holds ``limit`` entries."""
+
+    __slots__ = ("make", "limit")
+
+    def __init__(self, make, limit: int = 1 << 16):
+        super().__init__()
+        self.make = make
+        self.limit = limit
+
+    def __missing__(self, key):
+        if len(self) >= self.limit:
+            self.clear()
+        value = self[key] = self.make(key)
+        return value
+
+
+class ParseTree(tuple):
     """Node of a constituency tree.
 
     A node has either children (internal node) or a leaf word (preterminal),
-    never both and never neither.
+    never both and never neither. A node is the immutable tuple
+    ``(label, leaf_word, *children)`` (so ``(label, word)`` for a leaf and
+    ``(label, None, child, ...)`` otherwise) and compares equal only to
+    nodes.
     """
 
-    label: str
-    children: tuple["ParseTree", ...] = ()
-    leaf_word: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.label:
+    def __new__(cls, label: str, children: tuple["ParseTree", ...] = (),
+                leaf_word: str | None = None):
+        if not label:
             raise ValidationError("parse tree node has an empty label")
-        has_children = len(self.children) > 0
-        has_word = self.leaf_word is not None
+        has_children = len(children) > 0
+        has_word = leaf_word is not None
         if has_children == has_word:
             raise ValidationError(
-                f"node {self.label!r} must have children or a leaf word, not "
+                f"node {label!r} must have children or a leaf word, not "
                 f"{'both' if has_children else 'neither'}"
             )
+        return _new_node(cls, (label, leaf_word, *children))
+
+    label = property(itemgetter(0))
+    leaf_word = property(itemgetter(1))
+
+    @property
+    def children(self) -> tuple["ParseTree", ...]:
+        return self[2:]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return False if isinstance(other, tuple) else NotImplemented
+        pending = [(self, other)]
+        while pending:
+            a, b = pending.pop()
+            if len(a) != len(b) or a[0] != b[0] or a[1] != b[1]:
+                return False
+            for x, y in zip(a[2:], b[2:]):
+                if x.__class__ is y.__class__ is self.__class__:
+                    pending.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    __hash__ = tuple.__hash__
+
+    def __getnewargs__(self):
+        return self[0], self[2:], self[1]
+
+    def __repr__(self):
+        return (f"ParseTree(label={self[0]!r}, children={self[2:]!r}, "
+                f"leaf_word={self[1]!r})")
 
     @property
     def is_leaf(self) -> bool:
-        return self.leaf_word is not None
+        return self[1] is not None
 
     def leaves(self) -> list[str]:
         """Leaf words in source order."""
-        if self.is_leaf:
-            return [self.leaf_word]
         out: list[str] = []
-        for child in self.children:
-            out.extend(child.leaves())
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node[1] is None:
+                stack.extend(reversed(node[2:]))
+            else:
+                out.append(node[1])
         return out
 
     def leaf_count(self) -> int:
-        if self.is_leaf:
-            return 1
-        return sum(child.leaf_count() for child in self.children)
+        count = 0
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node[1] is None:
+                stack.extend(node[2:])
+            else:
+                count += 1
+        return count
 
     def to_bracketed(self) -> str:
         """Serialize back to the bracketed source form."""
-        if self.is_leaf:
-            return f"({self.label} {self.leaf_word})"
-        inner = " ".join(child.to_bracketed() for child in self.children)
-        return f"({self.label} {inner})"
+        parts: list[str] = []  # every node's text opens with a space
+        stack: list = [self]
+        while stack:
+            node = stack.pop()
+            if node.__class__ is str:
+                parts.append(node)
+            elif node[1] is not None:
+                parts.append(f" ({node[0]} {node[1]})")
+            else:
+                parts.append(f" ({node[0]}")
+                stack.append(")")
+                stack.extend(node[:1:-1])  # children, last first
+        return "".join(parts)[1:]
+
+
+# Preterminals repeat across a corpus and nodes are immutable with
+# structural equality, so each distinct "(TAG word)" token text maps to one
+# shared leaf node.
+_LEAVES = InternTable(lambda tok: _new_node(ParseTree, tok[1:-1].split()))
 
 
 def _byte_offset(text: str, char_index: int) -> int:
-    return len(text[:char_index].encode("utf-8"))
-
-
-def _tokenize_brackets(text: str) -> list[tuple[str, int]]:
-    """Split a bracketed string into '(' / ')' / atom tokens with char offsets."""
-    out: list[tuple[str, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            out.append((ch, i))
-            i += 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            out.append((text[i:j], i))
-            i = j
-    return out
+    return len(text[:char_index].encode("utf-8", "surrogatepass"))
 
 
 def parse_ptb_tree(bracketed: str) -> ParseTree:
     """Parse one bracketed constituency tree, e.g. ``(S (NP (DT the) (NN cat)) (VP (VBD sat)))``.
 
-    Labels are whitespace-delimited; a node is either ``(LABEL word)`` or
-    ``(LABEL subtree...)``. Raises ParseError (with the byte offset of the
-    problem) on empty input, unbalanced parentheses, or trailing content.
+    Labels are whitespace-delimited (any Unicode whitespace); a node is
+    either ``(LABEL word)`` or ``(LABEL subtree...)``, nested to any depth.
+    Raises ParseError (with the byte offset of the problem) on empty input,
+    unbalanced parentheses, or trailing content.
     """
-    tokens = _tokenize_brackets(bracketed)
-    if not tokens:
+    tokens = _TOKEN.findall(bracketed)
+    n = len(tokens)
+
+    def fail(message: str, k: int):
+        # Offset of token k, or of the end of the input when k == n.
+        at = len(bracketed)
+        if k < n:
+            at = next(islice(_TOKEN.finditer(bracketed), k, None)).start()
+        raise ParseError(message, offset=_byte_offset(bracketed, at))
+
+    if not n:
         raise ParseError("empty parse string", offset=0)
-
-    def parse_node(pos: int) -> tuple[ParseTree, int]:
-        tok, at = tokens[pos]
-        if tok != "(":
-            raise ParseError(
-                f"expected '(' but found {tok!r}", offset=_byte_offset(bracketed, at)
-            )
-        pos += 1
-        if pos >= len(tokens):
-            raise ParseError(
-                "unbalanced parentheses: input ends inside a node",
-                offset=_byte_offset(bracketed, len(bracketed)),
-            )
-        label, label_at = tokens[pos]
-        if label in "()":
-            raise ParseError(
-                "missing node label", offset=_byte_offset(bracketed, label_at)
-            )
-        pos += 1
-        if pos >= len(tokens):
-            raise ParseError(
-                "unbalanced parentheses: input ends inside a node",
-                offset=_byte_offset(bracketed, len(bracketed)),
-            )
-        tok, at = tokens[pos]
-        if tok == "(":
-            children: list[ParseTree] = []
-            while True:
-                if pos >= len(tokens):
-                    raise ParseError(
-                        "unbalanced parentheses: input ends inside a node",
-                        offset=_byte_offset(bracketed, len(bracketed)),
-                    )
-                tok, at = tokens[pos]
+    if tokens[0][0] != "(":
+        fail(f"expected '(' but found {tokens[0]!r}", 0)
+    open_nodes: list[list] = []  # [label, None, children so far...]
+    i = 0  # tokens[i] opens the next node: "(" or a whole preterminal
+    try:
+        while True:
+            tok = tokens[i]
+            if tok == "(":
+                label = tokens[i + 1]
+                if label[0] in "()":
+                    fail("missing node label", i + 1)
+                tok = tokens[i + 2]
+                if tok[0] == "(":
+                    open_nodes.append([label, None])
+                    i += 2
+                    continue
                 if tok == ")":
-                    pos += 1
-                    return ParseTree(label, children=tuple(children)), pos
-                if tok != "(":
-                    raise ParseError(
-                        f"expected '(' or ')' but found {tok!r}",
-                        offset=_byte_offset(bracketed, at),
-                    )
-                child, pos = parse_node(pos)
-                children.append(child)
-        elif tok == ")":
-            raise ParseError(
-                f"node {label!r} has no children and no word",
-                offset=_byte_offset(bracketed, at),
-            )
-        else:
-            word = tok
-            pos += 1
-            if pos >= len(tokens):
-                raise ParseError(
-                    "unbalanced parentheses: input ends inside a node",
-                    offset=_byte_offset(bracketed, len(bracketed)),
-                )
-            closer, at = tokens[pos]
-            if closer != ")":
-                raise ParseError(
-                    f"expected ')' after leaf word but found {closer!r}",
-                    offset=_byte_offset(bracketed, at),
-                )
-            pos += 1
-            return ParseTree(label, leaf_word=word), pos
-
-    tree, pos = parse_node(0)
-    if pos != len(tokens):
-        _, at = tokens[pos]
-        raise ParseError(
-            "trailing content after tree", offset=_byte_offset(bracketed, at)
-        )
-    return tree
+                    fail(f"node {label!r} has no children and no word", i + 2)
+                # "(TAG word)" would have been one token, so this is no ")".
+                found = tokens[i + 3]
+                fail(f"expected ')' after leaf word but found "
+                     f"{'(' if found[0] == '(' else found!r}", i + 3)
+            node = _LEAVES[tok]
+            i += 1
+            # Attach the finished node, closing every parent whose ")" follows.
+            while open_nodes:
+                open_nodes[-1].append(node)
+                tok = tokens[i]
+                if tok[0] == "(":
+                    break
+                if tok != ")":
+                    fail(f"expected '(' or ')' but found {tok!r}", i)
+                node = _new_node(ParseTree, open_nodes.pop())
+                i += 1
+            else:
+                if i != n:
+                    fail("trailing content after tree", i)
+                return node
+    except IndexError:
+        fail("unbalanced parentheses: input ends inside a node", n)
 
 
 def _fold_word(surface: str, lemma: str | None) -> str:
@@ -312,6 +357,32 @@ def _sentence_to_record(s: Sentence) -> dict:
     return rec
 
 
+_JSON_TYPES = {str: "string", list: "array", dict: "object", int: "integer",
+               float: "number", bool: "boolean", type(None): "null"}
+
+
+def _mistyped(field: str, expected: str, value) -> CorpusFormatError:
+    return CorpusFormatError(
+        f"field {field!r} must be {expected}, not "
+        f"{_JSON_TYPES.get(type(value), type(value).__name__)}"
+    )
+
+
+def _typed(rec: dict, field: str, kind: type):
+    """``rec[field]`` when it has the JSON type ``kind`` (a bool is no integer)."""
+    value = rec[field]
+    if type(value) is not kind:
+        raise _mistyped(field, f"a JSON {_JSON_TYPES[kind]}", value)
+    return value
+
+
+def _strings(rec: dict, field: str) -> tuple[str, ...]:
+    value = rec[field]
+    if type(value) is not list or not {str}.issuperset(map(type, value)):
+        raise _mistyped(field, "an array of strings", value)
+    return tuple(value)
+
+
 def _sentence_from_record(rec: dict) -> Sentence:
     if not isinstance(rec, dict):
         raise CorpusFormatError("sentence entry is not an object")
@@ -320,12 +391,11 @@ def _sentence_from_record(rec: dict) -> Sentence:
             raise CorpusFormatError(f"sentence missing field {key!r}")
     parse = None
     if rec.get("parse") is not None:
-        parse = parse_ptb_tree(rec["parse"])
-    lemmas = rec.get("lemmas")
+        parse = parse_ptb_tree(_typed(rec, "parse", str))
     return Sentence(
-        tokens=tuple(rec["tokens"]),
-        pos=tuple(rec["pos"]),
-        lemmas=tuple(lemmas) if lemmas is not None else None,
+        tokens=_strings(rec, "tokens"),
+        pos=_strings(rec, "pos"),
+        lemmas=_strings(rec, "lemmas") if rec.get("lemmas") is not None else None,
         parse=parse,
     )
 
@@ -344,7 +414,20 @@ def lead_to_record(lead: AnnotatedLead) -> dict:
     return rec
 
 
+def _summary_from_record(entries: list) -> tuple[WordPosTuple, ...]:
+    out: list[WordPosTuple] = []
+    for k, entry in enumerate(entries):
+        if (type(entry) is not list or len(entry) != 2
+                or type(entry[0]) is not str or type(entry[1]) is not str):
+            raise CorpusFormatError(
+                f"field 'summary' entry {k} is not a [word, pos] string pair")
+        out.append(WordPosTuple(entry[0].lower(), entry[1]))
+    return tuple(out)
+
+
 def lead_from_record(rec: dict) -> AnnotatedLead:
+    """Build a lead from its JSON object; CorpusFormatError names a missing
+    field or one whose JSON type differs from FORMAT.md's."""
     if not isinstance(rec, dict):
         raise CorpusFormatError("record is not a JSON object")
     for key in ("id", "domain", "lead_text", "sentences", "article_word_count"):
@@ -352,17 +435,43 @@ def lead_from_record(rec: dict) -> AnnotatedLead:
             raise CorpusFormatError(f"record missing field {key!r}")
     summary = None
     if rec.get("summary") is not None:
-        summary = tuple(
-            WordPosTuple(str(w).lower(), str(p)) for w, p in rec["summary"]
-        )
+        summary = _summary_from_record(_typed(rec, "summary", list))
     return AnnotatedLead(
-        id=rec["id"],
-        domain=rec["domain"],
-        lead_text=rec["lead_text"],
-        sentences=tuple(_sentence_from_record(s) for s in rec["sentences"]),
+        id=_typed(rec, "id", str),
+        domain=_typed(rec, "domain", str),
+        lead_text=_typed(rec, "lead_text", str),
+        sentences=tuple(_sentence_from_record(s)
+                        for s in _typed(rec, "sentences", list)),
         summary=summary,
-        article_word_count=int(rec["article_word_count"]),
+        article_word_count=_typed(rec, "article_word_count", int),
     )
+
+
+# A \uD800-\uDFFF escape can decode to a lone surrogate, which is not text.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
+    """(line number, parsed value) for each non-blank line of a JSON-lines
+    file. A line that is not UTF-8 or not JSON, or holds an escaped lone
+    surrogate, raises CorpusFormatError naming it. Lines end at "\\n",
+    "\\r\\n" or a bare "\\r" and are decoded one at a time."""
+    with Path(path).open("rb") as fh:
+        lines = (raw for chunk in fh for raw in chunk.splitlines(keepends=True))
+        for lineno, raw in enumerate(lines, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise CorpusFormatError(f"line {lineno}: not UTF-8: {e}") from e
+            if not line.strip():
+                continue
+            try:
+                value = json.loads(line)
+                if _SURROGATE_ESCAPE.search(line):
+                    json.dumps(value, ensure_ascii=False).encode("utf-8")
+            except (ValueError, RecursionError) as e:
+                raise CorpusFormatError(f"line {lineno}: invalid JSON: {e}") from e
+            yield lineno, value
 
 
 def load_corpus(path: str | Path) -> list[AnnotatedLead]:
@@ -371,25 +480,17 @@ def load_corpus(path: str | Path) -> list[AnnotatedLead]:
     Raises CorpusFormatError / ValidationError / ParseError naming the
     offending line number; DuplicateIdError when two records share an id.
     """
-    path = Path(path)
     leads: list[AnnotatedLead] = []
     seen: set[str] = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusFormatError(f"line {lineno}: invalid JSON: {e}") from e
-            try:
-                lead = lead_from_record(rec)
-            except (CorpusFormatError, ValidationError, ParseError) as e:
-                raise type(e)(f"line {lineno}: {e}") from e
-            if lead.id in seen:
-                raise DuplicateIdError(f"line {lineno}: duplicate lead id {lead.id!r}")
-            seen.add(lead.id)
-            leads.append(lead)
+    for lineno, rec in json_lines(path):
+        try:
+            lead = lead_from_record(rec)
+        except (CorpusFormatError, ValidationError, ParseError) as e:
+            raise type(e)(f"line {lineno}: {e}") from e
+        if lead.id in seen:
+            raise DuplicateIdError(f"line {lineno}: duplicate lead id {lead.id!r}")
+        seen.add(lead.id)
+        leads.append(lead)
     return leads
 
 

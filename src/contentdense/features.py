@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import AnnotatedLead, ParseTree
+from .corpus import AnnotatedLead, InternTable, ParseTree
 from .errors import (
     EmptyLeadError,
     MissingParseError,
@@ -193,25 +193,29 @@ def mi_features(lead: AnnotatedLead, space: FeatureSpace) -> SparseFeatureVector
     return FeatureBundle(mi=space).extract_single(lead, SPACE_MI)
 
 
+# Rules repeat across leads and are immutable, so each (lhs, rhs) maps to
+# one shared ProductionRule.
+_RULES = InternTable(lambda key: ProductionRule(*key))
+
+
 def extract_production_rules(tree: ParseTree) -> Counter:
     """Multiset of productions from internal nodes.
 
     One rule per node that has child subtrees, with the children's labels as
     the RHS. Preterminal nodes (label + leaf word) contribute no rule of
     their own, so no surface word ever appears in a rule; their labels still
-    appear on the RHS of their parents.
+    appear on the RHS of their parents. Nodes are visited in preorder.
     """
-    rules: Counter = Counter()
-
-    def walk(node: ParseTree):
-        if node.is_leaf:
-            return
-        rules[ProductionRule(node.label, tuple(c.label for c in node.children))] += 1
-        for child in node.children:
-            walk(child)
-
-    walk(tree)
-    return rules
+    counts: dict[tuple[str, tuple[str, ...]], int] = {}
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node.leaf_word is None:
+            children = node.children
+            key = (node.label, tuple([child.label for child in children]))
+            counts[key] = counts.get(key, 0) + 1
+            stack.extend(reversed(children))
+    return Counter({_RULES[key]: n for key, n in counts.items()})
 
 
 def lead_rules(lead: AnnotatedLead) -> Counter:

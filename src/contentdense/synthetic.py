@@ -75,11 +75,15 @@ SPARSE_TEMPLATES = (
 
 
 def _leaf_pos(tree: ParseTree) -> list[str]:
-    if tree.leaf_word is not None:
-        return [tree.label]
+    """Preterminal labels in leaf order."""
     out: list[str] = []
-    for child in tree.children:
-        out.extend(_leaf_pos(child))
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node.leaf_word is None:
+            stack.extend(reversed(node.children))
+        else:
+            out.append(node.label)
     return out
 
 

@@ -1,10 +1,14 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
 import dataclasses
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contentdense.cli import _EXIT_CODES, _exit_code, main
 from contentdense.combine import (
@@ -14,7 +18,15 @@ from contentdense.combine import (
     SummaryPair,
     save_pairs,
 )
-from contentdense.corpus import load_corpus, save_corpus
+from contentdense.corpus import (
+    AnnotatedLead,
+    Sentence,
+    WordPosTuple,
+    lead_to_record,
+    load_corpus,
+    parse_ptb_tree,
+    save_corpus,
+)
 from contentdense.errors import (
     ContentDenseError,
     DataLeakError,
@@ -364,3 +376,156 @@ class TestExitCodes:
         assert _exit_code(SingleClassError("x")) == 10
         assert _exit_code(NumericError("x")) == 12
         assert _exit_code(ContentDenseError("x")) == 1
+
+
+# Every code of README's exit table; 1 means an unexpected error.
+DOCUMENTED_EXIT_CODES = {0} | set(range(2, 15))
+
+
+def run_quietly(argv) -> tuple[int, str]:
+    """Exit code and stderr of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def deep_lead(depth: int) -> AnnotatedLead:
+    text = "(X (DT a) " * (depth - 1) + "(NN w)" + ")" * (depth - 1)
+    tree = parse_ptb_tree(text)
+    return AnnotatedLead(
+        id="deep", domain="general", lead_text="a w",
+        sentences=(Sentence(tokens=tuple(tree.leaves()),
+                            pos=("DT",) * (depth - 1) + ("NN",), parse=tree),),
+        summary=(WordPosTuple("a", "DT"),) * 30, article_word_count=depth)
+
+
+class TestHostileCorpora:
+    def test_deep_parse_labels(self, workspace, tmp_path):
+        corpus = tmp_path / "deep.jsonl"
+        save_corpus(load_corpus(workspace["corpus"]) + [deep_lead(1200)],
+                    corpus)
+        code, err = run_quietly(["label", "--corpus", str(corpus),
+                                 "--out", str(tmp_path / "out")])
+        assert code == 0, err
+        assert "deep\t" in read(tmp_path / "out" / "scores.tsv")
+
+    @pytest.mark.parametrize("field, value", [
+        ("article_word_count", "many"),
+        ("article_word_count", 12.5),
+        ("id", 7),
+        ("sentences", {"tokens": []}),
+        ("tokens", 5),
+        ("pos", ["DT", 3, "VBD"]),
+        ("lemmas", "the"),
+        ("parse", ["S"]),
+        ("summary", [["cat", "NN", "x"]]),
+        ("summary", ["cat"]),
+        ("summary", [[5, "CD"]]),
+    ])
+    def test_mistyped_field_exits_4(self, tmp_path, field, value):
+        rec = lead_to_record(generate_corpus(2, seed=0).leads[0])
+        target = rec["sentences"][0] if field in (
+            "tokens", "pos", "lemmas", "parse") else rec
+        target[field] = value
+        corpus = tmp_path / "bad.jsonl"
+        corpus.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+        code, err = run_quietly(["label", "--corpus", str(corpus),
+                                 "--out", str(tmp_path / "out")])
+        assert code == 4
+        assert f"line 1: field {field!r}" in err
+
+    @pytest.mark.parametrize("bad_id", [b"syn\xff1", b"syn\\ud8001"])
+    def test_text_that_is_not_utf8_exits_4(self, tmp_path, bad_id):
+        corpus = tmp_path / "bad.jsonl"
+        save_corpus(generate_corpus(2, seed=0).leads, corpus)
+        corpus.write_bytes(corpus.read_bytes().replace(b"syn00001", bad_id))
+        code, err = run_quietly(["label", "--corpus", str(corpus),
+                                 "--out", str(tmp_path / "out")])
+        assert code == 4
+        assert "line 2" in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**20, 10**20) | st.floats()
+    | st.text(st.characters(exclude_categories=()), max_size=6),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=5)
+
+
+def _json_paths(value, path=()):
+    """Every (container path, key) inside a parsed JSON value."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield path, key
+        yield from _json_paths(child, path + (key,))
+
+
+@st.composite
+def corruptions(draw):
+    """A function that damages a JSON-lines file's bytes or one of its values."""
+    if draw(st.booleans()):
+        at = draw(st.integers(0, 10**7))
+        cut = draw(st.integers(0, 3))
+        junk = draw(st.binary(max_size=3))
+
+        def damage(data: bytes) -> bytes:
+            k = at % (len(data) + 1)
+            return data[:k] + junk + data[k + cut:]
+        return damage
+    line_pick, path_pick = draw(st.integers(0, 10**6)), draw(st.integers(0, 10**7))
+    value, delete = draw(JSON_VALUES), draw(st.booleans())
+
+    def damage(data: bytes) -> bytes:
+        lines = data.decode("utf-8").splitlines()
+        k = line_pick % len(lines)
+        rec = json.loads(lines[k])
+        paths = list(_json_paths(rec))
+        path, key = paths[path_pick % len(paths)]
+        parent = rec
+        for step in path:
+            parent = parent[step]
+        if delete:
+            del parent[key]
+        else:
+            parent[key] = value
+        lines[k] = json.dumps(rec)
+        return "\n".join(lines).encode("utf-8") + b"\n"
+    return damage
+
+
+@pytest.fixture(scope="module")
+def clean_files(workspace, pairs_path):
+    corpus = workspace["root"] / "small.jsonl"
+    save_corpus(generate_corpus(12, "standard", seed=5).leads, corpus)
+    pairs = Path(pairs_path).read_bytes().splitlines(keepends=True)
+    return {"corpus": corpus.read_bytes(), "pairs": b"".join(pairs[:6]),
+            "dir": workspace["root"]}
+
+
+class TestCorruptedFiles:
+    @settings(max_examples=150, deadline=None)
+    @given(damage=corruptions())
+    def test_label_exits_with_a_documented_code(self, clean_files, damage):
+        bad = clean_files["dir"] / "damaged.jsonl"
+        bad.write_bytes(damage(clean_files["corpus"]))
+        code, err = run_quietly(["label", "--corpus", str(bad), "--out",
+                                 str(clean_files["dir"] / "damaged_label")])
+        assert code in DOCUMENTED_EXIT_CODES, err
+
+    @settings(max_examples=100, deadline=None)
+    @given(damage=corruptions())
+    def test_combine_exits_with_a_documented_code(self, clean_files,
+                                                  model_for_pairs, damage):
+        bad = clean_files["dir"] / "damaged_pairs.jsonl"
+        bad.write_bytes(damage(clean_files["pairs"]))
+        code, err = run_quietly(["combine", "--pairs", str(bad),
+                                 "--model", model_for_pairs, "--out",
+                                 str(clean_files["dir"] / "damaged_comb")])
+        assert code in DOCUMENTED_EXIT_CODES, err

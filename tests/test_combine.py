@@ -307,6 +307,13 @@ class TestPairFiles:
         save_pairs(pairs, path)
         assert load_pairs(path) == pairs
 
+    def test_bare_carriage_returns_split_lines(self, tmp_path):
+        pairs = [make_pair("p1", PREF_SYSTEM), make_pair("p2", PREF_TIE)]
+        path = tmp_path / "pairs.jsonl"
+        save_pairs(pairs, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+        assert load_pairs(path) == pairs
+
     def test_bad_json_names_line(self, tmp_path):
         path = tmp_path / "pairs.jsonl"
         path.write_text('{"article_id": "p1"\n', encoding="utf-8")

@@ -1,10 +1,15 @@
 import json
+import pickle
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contentdense.corpus import (
     AnnotatedLead,
+    InternTable,
     ParseTree,
     Sentence,
     WordPosTuple,
@@ -21,6 +26,7 @@ from contentdense.errors import (
     ParseError,
     ValidationError,
 )
+from contentdense.features import ProductionRule, extract_production_rules
 
 NONTERMINALS = ["S", "NP", "VP", "PP", "SBAR", "ADJP", "ADVP"]
 PRETERMINALS = ["DT", "NN", "VBD", "JJ", "IN", "RB", "PRP"]
@@ -111,6 +117,259 @@ class TestParsePtbTree:
             again = parse_ptb_tree(tree.to_bracketed())
             assert again == tree
             assert again.to_bracketed() == tree.to_bracketed()
+
+
+def _oracle_byte_offset(text, char_index):
+    return len(text[:char_index].encode("utf-8"))
+
+
+def _oracle_tokenize(text):
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "()":
+            out.append((ch, i))
+            i += 1
+        else:
+            j = i
+            while j < n and not text[j].isspace() and text[j] not in "()":
+                j += 1
+            out.append((text[i:j], i))
+            i = j
+    return out
+
+
+def oracle_parse(bracketed):
+    """The character-by-character, recursive-descent parser the package
+    used before its single-pass one: the reference for trees, error
+    messages and offsets."""
+    tokens = _oracle_tokenize(bracketed)
+    if not tokens:
+        raise ParseError("empty parse string", offset=0)
+    end = _oracle_byte_offset(bracketed, len(bracketed))
+
+    def parse_node(pos):
+        tok, at = tokens[pos]
+        if tok != "(":
+            raise ParseError(f"expected '(' but found {tok!r}",
+                             offset=_oracle_byte_offset(bracketed, at))
+        pos += 1
+        if pos >= len(tokens):
+            raise ParseError("unbalanced parentheses: input ends inside a node",
+                             offset=end)
+        label, label_at = tokens[pos]
+        if label in "()":
+            raise ParseError("missing node label",
+                             offset=_oracle_byte_offset(bracketed, label_at))
+        pos += 1
+        if pos >= len(tokens):
+            raise ParseError("unbalanced parentheses: input ends inside a node",
+                             offset=end)
+        tok, at = tokens[pos]
+        if tok == "(":
+            children = []
+            while True:
+                if pos >= len(tokens):
+                    raise ParseError(
+                        "unbalanced parentheses: input ends inside a node",
+                        offset=end)
+                tok, at = tokens[pos]
+                if tok == ")":
+                    return ParseTree(label, children=tuple(children)), pos + 1
+                if tok != "(":
+                    raise ParseError(
+                        f"expected '(' or ')' but found {tok!r}",
+                        offset=_oracle_byte_offset(bracketed, at))
+                child, pos = parse_node(pos)
+                children.append(child)
+        elif tok == ")":
+            raise ParseError(f"node {label!r} has no children and no word",
+                             offset=_oracle_byte_offset(bracketed, at))
+        pos += 1
+        if pos >= len(tokens):
+            raise ParseError("unbalanced parentheses: input ends inside a node",
+                             offset=end)
+        closer, at = tokens[pos]
+        if closer != ")":
+            raise ParseError(
+                f"expected ')' after leaf word but found {closer!r}",
+                offset=_oracle_byte_offset(bracketed, at))
+        return ParseTree(label, leaf_word=tok), pos + 1
+
+    tree, pos = parse_node(0)
+    if pos != len(tokens):
+        raise ParseError("trailing content after tree",
+                         offset=_oracle_byte_offset(bracketed, tokens[pos][1]))
+    return tree
+
+
+def parse_outcome(parser, text):
+    """The tree, or the message and offset of the ParseError raised."""
+    try:
+        return parser(text)
+    except ParseError as err:
+        return ("ParseError", str(err), err.offset)
+
+
+# Every character str.isspace() accepts below U+3001, and look-alikes it
+# does not (zero-width space, byte-order mark, NUL), which are atom text.
+WHITESPACE = (" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u200a"
+              "\u2028\u2029\u202f\u205f\u3000")
+NOT_WHITESPACE = "\u200b\ufeff\x00"
+ATOMS = st.text(st.sampled_from("aZé名-" + NOT_WHITESPACE), min_size=1,
+                max_size=3)
+PADDING = st.text(st.sampled_from(WHITESPACE), max_size=2)
+GAPS = st.text(st.sampled_from(WHITESPACE), min_size=1, max_size=2)
+STRUCTS = st.recursive(
+    st.tuples(ATOMS, ATOMS),
+    lambda kids: st.tuples(ATOMS, st.lists(kids, min_size=1, max_size=3)),
+    max_leaves=8)
+EDITS = st.lists(st.tuples(st.sampled_from(("insert", "delete", "replace")),
+                           st.integers(0, 10_000),
+                           st.sampled_from("()aé" + WHITESPACE[:6]
+                                           + NOT_WHITESPACE)),
+                 max_size=2)
+
+
+@st.composite
+def padded_brackets(draw):
+    """A random tree rendered with random Unicode whitespace, then up to two
+    one-character edits."""
+    def render(struct):
+        label, rest = struct
+        head = f"({draw(PADDING)}{label}"
+        if isinstance(rest, str):
+            return f"{head}{draw(GAPS)}{rest}{draw(PADDING)})"
+        return head + "".join(draw(PADDING) + render(c) for c in rest) + ")"
+
+    text = draw(PADDING) + render(draw(STRUCTS)) + draw(PADDING)
+    for kind, at, ch in draw(EDITS):
+        at %= len(text) + 1
+        if kind == "insert":
+            text = text[:at] + ch + text[at:]
+        elif kind == "delete":
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + ch + text[at + 1:]
+    return text
+
+
+class TestParserMatchesOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(padded_brackets())
+    def test_padded_and_corrupted_trees(self, text):
+        assert parse_outcome(parse_ptb_tree, text) == parse_outcome(
+            oracle_parse, text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(st.sampled_from("()a名 " + WHITESPACE[1:8] + NOT_WHITESPACE),
+                   max_size=24))
+    def test_arbitrary_bracket_strings(self, text):
+        assert parse_outcome(parse_ptb_tree, text) == parse_outcome(
+            oracle_parse, text)
+
+    def test_regex_whitespace_is_str_isspace(self):
+        import re
+        space = re.compile(r"\s")
+        for code in range(sys.maxunicode + 1):
+            ch = chr(code)
+            if 0xD800 <= code <= 0xDFFF:
+                continue
+            assert bool(space.match(ch)) == ch.isspace(), hex(code)
+
+
+class TestParseTreeNode:
+    def test_equality_is_same_class_only(self):
+        tree = ParseTree("NN", leaf_word="cat")
+        assert tree == ParseTree("NN", (), "cat")
+        assert tree != ("NN", (), "cat")
+        assert ("NN", (), "cat") != tree
+        assert hash(tree) == hash(ParseTree("NN", leaf_word="cat"))
+        assert tree != ParseTree("NN", leaf_word="dog")
+
+    def test_immutable(self):
+        tree = parse_ptb_tree("(NP (NN cat))")
+        with pytest.raises(AttributeError):
+            tree.label = "VP"
+        with pytest.raises(AttributeError):
+            tree.extra = 1
+
+    def test_node_checks(self):
+        with pytest.raises(ValidationError, match="empty label"):
+            ParseTree("", leaf_word="cat")
+        with pytest.raises(ValidationError, match="neither"):
+            ParseTree("NN")
+        with pytest.raises(ValidationError, match="both"):
+            ParseTree("NN", children=(ParseTree("DT", leaf_word="a"),),
+                      leaf_word="cat")
+
+    def test_shared_leaves_and_rules_survive_a_full_table(self, monkeypatch):
+        from contentdense import corpus, features
+        for module, name in ((corpus, "_LEAVES"), (features, "_RULES")):
+            table = getattr(module, name)
+            monkeypatch.setattr(module, name, InternTable(table.make, limit=2))
+        assert parse_ptb_tree("(NN cat)") is parse_ptb_tree(" (NN cat) ")
+        texts = ["(S (NP (DT the) (NN cat)) (VP (VBD sat)))",
+                 "(S (NP (DT a) (NN dog)) (VP (VBD ran) (NP (NN home))))"] * 3
+        for text in texts:
+            tree = parse_ptb_tree(text)
+            assert tree == oracle_parse(text)
+            assert len(corpus._LEAVES) <= 2
+            rules = extract_production_rules(tree)
+            assert rules == extract_production_rules(oracle_parse(text))
+            assert len(features._RULES) <= 2
+
+    def test_pickle_round_trip(self):
+        tree = parse_ptb_tree("(S (NP (DT the) (NN cat)) (VP (VBD sat)))")
+        again = pickle.loads(pickle.dumps(tree))
+        assert again == tree and type(again) is ParseTree
+
+
+DEPTH = 5000
+
+
+def deep_bracketed(depth):
+    """One chain of ``depth`` nodes; every level adds a (DT a) leaf."""
+    return "(X (DT a) " * (depth - 1) + "(NN w)" + ")" * (depth - 1)
+
+
+class TestDeepNesting:
+    def test_parse_walk_and_serialize(self):
+        assert sys.getrecursionlimit() < DEPTH
+        text = deep_bracketed(DEPTH)
+        tree = parse_ptb_tree(text)
+        assert tree.leaf_count() == DEPTH
+        assert tree.leaves() == ["a"] * (DEPTH - 1) + ["w"]
+        assert tree.to_bracketed() == text
+        assert extract_production_rules(tree) == {
+            ProductionRule("X", ("DT", "X")): DEPTH - 2,
+            ProductionRule("X", ("DT", "NN")): 1,
+        }
+        assert parse_ptb_tree(text) == tree
+
+    def test_unbalanced_deep_input_is_a_parse_error(self):
+        text = deep_bracketed(DEPTH)[:-1]
+        with pytest.raises(ParseError, match="ends inside") as err:
+            parse_ptb_tree(text)
+        assert err.value.offset == len(text)
+
+    def test_corpus_round_trip(self, tmp_path):
+        tree = parse_ptb_tree(deep_bracketed(DEPTH))
+        lead = AnnotatedLead(
+            id="deep", domain="general", lead_text="a w",
+            sentences=(Sentence(tokens=tuple(tree.leaves()),
+                                pos=("DT",) * (DEPTH - 1) + ("NN",),
+                                parse=tree),),
+            article_word_count=DEPTH)
+        p1, p2 = tmp_path / "c1.jsonl", tmp_path / "c2.jsonl"
+        save_corpus([lead], p1)
+        again = load_corpus(p1)
+        assert again == [lead]
+        save_corpus(again, p2)
+        assert p1.read_bytes() == p2.read_bytes()
 
 
 class TestSentence:
@@ -217,6 +476,18 @@ class TestLoadCorpus:
             fh.write(json.dumps(SAMPLE_RECORDS[0]) + "\n")
             fh.write("{not json\n")
         with pytest.raises(CorpusFormatError, match="line 2"):
+            load_corpus(p)
+
+    def test_lines_end_at_any_universal_newline(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        a1, a2 = (json.dumps(rec).encode() for rec in SAMPLE_RECORDS)
+        p.write_bytes(a1 + b"\r" + a2 + b"\r\n\n\r")
+        assert [l.id for l in load_corpus(p)] == ["a1", "a2"]
+        p.write_bytes(a1 + b"\r\r\n" + a1 + b"\n")
+        with open(p, encoding="utf-8") as fh:  # universal newlines
+            dup_line = len(fh.readlines())
+        assert dup_line == 3
+        with pytest.raises(DuplicateIdError, match=f"line {dup_line}:"):
             load_corpus(p)
 
     def test_leaf_count_mismatch_is_validation_error(self, tmp_path):
