@@ -37,6 +37,7 @@ from .corpus import (
     load_corpus,
     load_lexicon,
     save_corpus,
+    text_lines,
 )
 from .errors import (
     ContentDenseError,
@@ -53,7 +54,7 @@ from .errors import (
     ValidationError,
 )
 from .evaluation import cross_validate, learning_curve, make_folds, strata_from_predictions
-from .features import SPACE_ORDER, build_feature_bundle
+from .features import SPACE_ORDER, FeatureTable, build_feature_bundle
 from .labeling import (
     LABELS,
     MIN_SUMMARY_WORDS,
@@ -166,24 +167,23 @@ def _percentiles_arg(text: str) -> tuple[float, float]:
 
 
 def _load_labels_tsv(path: str) -> dict[str, str]:
-    """Read a lead_id<TAB>label table written by generate or label."""
+    """Read a UTF-8 lead_id<TAB>label table written by generate or label."""
     mapping: dict[str, str] = {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise CorpusFormatError(
-                    f"line {lineno}: expected 'lead_id<TAB>label'"
-                )
-            lead_id, label = parts
-            if label not in LABELS:
-                raise CorpusFormatError(f"line {lineno}: unknown label {label!r}")
-            if lead_id in mapping:
-                raise DuplicateIdError(f"line {lineno}: duplicate lead id {lead_id!r}")
-            mapping[lead_id] = label
+    for lineno, line in text_lines(path):
+        line = line.rstrip("\r\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise CorpusFormatError(
+                f"line {lineno}: expected 'lead_id<TAB>label'"
+            )
+        lead_id, label = parts
+        if label not in LABELS:
+            raise CorpusFormatError(f"line {lineno}: unknown label {label!r}")
+        if lead_id in mapping:
+            raise DuplicateIdError(f"line {lineno}: duplicate lead id {lead_id!r}")
+        mapping[lead_id] = label
     if not mapping:
         raise CorpusFormatError(f"{path}: no label rows")
     return mapping
@@ -260,7 +260,7 @@ def cmd_train(args) -> None:
     include = ((SINGLE_MODE_SPACE[mode],) if mode in SINGLE_MODE_SPACE
                else SPACE_ORDER)
     bundle = build_feature_bundle(train_leads, mapping, lexicon=lexicon,
-                                  include=include)
+                                  include=include, table=FeatureTable(labeled))
     if mode == MODE_DECISION_FUSION:
         model = train_decision_fusion(train_leads, dev_leads, mapping, bundle,
                                       config=config)

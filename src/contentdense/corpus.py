@@ -121,8 +121,21 @@ class ParseTree(tuple):
         return self[0], self[2:], self[1]
 
     def __repr__(self):
-        return (f"ParseTree(label={self[0]!r}, children={self[2:]!r}, "
-                f"leaf_word={self[1]!r})")
+        parts: list[str] = []  # the recursive tuple repr's text, iteratively
+        stack: list = [self]
+        while stack:
+            node = stack.pop()
+            if node.__class__ is str:
+                parts.append(node)
+                continue
+            kids = node[2:]
+            parts.append(f"ParseTree(label={node[0]!r}, children=(")
+            stack.append(f"{',' * (len(kids) == 1)}), leaf_word={node[1]!r})")
+            for k in range(len(kids) - 1, -1, -1):
+                stack.append(kids[k])
+                if k:
+                    stack.append(", ")
+        return "".join(parts)
 
     @property
     def is_leaf(self) -> bool:
@@ -333,10 +346,6 @@ class AnnotatedLead:
         return Counter(self.words)
 
     @cached_property
-    def word_set(self) -> frozenset[str]:
-        return frozenset(self.words)
-
-    @cached_property
     def tuples(self) -> tuple[WordPosTuple, ...]:
         out: list[WordPosTuple] = []
         for s in self.sentences:
@@ -451,11 +460,10 @@ def lead_from_record(rec: dict) -> AnnotatedLead:
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
-def json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
-    """(line number, parsed value) for each non-blank line of a JSON-lines
-    file. A line that is not UTF-8 or not JSON, or holds an escaped lone
-    surrogate, raises CorpusFormatError naming it. Lines end at "\\n",
-    "\\r\\n" or a bare "\\r" and are decoded one at a time."""
+def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, line with its line end) for each line of a UTF-8 file.
+    Lines end at "\\n", "\\r\\n" or a bare "\\r" and are decoded one at a
+    time; a line that is not UTF-8 raises CorpusFormatError naming it."""
     with Path(path).open("rb") as fh:
         lines = (raw for chunk in fh for raw in chunk.splitlines(keepends=True))
         for lineno, raw in enumerate(lines, start=1):
@@ -463,15 +471,23 @@ def json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as e:
                 raise CorpusFormatError(f"line {lineno}: not UTF-8: {e}") from e
-            if not line.strip():
-                continue
-            try:
-                value = json.loads(line)
-                if _SURROGATE_ESCAPE.search(line):
-                    json.dumps(value, ensure_ascii=False).encode("utf-8")
-            except (ValueError, RecursionError) as e:
-                raise CorpusFormatError(f"line {lineno}: invalid JSON: {e}") from e
-            yield lineno, value
+            yield lineno, line
+
+
+def json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
+    """(line number, parsed value) for each non-blank line of a JSON-lines
+    file (``text_lines``). A line that is not JSON, or holds an escaped lone
+    surrogate, raises CorpusFormatError naming it."""
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        try:
+            value = json.loads(line)
+            if _SURROGATE_ESCAPE.search(line):
+                json.dumps(value, ensure_ascii=False).encode("utf-8")
+        except (ValueError, RecursionError) as e:
+            raise CorpusFormatError(f"line {lineno}: invalid JSON: {e}") from e
+        yield lineno, value
 
 
 def load_corpus(path: str | Path) -> list[AnnotatedLead]:
@@ -508,14 +524,12 @@ def save_corpus(leads: Iterable[AnnotatedLead], path: str | Path) -> None:
 
 
 def load_lexicon(path: str | Path) -> frozenset[str]:
-    """Load a word-list file: one word per line, lower-cased; blank lines and
-    lines starting with '#' are skipped."""
+    """Load a UTF-8 word-list file (``text_lines``): one word per line,
+    lower-cased; blank lines and lines starting with '#' are skipped."""
     words: set[str] = set()
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip()
-            if not word or word.startswith("#"):
-                continue
+    for _, line in text_lines(path):
+        word = line.strip()
+        if word and not word.startswith("#"):
             words.add(word.lower())
     return frozenset(words)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import AnnotatedLead
 from .errors import ContentDenseError, NumericError, ValidationError
-from .features import SPACE_ORDER, build_feature_bundle
+from .features import SPACE_ORDER, FeatureTable, build_feature_bundle
 from .labeling import CONTENT_DENSE, LABELS, NON_CONTENT_DENSE
 from .learn import (
     MODE_DECISION_FUSION,
@@ -179,7 +179,7 @@ def cross_validate(leads: Sequence[AnnotatedLead],
     fold_iter = (range(k) if fold_subset is None
                  else sorted(set(fold_subset)))
     results = {m: CrossValidationResult(m, [], []) for m in mode_list}
-    lexicon_list = tuple(lexicon) if lexicon is not None else None
+    table = FeatureTable(leads)
 
     for t in fold_iter:
         try:
@@ -188,8 +188,10 @@ def cross_validate(leads: Sequence[AnnotatedLead],
             dev_leads = [by_id[i] for f in second for i in plan.folds[f]]
             test_leads = [by_id[i] for i in plan.folds[t]]
             bundle = build_feature_bundle(
-                train_leads, labels, lexicon_list, include=include,
-                min_count=min_count, top_k=top_k, pr_value=pr_value)
+                train_leads, labels, lexicon, include=include,
+                min_count=min_count, top_k=top_k, pr_value=pr_value,
+                table=table)
+            lexicon = bundle.mrc or lexicon  # later folds reuse its space
             space_models = {
                 name: train_single(train_leads, labels, bundle, name,
                                    config, dev_leads)
@@ -276,7 +278,7 @@ def learning_curve(leads: Sequence[AnnotatedLead],
     needs_dev = (mode == MODE_DECISION_FUSION
                  or len(config.sorted_c_grid) > 1)
     include = _needed_spaces([mode])
-    lexicon_list = tuple(lexicon) if lexicon is not None else None
+    table = FeatureTable(leads)
     accs: dict[int, list[float]] = {s: [] for s in usable}
 
     for t in fold_iter:
@@ -295,8 +297,10 @@ def learning_curve(leads: Sequence[AnnotatedLead],
                 train_leads = [by_id[i] for i in train_ids]
                 dev_leads = [by_id[i] for i in dev_ids]
                 bundle = build_feature_bundle(
-                    train_leads, labels, lexicon_list, include=include,
-                    min_count=min_count, top_k=top_k, pr_value=pr_value)
+                    train_leads, labels, lexicon, include=include,
+                    min_count=min_count, top_k=top_k, pr_value=pr_value,
+                    table=table)
+                lexicon = bundle.mrc or lexicon
                 if mode in SINGLE_MODE_SPACE:
                     model = train_single(train_leads, labels, bundle,
                                          SINGLE_MODE_SPACE[mode], config,

@@ -12,18 +12,19 @@ rules read off the leads' constituency parses; preterminal-to-word
 productions are never included, so no surface word reaches a feature key.
 
 Each representation owns a FeatureSpace mapping feature keys to dense
-indices. FeatureBundle.matrix packs leads straight into CSR rows over one
-space or over several side by side, with cumulative column offsets in the
-fixed order MRC, MI, PR; the per-lead extractors return one such row as a
+indices. A FeatureTable counts every word and every rule of a lead list
+once; a fold's spaces are column counts over its rows, and
+FeatureBundle.matrix is a row take of the table whose columns each space
+maps onto its own, side by side with cumulative column offsets in the
+fixed order MRC, MI, PR. The per-lead extractors return one such row as a
 SparseFeatureVector.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -36,7 +37,7 @@ from .errors import (
     SingleClassError,
     ValidationError,
 )
-from .kernels import CsrMatrix, pack_csr
+from .kernels import CsrMatrix, csr_take, pack_csr
 from .labeling import CONTENT_DENSE, LABELS, NON_CONTENT_DENSE
 
 SPACE_MRC = "MRC"
@@ -125,6 +126,7 @@ def select_mi_vocabulary(leads: Sequence[AnnotatedLead],
                          labels: Mapping[str, str],
                          min_count: int = 5,
                          top_k: int = 500,
+                         table: FeatureTable | None = None,
                          ) -> tuple[FeatureSpace, list[MiEntry]]:
     """Select the top_k words most associated with each class.
 
@@ -135,6 +137,7 @@ def select_mi_vocabulary(leads: Sequence[AnnotatedLead],
     must appear in at least ``min_count`` documents to be eligible; a word
     never occurring in a class is excluded from that class's ranking
     entirely. Ties at the selection boundary break lexicographically.
+    Document counts are column counts of the leads' rows in ``table``.
 
     Returns the feature space (the deduplicated union of both classes' top
     lists, indexed in sorted word order) and the selected entries, ordered
@@ -145,39 +148,36 @@ def select_mi_vocabulary(leads: Sequence[AnnotatedLead],
     """
     if min_count < 1 or top_k < 1:
         raise ValidationError("min_count and top_k must be at least 1")
-    n_docs = len(leads)
     class_counts: Counter = Counter()
-    df: Counter = Counter()
-    present: dict = {}
-    for lead in leads:
+    dense = np.zeros(len(leads), dtype=bool)
+    for k, lead in enumerate(leads):
         label = labels.get(lead.id)
         if label is None:
             raise ValidationError(f"lead {lead.id} has no label")
         if label not in LABELS:
             raise ValidationError(f"lead {lead.id}: unknown label {label!r}")
         class_counts[label] += 1
-        for w in lead.word_set:
-            df[w] += 1
-            key = (w, label)
-            present[key] = present.get(key, 0) + 1
+        dense[k] = label == CONTENT_DENSE
     if len(class_counts) < 2:
         raise SingleClassError(
             f"training data covers only {list(class_counts) or 'no'} labels"
         )
 
+    table, rows = _held(table, leads)
+    words, X = table.take(rows, rules=False)
+    df = np.bincount(X.indices, minlength=X.n_cols)
+    in_dense = np.bincount(X.indices[dense[X.rows]], minlength=X.n_cols)
+    n_docs = len(leads)
     entries: list[MiEntry] = []
     selected_words: set[str] = set()
-    for label in (CONTENT_DENSE, NON_CONTENT_DENSE):
+    for label, present in ((CONTENT_DENSE, in_dense),
+                           (NON_CONTENT_DENSE, df - in_dense)):
         n_c = class_counts[label]
-        ranked: list[tuple[float, str]] = []
-        for w, n_w in df.items():
-            if n_w < min_count:
-                continue
-            n_wc = present.get((w, label), 0)
-            if n_wc == 0:
-                continue
-            mi = math.log((n_wc * n_docs) / (n_w * n_c))
-            ranked.append((mi, w))
+        eligible = np.flatnonzero((df >= min_count) & (present > 0))
+        ranked = [(math.log((n_wc * n_docs) / (n_w * n_c)), words[j])
+                  for j, n_wc, n_w in zip(eligible.tolist(),
+                                          present[eligible].tolist(),
+                                          df[eligible].tolist())]
         ranked.sort(key=lambda t: (-t[0], t[1]))
         for mi, w in ranked[:top_k]:
             entries.append(MiEntry(w, label, mi))
@@ -240,13 +240,91 @@ def lead_rules(lead: AnnotatedLead) -> Counter:
     return rules
 
 
-def pr_space(leads: Iterable[AnnotatedLead]) -> FeatureSpace:
-    """Space over every production rule occurring in the given leads."""
-    seen: set[ProductionRule] = set()
+def _count_matrix(counters: Sequence[Mapping], sort_key=None,
+                  ) -> tuple[list, CsrMatrix]:
+    """The counters' distinct keys, sorted, and a CSR row of integer counts
+    over them per counter."""
+    keys = sorted(set().union(*counters), key=sort_key)
+    col = {key: j for j, key in enumerate(keys)}
+    rows = np.repeat(np.arange(len(counters)), [len(c) for c in counters])
+    cols = np.array([col[key] for c in counters for key in c], dtype=np.int64)
+    vals = np.array([v for c in counters for v in c.values()], dtype=np.int64)
+    return keys, pack_csr(rows, cols, vals, len(counters), len(keys))
+
+
+class FeatureTable:
+    """Word and production-rule counts of a lead list, counted once.
+
+    Row r is ``leads[r]``; ``words`` and ``rules`` are (keys, CSR of integer
+    counts) with a column per distinct key in sorted order, so a space's
+    columns are an increasing map of them. Rules are read on first use, so
+    word-only work never needs parses; a lead without them keeps an empty
+    row, and ``_check`` raises for it where rules are asked for.
+    """
+
+    def __init__(self, leads: Sequence[AnnotatedLead]):
+        self.leads = list(leads)
+        self._row_of = {id(lead): r for r, lead in enumerate(self.leads)}
+        self.n_tokens = np.array([lead.n_tokens for lead in self.leads])
+
+    def rows(self, leads: Sequence[AnnotatedLead]) -> np.ndarray | None:
+        """Each lead's row, found by identity; None when one is not held."""
+        row_of = self._row_of
+        try:
+            return np.array([row_of[id(lead)] for lead in leads], dtype=np.int64)
+        except KeyError:
+            return None
+
+    @cached_property
+    def words(self) -> tuple[list[str], CsrMatrix]:
+        return _count_matrix([lead.word_counts for lead in self.leads])
+
+    @cached_property
+    def rules(self) -> tuple[list[ProductionRule], CsrMatrix]:
+        counters = []
+        for lead in self.leads:
+            try:
+                counters.append(lead_rules(lead))
+            except MissingParseError:
+                counters.append({})
+        return _count_matrix(counters, sort_key=lambda r: (r.lhs, r.rhs))
+
+    def take(self, rows: np.ndarray, rules: bool) -> tuple[list, CsrMatrix]:
+        """Column keys and rows ``rows`` of the word or the rule counts."""
+        keys, counts = self.rules if rules else self.words
+        return keys, csr_take(counts, rows)
+
+
+def _held(table: FeatureTable | None, leads: Sequence[AnnotatedLead],
+          ) -> tuple[FeatureTable, np.ndarray]:
+    """``table`` and the leads' rows in it, or a new table over the leads
+    when ``table`` does not hold them all."""
+    rows = None if table is None else table.rows(leads)
+    if rows is None:
+        return FeatureTable(leads), np.arange(len(leads))
+    return table, rows
+
+
+def _check(leads: Sequence[AnnotatedLead], words: bool, rules: bool) -> None:
+    """EmptyLeadError for the first lead without tokens (words asked for)
+    or MissingParseError for one without parses (rules asked for)."""
     for lead in leads:
-        seen.update(lead_rules(lead))
-    ordered = sorted(seen, key=lambda r: (r.lhs, r.rhs))
-    return FeatureSpace(SPACE_PR, {r: k for k, r in enumerate(ordered)})
+        if words and lead.n_tokens == 0:
+            raise EmptyLeadError(f"lead {lead.id} has no tokens")
+        if rules:
+            lead_rules(lead)
+
+
+def pr_space(leads: Sequence[AnnotatedLead],
+             table: FeatureTable | None = None) -> FeatureSpace:
+    """Space over every production rule occurring in the given leads: the
+    rule columns of ``table`` counted in their rows."""
+    _check(leads, words=False, rules=True)
+    table, rows = _held(table, leads)
+    rules, X = table.take(rows, rules=True)
+    seen = np.flatnonzero(np.bincount(X.indices, minlength=X.n_cols))
+    return FeatureSpace(SPACE_PR,
+                        {rules[j]: k for k, j in enumerate(seen.tolist())})
 
 
 def pr_features(lead: AnnotatedLead, space: FeatureSpace,
@@ -268,18 +346,6 @@ def _canonical_spaces(spaces: Sequence[FeatureSpace]) -> list[FeatureSpace]:
     return sorted(spaces, key=lambda s: SPACE_ORDER.index(s.name))
 
 
-def concat_spaces(spaces: Sequence[FeatureSpace]) -> FeatureSpace:
-    """Combined space with (space_name, key) keys and cumulative offsets."""
-    ordered = _canonical_spaces(spaces)
-    index_of = {}
-    offset = 0
-    for space in ordered:
-        for key, idx in space.index_of.items():
-            index_of[(space.name, key)] = offset + idx
-        offset += space.dim
-    return FeatureSpace("+".join(s.name for s in ordered), index_of)
-
-
 @dataclass(frozen=True)
 class FeatureBundle:
     """The feature spaces of one training fold, ready to extract with.
@@ -287,6 +353,7 @@ class FeatureBundle:
     MI and PR spaces depend on training data (vocabulary selection, seen
     rules), so a bundle is built per training fold and never shared across
     folds. Spaces left out at build time are None and cannot be extracted.
+    ``table``, when given, holds the counts that matrices are taken from.
     """
 
     mrc: FeatureSpace | None = None
@@ -294,6 +361,7 @@ class FeatureBundle:
     pr: FeatureSpace | None = None
     pr_value: str = "count"
     mi_entries: tuple[MiEntry, ...] = ()
+    table: FeatureTable | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for name, space in zip(SPACE_ORDER, (self.mrc, self.mi, self.pr)):
@@ -311,46 +379,50 @@ class FeatureBundle:
     def active_spaces(self) -> list[FeatureSpace]:
         return [s for s in (self.mrc, self.mi, self.pr) if s is not None]
 
-    @cached_property
-    def combined_space(self) -> FeatureSpace:
-        return concat_spaces(self.active_spaces())
+    @property
+    def combined_name(self) -> str:
+        """Name of the active spaces side by side, e.g. "MRC+MI+PR"."""
+        return "+".join(s.name for s in self.active_spaces())
+
+    def holding(self, leads: Sequence[AnnotatedLead]) -> FeatureBundle:
+        """This bundle, or a copy with a table over ``leads`` when its own
+        table does not hold them all; build once, take several matrices."""
+        table, _ = _held(self.table, leads)
+        return self if table is self.table else replace(self, table=table)
 
     def matrix(self, leads: Sequence[AnnotatedLead],
                names: Sequence[str]) -> CsrMatrix:
         """One CSR row per lead over the named spaces, side by side.
 
-        Columns follow ``concat_spaces`` of the named spaces (order MRC, MI,
-        PR). Values: MRC a word's count over the lead's token count, MI 1.0
-        per present word, PR a rule's count (1.0 when ``pr_value`` is
-        binary); keys outside a space are skipped. Raises EmptyLeadError
-        for a lead without tokens (MRC, MI) and MissingParseError for one
-        without parses (PR).
+        Columns follow the named spaces in the order MRC, MI, PR, each at
+        the offset of the dims before it. Values: MRC a word's count over
+        the lead's token count, MI 1.0 per present word, PR a rule's count
+        (1.0 when ``pr_value`` is binary); keys outside a space are
+        skipped. Rows come from ``table`` when it holds every lead. Raises
+        EmptyLeadError for a lead without tokens (MRC, MI) and
+        MissingParseError for one without parses (PR).
         """
         spaces = _canonical_spaces([self.space(n) for n in names])
-        binary = self.pr_value == "binary"
-        cols, vals = array("q"), array("d")
-        counts: list[int] = []
-        for lead in leads:
-            start, offset = len(cols), 0
-            for space in spaces:
-                if space.name == SPACE_PR:
-                    items, unit, n = lead_rules(lead).items(), binary, 1
-                elif lead.n_tokens == 0:
-                    raise EmptyLeadError(f"lead {lead.id} has no tokens")
-                else:
-                    items, unit = lead.word_counts.items(), space.name == SPACE_MI
-                    n = lead.n_tokens
-                index_of = space.index_of
-                for key, count in items:
-                    idx = index_of.get(key)
-                    if idx is not None:
-                        cols.append(offset + idx)
-                        vals.append(1.0 if unit else count / n)
-                offset += space.dim
-            counts.append(len(cols) - start)
-        rows = np.repeat(np.arange(len(leads)), counts)
-        return pack_csr(rows, np.frombuffer(cols, np.int64), np.frombuffer(vals),
-                        len(leads), sum(s.dim for s in spaces))
+        _check(leads, words=spaces[0].name != SPACE_PR,
+               rules=spaces[-1].name == SPACE_PR)
+        table, rows = _held(self.table, leads)
+        parts, offset = [], 0
+        for space in spaces:
+            keys, X = table.take(rows, rules=space.name == SPACE_PR)
+            index_of = space.index_of
+            cols = np.array([index_of.get(key, -1) for key in keys],
+                            dtype=np.int64)[X.indices]
+            if space.name == SPACE_MRC:
+                vals = X.data / table.n_tokens[rows][X.rows]
+            elif space.name == SPACE_MI or self.pr_value == "binary":
+                vals = np.ones(len(X.data))
+            else:
+                vals = X.data.astype(np.float64)
+            keep = cols >= 0
+            parts.append((X.rows[keep], cols[keep] + offset, vals[keep]))
+            offset += space.dim
+        entries = [np.concatenate(p) for p in zip(*parts)]
+        return pack_csr(*entries, len(leads), offset)
 
     def extract_single(self, lead: AnnotatedLead, name: str) -> SparseFeatureVector:
         """The lead's row of ``matrix`` over the space ``name``; a name
@@ -361,7 +433,7 @@ class FeatureBundle:
 
     def extract_combined(self, lead: AnnotatedLead) -> SparseFeatureVector:
         """The lead's row of ``matrix`` over every active space."""
-        return self.extract_single(lead, self.combined_space.name)
+        return self.extract_single(lead, self.combined_name)
 
 
 def build_feature_bundle(train_leads: Sequence[AnnotatedLead],
@@ -370,15 +442,20 @@ def build_feature_bundle(train_leads: Sequence[AnnotatedLead],
                          include: Sequence[str] = SPACE_ORDER,
                          min_count: int = 5,
                          top_k: int = 500,
-                         pr_value: str = "count") -> FeatureBundle:
+                         pr_value: str = "count",
+                         table: FeatureTable | None = None) -> FeatureBundle:
     """Build the spaces named in ``include`` from training data only.
 
-    The MRC space needs ``lexicon``; the MI space needs ``labels`` for the
-    training leads; the PR space needs every training lead parsed.
+    The MRC space needs ``lexicon`` (a word list, or its space); the MI
+    space needs ``labels`` for the training leads; the PR space needs every
+    training lead parsed. Counts come from ``table`` (one over the
+    training leads when none is given), which the bundle keeps.
     """
     for name in include:
         if name not in SPACE_ORDER:
             raise ValidationError(f"unknown feature space {name!r}")
+    if table is None:
+        table = FeatureTable(train_leads)
     mrc = mi = pr = None
     mi_entries: tuple[MiEntry, ...] = ()
     if SPACE_MRC in include:
@@ -389,12 +466,13 @@ def build_feature_bundle(train_leads: Sequence[AnnotatedLead],
         if labels is None:
             raise ValidationError("MI space requested but no labels given")
         mi, entries = select_mi_vocabulary(train_leads, labels,
-                                           min_count=min_count, top_k=top_k)
+                                           min_count=min_count, top_k=top_k,
+                                           table=table)
         mi_entries = tuple(entries)
     if SPACE_PR in include:
-        pr = pr_space(train_leads)
+        pr = pr_space(train_leads, table)
     return FeatureBundle(mrc=mrc, mi=mi, pr=pr, pr_value=pr_value,
-                         mi_entries=mi_entries)
+                         mi_entries=mi_entries, table=table)
 
 
 def _key_to_str(name: str, key) -> str:

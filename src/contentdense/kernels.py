@@ -76,6 +76,16 @@ def pack_csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
                      n_rows=n_rows, n_cols=n_cols)
 
 
+def csr_take(X: CsrMatrix, rows: np.ndarray) -> CsrMatrix:
+    """Row-subset of a CSR matrix."""
+    counts = np.diff(X.indptr)[rows]
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    take = (np.repeat(X.indptr[rows] - indptr[:-1], counts)
+            + np.arange(indptr[-1]))
+    return CsrMatrix(data=X.data[take], indices=X.indices[take],
+                     indptr=indptr, n_rows=len(rows), n_cols=X.n_cols)
+
+
 def build_csr(vectors: Sequence, dim: int) -> CsrMatrix:
     """Pack sparse feature vectors (``entries``: index -> value) into CSR
     rows, in vector order, with ``pack_csr``."""

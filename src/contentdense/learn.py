@@ -51,6 +51,7 @@ from .kernels import (
     LOSSES,
     CsrMatrix,
     build_csr,
+    csr_take,
     margins,
     objective_and_grad,
     pack_csr,
@@ -307,7 +308,7 @@ def train_feature_fusion(train_leads: Sequence[AnnotatedLead],
     value (grid search selects by development accuracy).
     """
     return train_single(train_leads, labels, bundle,
-                        bundle.combined_space.name, config, dev_leads)
+                        bundle.combined_name, config, dev_leads)
 
 
 @dataclass
@@ -368,23 +369,13 @@ def _platt_from_cv(dev_X: CsrMatrix, dev_y: np.ndarray, space_name: str,
             if len(np.unique(dev_y[rest])) < 2:
                 ok = False
                 break
-            sub = _csr_take(dev_X, rest)
+            sub = csr_take(dev_X, rest)
             model = _train_on_csr(sub, dev_y[rest], space_name, loss, c, config)
-            margin_out[part] = model.margins(_csr_take(dev_X, part))
+            margin_out[part] = model.margins(csr_take(dev_X, part))
     if not ok:
         model = _train_on_csr(dev_X, dev_y, space_name, loss, c, config)
         margin_out = model.margins(dev_X)
     return fit_platt_sigmoid(margin_out, dev_y)
-
-
-def _csr_take(X: CsrMatrix, rows: np.ndarray) -> CsrMatrix:
-    """Row-subset of a CSR matrix."""
-    counts = np.diff(X.indptr)[rows]
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    take = (np.repeat(X.indptr[rows] - indptr[:-1], counts)
-            + np.arange(indptr[-1]))
-    return CsrMatrix(data=X.data[take], indices=X.indices[take],
-                     indptr=indptr, n_rows=len(rows), n_cols=X.n_cols)
 
 
 def train_decision_fusion(train_leads: Sequence[AnnotatedLead],
@@ -480,12 +471,13 @@ class LeadClassifier:
 
     def _block_margins(self, leads: Sequence[AnnotatedLead]) -> np.ndarray:
         layers = self._layers()
+        bundle = self.bundle.holding(leads)
         if self.mode != MODE_DECISION_FUSION:
             [(names, model)] = layers
-            return model.margins(self.bundle.matrix(leads, names))
+            return model.margins(bundle.matrix(leads, names))
         return self.model.margins(
             {names[0]: model.proba_from_margins(
-                model.margins(self.bundle.matrix(leads, names)))
+                model.margins(bundle.matrix(leads, names)))
              for names, model in layers})
 
     def proba_from_margins(self, z: np.ndarray) -> np.ndarray:

@@ -445,6 +445,26 @@ class TestHostileCorpora:
         assert code == 4
         assert "line 2" in err
 
+    def test_label_file_that_is_not_utf8_exits_4(self, workspace, tmp_path):
+        labels = tmp_path / "labels.tsv"
+        lines = Path(workspace["labels"]).read_bytes().splitlines(keepends=True)
+        labels.write_bytes(b"".join(lines[:2]) + b"syn\xff\tcontent_dense\n")
+        code, err = run_quietly(["evaluate", "--corpus", workspace["corpus"],
+                                 "--lexicon", workspace["lexicon"],
+                                 "--labels", str(labels), "--mode", "mrc",
+                                 "--out", str(tmp_path / "out")])
+        assert code == 4
+        assert "line 3" in err
+
+    def test_lexicon_that_is_not_utf8_exits_4(self, workspace, tmp_path):
+        lexicon = tmp_path / "lexicon.txt"
+        lexicon.write_bytes(b"stone\n# comment\nr\xffver\n")
+        code, err = run_quietly(["train", "--corpus", workspace["corpus"],
+                                 "--lexicon", str(lexicon), "--mode", "mrc",
+                                 "--out", str(tmp_path / "out")])
+        assert code == 4
+        assert "line 3" in err
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-10**20, 10**20) | st.floats()
@@ -528,4 +548,21 @@ class TestCorruptedFiles:
         code, err = run_quietly(["combine", "--pairs", str(bad),
                                  "--model", model_for_pairs, "--out",
                                  str(clean_files["dir"] / "damaged_comb")])
+        assert code in DOCUMENTED_EXIT_CODES, err
+
+    @settings(max_examples=100, deadline=None)
+    @given(damage=corruptions(), fusion=st.booleans(),
+           stage=st.sampled_from(("predict", "combine")))
+    def test_damaged_model_exits_with_a_documented_code(
+            self, clean_files, model_for_pairs, fusion_model_path, pairs_path,
+            damage, fusion, stage):
+        model = Path(fusion_model_path if fusion else model_for_pairs)
+        bad = clean_files["dir"] / "damaged_model.json"
+        bad.write_bytes(damage(model.read_bytes()))
+        corpus = clean_files["dir"] / "clean_small.jsonl"
+        corpus.write_bytes(clean_files["corpus"])
+        inputs = (["--corpus", str(corpus)] if stage == "predict"
+                  else ["--pairs", pairs_path])
+        code, err = run_quietly([stage, *inputs, "--model", str(bad), "--out",
+                                 str(clean_files["dir"] / "damaged_model_out")])
         assert code in DOCUMENTED_EXIT_CODES, err

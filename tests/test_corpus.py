@@ -257,6 +257,13 @@ def padded_brackets(draw):
     return text
 
 
+def struct_tree(struct):
+    label, rest = struct
+    if isinstance(rest, str):
+        return ParseTree(label, leaf_word=rest)
+    return ParseTree(label, tuple(struct_tree(c) for c in rest))
+
+
 class TestParserMatchesOracle:
     @settings(max_examples=400, deadline=None)
     @given(padded_brackets())
@@ -349,6 +356,26 @@ class TestDeepNesting:
             ProductionRule("X", ("DT", "NN")): 1,
         }
         assert parse_ptb_tree(text) == tree
+
+    def test_repr(self):
+        assert sys.getrecursionlimit() < DEPTH
+        tree = parse_ptb_tree(deep_bracketed(DEPTH))
+        text = repr(tree)
+        assert text.startswith("ParseTree(label='X', children=(ParseTree(")
+        assert text.count("ParseTree(") == 2 * DEPTH - 1
+        assert text.endswith("children=(), leaf_word='w')"
+                             + "), leaf_word=None)" * (DEPTH - 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(STRUCTS.map(struct_tree))
+    def test_repr_matches_the_recursive_tuple_repr(self, tree):
+        def recursive_repr(node):
+            kids = node.children
+            inner = ", ".join(recursive_repr(k) for k in kids)
+            return (f"ParseTree(label={node.label!r}, children=("
+                    f"{inner}{',' if len(kids) == 1 else ''}), "
+                    f"leaf_word={node.leaf_word!r})")
+        assert repr(tree) == recursive_repr(tree)
 
     def test_unbalanced_deep_input_is_a_parse_error(self):
         text = deep_bracketed(DEPTH)[:-1]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -6,6 +7,8 @@ import pytest
 
 from contentdense.corpus import AnnotatedLead, Sentence
 from contentdense.errors import (
+    EmptyLeadError,
+    MissingParseError,
     NumericError,
     SingleClassError,
     ValidationError,
@@ -31,6 +34,7 @@ from contentdense.learn import (
     MODE_FEATURE_FUSION,
     MODE_MI,
     MODE_MRC,
+    MODE_PR,
     TrainConfig,
 )
 from test_learn import MRC_LEXICON, make_corpus
@@ -161,6 +165,32 @@ class TestCrossValidate:
         with pytest.raises(SingleClassError, match=r"fold 2:"):
             cross_validate(leads, one_class, MODE_MI, lexicon=MRC_LEXICON,
                            config=ONE_C, seed=0, fold_subset=[2])
+
+    def test_unparsed_and_empty_leads_fail_where_they_are_used(self):
+        leads, labels = make_corpus(60, seed=6)
+        leads = [dataclasses.replace(lead, sentences=(
+                     lead.sentences[0],
+                     dataclasses.replace(lead.sentences[1], parse=None)))
+                 if k % 7 == 3 else lead for k, lead in enumerate(leads)]
+        for mode in (MODE_MRC, MODE_MI):
+            cross_validate(leads, labels, mode, lexicon=MRC_LEXICON,
+                           config=ONE_C, seed=0, fold_subset=[4])
+        plan = make_folds([l.id for l in leads], k=10, seed=0)
+        train = [i for f in plan.roles(4)[1] for i in plan.folds[f]]
+        unparsed = next(i for i in train if int(i[4:]) % 7 == 3)
+        with pytest.raises(MissingParseError,
+                           match=f"^fold 4: lead {unparsed}: sentence 1 "):
+            cross_validate(leads, labels, MODE_PR, config=ONE_C, seed=0,
+                           fold_subset=[4])
+        empty = [AnnotatedLead(id=f"lead{k:04d}", domain="general",
+                               lead_text="", sentences=(),
+                               article_word_count=0)
+                 if k % 5 == 1 else lead for k, lead in enumerate(leads)]
+        first = next(i for i in train if int(i[4:]) % 5 == 1)
+        with pytest.raises(EmptyLeadError,
+                           match=f"^fold 4: lead {first} has no tokens"):
+            cross_validate(empty, labels, MODE_MRC, lexicon=MRC_LEXICON,
+                           config=ONE_C, seed=0, fold_subset=[4])
 
     def test_missing_label_rejected(self):
         leads, labels = make_corpus(60, seed=6)

@@ -18,8 +18,9 @@ from contentdense.features import (
     SPACE_ORDER,
     FeatureBundle,
     FeatureSpace,
+    FeatureTable,
+    MiEntry,
     ProductionRule,
-    concat_spaces,
     extract_production_rules,
     lead_rules,
     mi_features,
@@ -208,6 +209,101 @@ class TestSelectMiVocabulary:
                 assert [w for w, _ in got] == [w for w, _, _ in expected[label]]
                 for (w, mi), (_, _, mi_exp) in zip(got, expected[label]):
                     assert abs(mi - mi_exp) <= 1e-12, (w, mi, mi_exp)
+
+
+def oracle_select_mi_vocabulary(leads, labels, min_count=5, top_k=500):
+    """The dict-loop selection the package used before its table-based
+    one: the reference for spaces, entries, ranks and MI bits."""
+    if min_count < 1 or top_k < 1:
+        raise ValidationError("min_count and top_k must be at least 1")
+    n_docs = len(leads)
+    class_counts = Counter()
+    df = Counter()
+    present = {}
+    for lead in leads:
+        label = labels.get(lead.id)
+        if label is None:
+            raise ValidationError(f"lead {lead.id} has no label")
+        if label not in (CONTENT_DENSE, NON_CONTENT_DENSE):
+            raise ValidationError(f"lead {lead.id}: unknown label {label!r}")
+        class_counts[label] += 1
+        for w in set(lead.words):
+            df[w] += 1
+            key = (w, label)
+            present[key] = present.get(key, 0) + 1
+    if len(class_counts) < 2:
+        raise SingleClassError(
+            f"training data covers only {list(class_counts) or 'no'} labels")
+    entries = []
+    selected_words = set()
+    for label in (CONTENT_DENSE, NON_CONTENT_DENSE):
+        n_c = class_counts[label]
+        ranked = []
+        for w, n_w in df.items():
+            if n_w < min_count:
+                continue
+            n_wc = present.get((w, label), 0)
+            if n_wc == 0:
+                continue
+            mi = math.log((n_wc * n_docs) / (n_w * n_c))
+            ranked.append((mi, w))
+        ranked.sort(key=lambda t: (-t[0], t[1]))
+        for mi, w in ranked[:top_k]:
+            entries.append(MiEntry(w, label, mi))
+            selected_words.add(w)
+    space = FeatureSpace("MI", {w: k for k, w in enumerate(sorted(selected_words))})
+    return space, entries
+
+
+def oracle_pr_space(leads):
+    """The per-lead rule walk the package used before its table-based one."""
+    seen = set()
+    for lead in leads:
+        seen.update(lead_rules(lead))
+    ordered = sorted(seen, key=lambda r: (r.lhs, r.rhs))
+    return FeatureSpace("PR", {r: k for k, r in enumerate(ordered)})
+
+
+def outcome(select, *args, **kwargs):
+    """A selection's result, or its error's type and message."""
+    try:
+        return select(*args, **kwargs)
+    except Exception as e:
+        return type(e), str(e)
+
+
+MI_WORDS = ("ant", "bee", "cat", "dog", "eel")
+
+
+@st.composite
+def mi_cases(draw):
+    """(table leads, training leads, labels, min_count, top_k).
+
+    Every lead also holds a word of its own and "ant" always comes with
+    "ant_", so rankings tie; min_count is some word's document count, and
+    top_k often ends inside a run of equal MI values. Training leads are a
+    sample (repeats allowed) of the table's leads.
+    """
+    docs = draw(st.lists(st.tuples(st.lists(st.sampled_from(MI_WORDS)),
+                                   st.sampled_from((CONTENT_DENSE,
+                                                    NON_CONTENT_DENSE))),
+                         min_size=1, max_size=20))
+    leads = [make_doc(f"d{k}", words + ["ant_"] * ("ant" in words) + [f"own{k}"])
+             for k, (words, _) in enumerate(docs)]
+    labels = {lead.id: label for lead, (_, label) in zip(leads, docs)}
+    picks = draw(st.lists(st.integers(0, len(leads) - 1), min_size=1))
+    train = [leads[k] for k in picks]
+    df = Counter(w for lead in train for w in set(lead.words))
+    min_count = draw(st.sampled_from(sorted(set(df.values()))))
+    top_k = draw(st.integers(1, 12))
+    _, full = outcome(oracle_select_mi_vocabulary, train, labels, min_count,
+                      10 ** 6)
+    if isinstance(full, list):
+        ranks = [e.mi for e in full if e.label == CONTENT_DENSE]
+        tied = [k + 1 for k in range(len(ranks) - 1) if ranks[k] == ranks[k + 1]]
+        if tied and draw(st.booleans()):
+            top_k = draw(st.sampled_from(tied))
+    return leads, train, labels, min_count, top_k
 
 
 class TestMiFeatures:
@@ -458,7 +554,7 @@ class TestConcat:
         assert bundle.extract_combined(lead).entries == {14: 3.0}
         X = bundle.matrix([lead], SPACE_ORDER)
         assert (X.indices.tolist(), X.data.tolist(), X.n_cols) == ([14], [3.0], 21)
-        assert concat_spaces(spaces).index_of[("PR", pr_key)] == 14
+        assert X.indices[0] == 5 + 7 + spaces[2].index_of[pr_key] == 14
 
     def test_empty_vectors(self):
         spaces = [space_of("MRC", 5), space_of("MI", 7), space_of("PR", 9)]
@@ -467,7 +563,7 @@ class TestConcat:
         assert bundle.extract_combined(lead).entries == {}
         X = bundle.matrix([lead, lead], SPACE_ORDER)
         assert X.indptr.tolist() == [0, 0, 0] and X.n_cols == 21
-        assert concat_spaces(spaces).dim == 21
+        assert sum(s.dim for s in bundle.active_spaces()) == 21
 
     def test_single_vector_identity(self):
         bundle = bundle_of(space_of("MI", 4))
@@ -492,8 +588,11 @@ class TestConcat:
 
     def test_combined_index_injective(self):
         spaces = [space_of("MRC", 11), space_of("MI", 13), space_of("PR", 7)]
-        combined = concat_spaces(spaces)
-        assert sorted(combined.index_of.values()) == list(range(31))
+        words = [f"mrc{k}" for k in range(11)] + [f"mi{k}" for k in range(13)]
+        lead = make_doc("a", [], parse="(S {})".format(" ".join(
+            f"(X (pr{k % 7} {w}))" for k, w in enumerate(words))))
+        combined = bundle_of(*spaces).matrix([lead], SPACE_ORDER)
+        assert sorted(combined.indices.tolist()) == list(range(31))
 
 
 class TestSpaceSerialization:
@@ -513,4 +612,32 @@ class TestSpaceSerialization:
     def test_composite_rejected(self):
         spaces = [space_of("MRC", 2), space_of("MI", 2)]
         with pytest.raises(ValidationError):
-            space_to_lines(concat_spaces(spaces))
+            space_to_lines(FeatureSpace(bundle_of(*spaces).combined_name,
+                                        {k: k for k in range(4)}))
+
+
+class TestTableSelectionMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(mi_cases())
+    def test_mi_vocabulary(self, case):
+        leads, train, labels, min_count, top_k = case
+        expected = outcome(oracle_select_mi_vocabulary, train, labels,
+                           min_count, top_k)
+        for table in (None, FeatureTable(leads)):
+            got = outcome(select_mi_vocabulary, train, labels, min_count,
+                          top_k, table=table)
+            assert got == expected
+            if isinstance(got[1], list):
+                assert ([e.mi.hex() for e in got[1]]
+                        == [e.mi.hex() for e in expected[1]])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(TREE_STRUCTS, max_size=2), min_size=1, max_size=6),
+           st.lists(st.integers(0, 5)))
+    def test_pr_space(self, structs, picks):
+        leads = [lead_of_structs(f"l{k}", s) if s else
+                 make_doc(f"l{k}", ["unparsed"]) for k, s in enumerate(structs)]
+        train = [leads[k % len(leads)] for k in picks]
+        expected = outcome(oracle_pr_space, train)
+        for table in (None, FeatureTable(leads)):
+            assert outcome(pr_space, train, table) == expected

@@ -212,7 +212,7 @@ class TestFeatureFusion:
         train, _, labels = corpus
         model = train_feature_fusion(train, labels, bundle,
                                      TrainConfig(c_grid=(1.0,)))
-        assert model.space_name == bundle.combined_space.name
+        assert model.space_name == bundle.combined_name
         assert model.dim == sum(s.dim for s in bundle.active_spaces())
         assert model.loss == LOSS_LOGISTIC
 
@@ -343,7 +343,8 @@ def random_model(rng, mode, bundle):
     if mode in SINGLE_MODE_SPACE:
         return linear(bundle.space(SINGLE_MODE_SPACE[mode]))
     if mode == MODE_FEATURE_FUSION:
-        return linear(bundle.combined_space)
+        return linear(FeatureSpace(bundle.combined_name, {
+            k: k for k in range(sum(s.dim for s in bundle.active_spaces()))}))
     return FusionModel(
         first_layer={name: linear(bundle.space(name)) for name in SPACE_ORDER},
         second_layer=linear(FeatureSpace("META", {k: k for k in range(3)}),

@@ -60,7 +60,7 @@ class TestGeneration:
     def test_every_lead_contains_the_full_lexicon(self, standard):
         for lead in standard.leads:
             for word in LEXICON_WORDS:
-                assert word in lead.word_set
+                assert word in lead.word_counts
 
     def test_lexicon_rate_is_exactly_bimodal(self, standard):
         rates = {
