@@ -16,6 +16,7 @@ file-system errors, 1 for anything unexpected.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from math import fsum
 from os import replace
@@ -493,6 +494,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # A command's heap (leads, parse nodes, summary tuples) holds no
+    # reference cycles, so the cyclic collector would only re-walk it.
+    # Library calls keep the caller's setting; the process boundary is
+    # the one place that turns it off.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         args.func(args)
     except ContentDenseError as err:
@@ -504,6 +511,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Exception as err:  # last-resort guard so scripts get a code
         print(f"unexpected error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_UNEXPECTED
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return EXIT_OK
 
 

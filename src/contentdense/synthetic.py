@@ -26,11 +26,12 @@ are 30 word-POS tuples with class-dependent overlap with the lead (about
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import DOMAINS, AnnotatedLead, ParseTree, Sentence, WordPosTuple, parse_ptb_tree
+from .corpus import DOMAINS, AnnotatedLead, Sentence, WordPosTuple, parse_ptb_tree
 from .errors import ValidationError
 from .labeling import CONTENT_DENSE, NON_CONTENT_DENSE
 
@@ -74,17 +75,11 @@ SPARSE_TEMPLATES = (
 )
 
 
-def _leaf_pos(tree: ParseTree) -> list[str]:
-    """Preterminal labels in leaf order."""
-    out: list[str] = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node.leaf_word is None:
-            stack.extend(reversed(node.children))
-        else:
-            out.append(node.label)
-    return out
+# Preterminal labels of each template, in slot order.
+_TEMPLATE_POS = {
+    template: tuple(re.findall(r"\((\S+) \{\}\)", template))
+    for template in DENSE_TEMPLATES + SPARSE_TEMPLATES
+}
 
 
 @dataclass(frozen=True)
@@ -126,41 +121,40 @@ def generate_corpus(n: int, profile: str = PROFILE_STANDARD,
         rate_state = _channel_state(rng, dense, p_signal)
         shape_state = _channel_state(rng, dense, p_signal)
 
-        slots = [_FILLERS[rng.integers(len(_FILLERS))]
-                 for _ in range(_SLOTS_PER_LEAD)]
+        # Each run of same-bound draws is one batched call; numpy's
+        # Generator gives the same values, in the same stream order, as
+        # one scalar call per slot.
+        slots = [_FILLERS[j] for j in
+                 rng.integers(len(_FILLERS), size=_SLOTS_PER_LEAD).tolist()]
         marker_pool = DENSE_MARKERS if word_state else SPARSE_MARKERS
-        for slot in _MARKER_SLOTS:
-            slots[slot] = marker_pool[rng.integers(len(marker_pool))]
+        picks = rng.integers(len(marker_pool), size=len(_MARKER_SLOTS))
+        for slot, j in zip(_MARKER_SLOTS, picks.tolist()):
+            slots[slot] = marker_pool[j]
         for slot, word in zip(_LEXICON_FIXED_SLOTS, LEXICON_WORDS):
             slots[slot] = word
-        for slot in _LEXICON_EXTRA_SLOTS:
-            if rate_state:
-                slots[slot] = LEXICON_WORDS[rng.integers(len(LEXICON_WORDS))]
-            else:
-                slots[slot] = _DECOYS[rng.integers(len(_DECOYS))]
+        extra_pool = LEXICON_WORDS if rate_state else _DECOYS
+        picks = rng.integers(len(extra_pool), size=len(_LEXICON_EXTRA_SLOTS))
+        for slot, j in zip(_LEXICON_EXTRA_SLOTS, picks.tolist()):
+            slots[slot] = extra_pool[j]
 
         templates = DENSE_TEMPLATES if shape_state else SPARSE_TEMPLATES
         sentences = []
         pos_tags: list[str] = []
-        for half in range(2):
-            template = templates[rng.integers(len(templates))]
-            chunk = slots[half * 8:(half + 1) * 8]
+        for half, t in enumerate(rng.integers(len(templates), size=2).tolist()):
+            template = templates[t]
+            chunk = tuple(slots[half * 8:(half + 1) * 8])
+            pos = _TEMPLATE_POS[template]
             tree = parse_ptb_tree(template.format(*chunk))
-            pos = tuple(_leaf_pos(tree))
-            sentences.append(Sentence(tokens=tuple(tree.leaves()), pos=pos,
-                                      parse=tree))
+            sentences.append(Sentence(tokens=chunk, pos=pos, parse=tree))
             pos_tags.extend(pos)
 
         low, high = _OVERLAP_DENSE if dense else _OVERLAP_SPARSE
         n_overlap = int(rng.integers(low, high))
         picks = rng.integers(_SLOTS_PER_LEAD, size=n_overlap)
-        summary = [WordPosTuple(slots[p], pos_tags[p]) for p in picks]
-        summary += [
-            WordPosTuple(_SUMMARY_NOISE[rng.integers(len(_SUMMARY_NOISE))],
-                         "NN")
-            for _ in range(_SUMMARY_LEN - n_overlap)
-        ]
-        summary = [summary[j] for j in rng.permutation(len(summary))]
+        summary = [WordPosTuple(slots[p], pos_tags[p]) for p in picks.tolist()]
+        noise = rng.integers(len(_SUMMARY_NOISE), size=_SUMMARY_LEN - n_overlap)
+        summary += [WordPosTuple(_SUMMARY_NOISE[j], "NN") for j in noise.tolist()]
+        summary = [summary[j] for j in rng.permutation(len(summary)).tolist()]
 
         mean_count = 900.0 if dense else 750.0
         word_count = max(_SLOTS_PER_LEAD,

@@ -1,7 +1,18 @@
+import gc
 import re
 import sys
 
+import pytest
+
 _CRITERION_RE = re.compile(r"test_criterion_(\d+)")
+
+
+@pytest.fixture(autouse=True)
+def collector_stays_enabled():
+    """The CLI turns the cyclic collector off for each command; no test or
+    command path may leave it off for the rest of the suite."""
+    yield
+    assert gc.isenabled(), "a test left the cyclic garbage collector off"
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contentdense import cli
 from contentdense.cli import _EXIT_CODES, _exit_code, main
 from contentdense.combine import (
     PREF_LEAD,
@@ -566,3 +568,111 @@ class TestCorruptedFiles:
         code, err = run_quietly([stage, *inputs, "--model", str(bad), "--out",
                                  str(clean_files["dir"] / "damaged_model_out")])
         assert code in DOCUMENTED_EXIT_CODES, err
+
+
+@contextlib.contextmanager
+def collector_disabled():
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestGarbageCollector:
+    """Each command runs with the cyclic collector off; main restores the
+    caller's setting on every way out."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """Record gc.isenabled() inside every command that runs."""
+        states = []
+        for name in ("cmd_generate", "cmd_label"):
+            command = getattr(cli, name)
+
+            def spy(args, command=command):
+                states.append(gc.isenabled())
+                command(args)
+            monkeypatch.setattr(cli, name, spy)
+        return states
+
+    def test_off_during_a_command_and_back_on_after(self, seen, tmp_path,
+                                                    capsys):
+        assert main(["generate", "--n", "4", "--out", str(tmp_path)]) == 0
+        assert seen == [False]
+        assert gc.isenabled()
+        capsys.readouterr()
+
+    def test_restored_after_a_format_error(self, seen, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{not json\n")
+        assert main(["label", "--corpus", str(bad), "--out",
+                     str(tmp_path)]) == 4
+        assert seen == [False]
+        assert gc.isenabled()
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("error, code", [(RuntimeError("boom"), 1),
+                                             (KeyboardInterrupt(), None)])
+    def test_restored_when_a_command_raises(self, monkeypatch, tmp_path,
+                                            capsys, error, code):
+        seen = []
+
+        def fail(args):
+            seen.append(gc.isenabled())
+            raise error
+        monkeypatch.setattr(cli, "cmd_generate", fail)
+        argv = ["generate", "--out", str(tmp_path)]
+        if code is None:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert main(argv) == code
+        assert seen == [False]
+        assert gc.isenabled()
+        capsys.readouterr()
+
+    def test_restored_after_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["generate", "--no-such-flag"])
+        assert exit_.value.code == 2
+        assert gc.isenabled()
+        capsys.readouterr()
+
+    def test_a_caller_that_disabled_it_keeps_it_disabled(self, seen, tmp_path,
+                                                         capsys):
+        with collector_disabled():
+            assert main(["generate", "--n", "4", "--out", str(tmp_path)]) == 0
+            assert not gc.isenabled()
+        assert seen == [False]
+        capsys.readouterr()
+
+    def test_garbage_cycles_do_not_grow_with_the_corpus(self, tmp_path,
+                                                        capsys):
+        """With the collector off for a whole command, a reference cycle
+        made per lead would be held until the process ends. The cycles a
+        train and an evaluate leave must be a fixed set, not one per lead."""
+        def leftover(n, run):
+            out = tmp_path / f"run{run}"
+            assert main(["generate", "--n", str(n), "--seed", "5",
+                         "--out", str(out / "gen")]) == 0
+            corpus = str(out / "gen" / "corpus.jsonl")
+            lexicon = str(out / "gen" / "lexicon.txt")
+            # Off around both commands, so that no automatic collection
+            # between them hides what the first one left.
+            with collector_disabled():
+                gc.collect()
+                assert main(["train", "--corpus", corpus, "--lexicon", lexicon,
+                             "--mode", "decision-fusion", "--c-grid", "1.0",
+                             "--out", str(out / "model")]) == 0
+                assert main(["evaluate", "--corpus", corpus,
+                             "--lexicon", lexicon,
+                             "--labels", str(out / "gen" / "labels.tsv"),
+                             "--mode", "all", "--c-grid", "1.0",
+                             "--sizes", "100,150",
+                             "--out", str(out / "eval")]) == 0
+                return gc.collect()
+
+        leftover(200, 0)  # first uses (imports, caches) leave one-time cycles
+        assert leftover(200, 1) == leftover(600, 2)
+        capsys.readouterr()

@@ -1,7 +1,11 @@
 """Tests for the synthetic corpus generator."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
+from contentdense.corpus import save_corpus
 from contentdense.errors import ValidationError
 from contentdense.features import SPACE_MI, build_feature_bundle
 from contentdense.labeling import (
@@ -79,6 +83,49 @@ class TestGeneration:
 
     def test_profiles_table(self):
         assert PROFILES == {"standard": 0.7, "separable": 1.0, "zero": 0.5}
+
+
+# The generator's batched draws, as (bound, size): 16 filler slots, 3
+# marker slots, 2 extra slots from either rate pool, 2 template picks, and
+# the summary noise (30 minus an overlap in [4, 9) or [22, 27)).
+BATCHED_DRAWS = [(60, 16), (40, 3), (2, 2), (5000, 2),
+                 *((2000, m) for m in (*range(4, 9), *range(22, 27)))]
+
+# SHA-256 of save_corpus output, fixed before the draws were batched.
+CORPUS_DIGESTS = {
+    (1000, "standard", 7):
+        "fd7dbc23308b18c0e45512f293f0f18290baf3de8ecee044d56c1c3e1b7077f9",
+    (300, "separable", 3):
+        "4d12dbd4322b4da5ed51195c4df6a2300ab880c9be7b2fe0a00fa8e587044545",
+    (300, "zero", 11):
+        "724f231755127591d9295960ee19488b6dd11903145fb223354a648f676c537b",
+}
+
+
+class TestRandomStream:
+    """The generator relies on numpy drawing a batch exactly as it draws
+    the same number of scalars; a numpy release that breaks this must
+    fail here, not silently change every corpus."""
+
+    @pytest.mark.parametrize("bound, size", BATCHED_DRAWS)
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_a_batch_equals_scalar_draws(self, bound, size, offset):
+        batched = np.random.default_rng(7)
+        scalar = np.random.default_rng(7)
+        for rng in (batched, scalar):
+            rng.random()
+            for _ in range(offset):  # start mid-way through a 64-bit word
+                rng.integers(60)
+        assert (batched.integers(bound, size=size).tolist()
+                == [int(scalar.integers(bound)) for _ in range(size)])
+        assert batched.random() == scalar.random()
+
+    @pytest.mark.parametrize("args", sorted(CORPUS_DIGESTS))
+    def test_corpus_bytes_are_pinned(self, args, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(generate_corpus(*args).leads, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == CORPUS_DIGESTS[args]
 
 
 class TestPlantedSignals:
