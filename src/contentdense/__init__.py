@@ -10,12 +10,10 @@ rule. See README.md for the command-line walkthrough.
 """
 
 from .combine import (
-    CombinationDecision,
     SummaryPair,
     baseline_always_dense,
     baseline_article_length,
     binomial_superiority_check,
-    decide,
     load_pairs,
     save_pairs,
     sweep_cutoffs,
@@ -47,9 +45,6 @@ from .features import (
     FeatureBundle,
     build_feature_bundle,
     extract_production_rules,
-    mi_features,
-    mrc_features,
-    pr_features,
     select_mi_vocabulary,
 )
 from .labeling import (
@@ -78,7 +73,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnnotatedLead",
     "CONTENT_DENSE",
-    "CombinationDecision",
     "ContentDenseError",
     "CrossValidationResult",
     "FeatureBundle",
@@ -101,7 +95,6 @@ __all__ = [
     "confidence_stratified_accuracy",
     "content_density_score",
     "cross_validate",
-    "decide",
     "default_lexicon_path",
     "extract_production_rules",
     "filter_amt_annotators",
@@ -113,13 +106,10 @@ __all__ = [
     "load_lexicon",
     "load_pairs",
     "make_folds",
-    "mi_features",
-    "mrc_features",
     "parse_ptb_tree",
     "pearson_correlation",
     "percent_agreement_and_kappa",
     "percentile_label",
-    "pr_features",
     "save_classifier",
     "save_corpus",
     "save_pairs",

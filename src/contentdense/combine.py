@@ -2,9 +2,10 @@
 
 Both summaries of an article are scored with a trained classifier's
 content-dense probability; the system summary is emitted when the score
-difference (system minus lead) clears a cutoff. Includes the two reference
-baselines (always-dense, article-length logistic) and an exact binomial
-check for whether a combination beats a fixed success rate.
+difference (system minus lead) clears a cutoff. sweep_cutoffs scores every
+pair once and applies that rule at each cutoff of a sweep. Includes the two
+reference baselines (always-dense, article-length logistic) and an exact
+binomial check for whether a combination beats a fixed success rate.
 
 Correctness against human preference counts a tie judgment as correct for
 either choice.
@@ -19,6 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .corpus import AnnotatedLead, json_lines, lead_from_record, lead_to_record
 from .errors import (
     ContentDenseError,
@@ -26,9 +29,15 @@ from .errors import (
     DataLeakError,
     ValidationError,
 )
-from .features import FeatureSpace, SparseFeatureVector
+from .kernels import CsrMatrix, pack_csr
 from .labeling import CONTENT_DENSE
-from .learn import LOSS_LOGISTIC, LinearModel, TrainConfig, train_linear
+from .learn import (
+    LOSS_LOGISTIC,
+    LinearModel,
+    TrainConfig,
+    margin_label,
+    train_linear,
+)
 
 PREF_SYSTEM = "system"
 PREF_LEAD = "lead"
@@ -64,47 +73,6 @@ class SummaryPair:
                 f"pair {self.article_id!r} has identical summaries; "
                 "identical pairs are excluded"
             )
-
-
-@dataclass(frozen=True)
-class CombinationDecision:
-    article_id: str
-    score_system: float
-    score_lead: float
-    score_difference: float
-    cutoff: float
-    chosen: str
-
-    def __post_init__(self):
-        if self.score_difference != self.score_system - self.score_lead:
-            raise ValidationError("score_difference does not match the scores")
-        expected = (PREF_SYSTEM if self.score_difference >= self.cutoff
-                    else PREF_LEAD)
-        if self.chosen != expected:
-            raise ValidationError(
-                f"chosen {self.chosen!r} contradicts difference "
-                f"{self.score_difference} at cutoff {self.cutoff}"
-            )
-
-
-def decide(pair: SummaryPair, classifier, cutoff: float) -> CombinationDecision:
-    """Score both summaries and apply the cutoff rule.
-
-    ``classifier`` is anything with predict_proba(lead) -> probability of
-    content_dense, normally a trained LeadClassifier. The system summary
-    wins exactly when score_system - score_lead >= cutoff.
-    """
-    score_system = classifier.predict_proba(pair.system_summary)
-    score_lead = classifier.predict_proba(pair.lead_summary)
-    diff = score_system - score_lead
-    return CombinationDecision(
-        article_id=pair.article_id,
-        score_system=score_system,
-        score_lead=score_lead,
-        score_difference=diff,
-        cutoff=cutoff,
-        chosen=PREF_SYSTEM if diff >= cutoff else PREF_LEAD,
-    )
 
 
 @dataclass(frozen=True)
@@ -185,9 +153,6 @@ def baseline_always_dense(gold_labels: Iterable[str]) -> float:
     return sum(label == CONTENT_DENSE for label in labels) / len(labels)
 
 
-LENGTH_SPACE = FeatureSpace("LENGTH", {"article_word_count": 0})
-
-
 @dataclass(frozen=True)
 class LengthScaler:
     """Min-max map of article word counts onto [0, 1], fit on training data.
@@ -206,10 +171,13 @@ class LengthScaler:
         z = (count - self.low) / (self.high - self.low)
         return min(1.0, max(0.0, z))
 
-    def vector(self, lead: AnnotatedLead) -> SparseFeatureVector:
-        value = self.transform(lead.article_word_count)
-        return SparseFeatureVector(LENGTH_SPACE.name,
-                                   {0: value} if value else {})
+    def matrix(self, leads: Sequence[AnnotatedLead]) -> CsrMatrix:
+        """One column of scaled article lengths, a row per lead; zero values
+        are left out."""
+        values = np.array([self.transform(l.article_word_count) for l in leads])
+        rows = np.flatnonzero(values)
+        return pack_csr(rows, np.zeros(len(rows), dtype=np.int64),
+                        values[rows], len(leads), 1)
 
 
 def train_length_model(train_leads: Sequence[AnnotatedLead],
@@ -222,9 +190,9 @@ def train_length_model(train_leads: Sequence[AnnotatedLead],
         raise ValidationError("no training leads")
     counts = [float(l.article_word_count) for l in train_leads]
     scaler = LengthScaler(low=min(counts), high=max(counts))
-    X = [scaler.vector(l) for l in train_leads]
     y = [labels[l.id] for l in train_leads]
-    model = train_linear(X, y, LENGTH_SPACE, LOSS_LOGISTIC, c, config)
+    model = train_linear(scaler.matrix(train_leads), y, "LENGTH",
+                         LOSS_LOGISTIC, c, config)
     return model, scaler
 
 
@@ -243,10 +211,9 @@ def baseline_article_length(train_leads: Sequence[AnnotatedLead],
             f"e.g. {sorted(overlap)[0]!r}"
         )
     model, scaler = train_length_model(train_leads, labels, c, config)
-    correct = sum(
-        model.predict_label(scaler.vector(l)) == labels[l.id]
-        for l in test_leads
-    )
+    z = model.margins(scaler.matrix(test_leads))
+    correct = sum(margin_label(m) == labels[l.id]
+                  for m, l in zip(z.tolist(), test_leads))
     return correct / len(test_leads)
 
 

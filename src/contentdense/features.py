@@ -16,8 +16,7 @@ indices. A FeatureTable counts every word and every rule of a lead list
 once; a fold's spaces are column counts over its rows, and
 FeatureBundle.matrix is a row take of the table whose columns each space
 maps onto its own, side by side with cumulative column offsets in the
-fixed order MRC, MI, PR. The per-lead extractors return one such row as a
-SparseFeatureVector.
+fixed order MRC, MI, PR.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -46,16 +46,28 @@ SPACE_PR = "PR"
 SPACE_ORDER = (SPACE_MRC, SPACE_MI, SPACE_PR)
 
 
-@dataclass(frozen=True)
-class ProductionRule:
-    """Unlexicalized grammar production: LHS label and child labels."""
+class ProductionRule(tuple):
+    """Unlexicalized grammar production: LHS label and child labels.
 
-    lhs: str
-    rhs: tuple[str, ...]
+    The immutable tuple ``(lhs, rhs)``, so hashing, equality and ordering
+    (by LHS, then RHS) are the tuple's own.
+    """
 
-    def __post_init__(self):
-        if not self.rhs:
-            raise ValidationError(f"production {self.lhs!r} has an empty RHS")
+    __slots__ = ()
+
+    def __new__(cls, lhs: str, rhs: tuple[str, ...]):
+        if not rhs:
+            raise ValidationError(f"production {lhs!r} has an empty RHS")
+        return tuple.__new__(cls, (lhs, rhs))
+
+    lhs = property(itemgetter(0))
+    rhs = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"ProductionRule(lhs={self[0]!r}, rhs={self[1]!r})"
 
     def __str__(self):
         return f"{self.lhs} -> {' '.join(self.rhs)}"
@@ -113,13 +125,6 @@ def mrc_space(lexicon: Iterable[str]) -> FeatureSpace:
     if not words:
         raise ValidationError("lexicon is empty")
     return FeatureSpace(SPACE_MRC, {w: k for k, w in enumerate(words)})
-
-
-def mrc_features(lead: AnnotatedLead,
-                 lexicon: Iterable[str] | FeatureSpace) -> SparseFeatureVector:
-    """Per-lexicon-word occurrence rate: count(word) / lead token count."""
-    space = lexicon if isinstance(lexicon, FeatureSpace) else mrc_space(lexicon)
-    return FeatureBundle(mrc=space).extract_single(lead, SPACE_MRC)
 
 
 def select_mi_vocabulary(leads: Sequence[AnnotatedLead],
@@ -188,11 +193,6 @@ def select_mi_vocabulary(leads: Sequence[AnnotatedLead],
     return space, entries
 
 
-def mi_features(lead: AnnotatedLead, space: FeatureSpace) -> SparseFeatureVector:
-    """Binary presence indicators over the selected vocabulary."""
-    return FeatureBundle(mi=space).extract_single(lead, SPACE_MI)
-
-
 # Rules repeat across leads and are immutable, so each (lhs, rhs) maps to
 # one shared ProductionRule.
 _RULES = InternTable(lambda key: ProductionRule(*key))
@@ -240,11 +240,10 @@ def lead_rules(lead: AnnotatedLead) -> Counter:
     return rules
 
 
-def _count_matrix(counters: Sequence[Mapping], sort_key=None,
-                  ) -> tuple[list, CsrMatrix]:
+def _count_matrix(counters: Sequence[Mapping]) -> tuple[list, CsrMatrix]:
     """The counters' distinct keys, sorted, and a CSR row of integer counts
     over them per counter."""
-    keys = sorted(set().union(*counters), key=sort_key)
+    keys = sorted(set().union(*counters))
     col = {key: j for j, key in enumerate(keys)}
     rows = np.repeat(np.arange(len(counters)), [len(c) for c in counters])
     cols = np.array([col[key] for c in counters for key in c], dtype=np.int64)
@@ -287,7 +286,7 @@ class FeatureTable:
                 counters.append(lead_rules(lead))
             except MissingParseError:
                 counters.append({})
-        return _count_matrix(counters, sort_key=lambda r: (r.lhs, r.rhs))
+        return _count_matrix(counters)
 
     def take(self, rows: np.ndarray, rules: bool) -> tuple[list, CsrMatrix]:
         """Column keys and rows ``rows`` of the word or the rule counts."""
@@ -325,15 +324,6 @@ def pr_space(leads: Sequence[AnnotatedLead],
     seen = np.flatnonzero(np.bincount(X.indices, minlength=X.n_cols))
     return FeatureSpace(SPACE_PR,
                         {rules[j]: k for k, j in enumerate(seen.tolist())})
-
-
-def pr_features(lead: AnnotatedLead, space: FeatureSpace,
-                value: str = "count") -> SparseFeatureVector:
-    """Occurrence counts (or binary presence) of known production rules.
-
-    Rules absent from the space (unseen at space-building time) are ignored.
-    """
-    return FeatureBundle(pr=space, pr_value=value).extract_single(lead, SPACE_PR)
 
 
 def _canonical_spaces(spaces: Sequence[FeatureSpace]) -> list[FeatureSpace]:

@@ -40,8 +40,6 @@ from .features import (
     SPACE_ORDER,
     SPACE_PR,
     FeatureBundle,
-    FeatureSpace,
-    SparseFeatureVector,
     space_from_lines,
     space_to_lines,
 )
@@ -50,7 +48,7 @@ from .kernels import (
     LOSS_LOGISTIC,
     LOSSES,
     CsrMatrix,
-    build_csr,
+    build_csr,  # unused here; kept for perfbench's tracer until ROADMAP item 8
     csr_take,
     margins,
     objective_and_grad,
@@ -165,20 +163,6 @@ class LinearModel:
         a, b = self.platt
         return np.array([_sigmoid(a * m + b) for m in z.tolist()])
 
-    def margin(self, x: SparseFeatureVector) -> float:
-        if x.space_name != self.space_name:
-            raise ValidationError(
-                f"vector from space {x.space_name!r} scored by a "
-                f"{self.space_name!r} model"
-            )
-        return float(self.margins(build_csr([x], self.dim))[0])
-
-    def predict_proba(self, x: SparseFeatureVector) -> float:
-        return float(self.proba_from_margins(np.array([self.margin(x)]))[0])
-
-    def predict_label(self, x: SparseFeatureVector) -> str:
-        return margin_label(self.margin(x))
-
 
 def margin_label(z: float) -> str:
     """Predicted class of a decision margin; exact ties go to content_dense."""
@@ -211,26 +195,18 @@ def _train_on_csr(X: CsrMatrix, y: np.ndarray, space_name: str, loss: str,
                        l2_c=c)
 
 
-def train_linear(X: Sequence[SparseFeatureVector], y: Sequence[str],
-                 space: FeatureSpace, loss: str, c: float,
-                 config: TrainConfig | None = None) -> LinearModel:
-    """Fit one linear model at a fixed c.
+def train_linear(X: CsrMatrix, y: Sequence[str], space_name: str, loss: str,
+                 c: float, config: TrainConfig | None = None) -> LinearModel:
+    """Fit one linear model at a fixed c to the rows of ``X``.
 
     Minimizes 0.5*||w||^2 + c*sum(loss_i) from a zero start to within
     config.tol of a stationary point (gradient infinity norm). The bias is
     not regularized. Deterministic.
     """
-    config = config or TrainConfig()
-    if len(X) != len(y):
-        raise ValidationError(f"{len(X)} vectors for {len(y)} labels")
-    for vec in X:
-        if vec.space_name != space.name:
-            raise ValidationError(
-                f"vector from space {vec.space_name!r} in {space.name!r} training"
-            )
-    y_arr = _label_to_y(y)
-    csr = build_csr(X, space.dim)
-    return _train_on_csr(csr, y_arr, space.name, loss, c, config)
+    if X.n_rows != len(y):
+        raise ValidationError(f"{X.n_rows} rows for {len(y)} labels")
+    return _train_on_csr(X, _label_to_y(y), space_name, loss, c,
+                         config or TrainConfig())
 
 
 def _grid_search(train_X: CsrMatrix, train_y: np.ndarray,
@@ -490,14 +466,11 @@ class LeadClassifier:
         """Content-dense probability of each lead."""
         return self.proba_from_margins(self.margins(leads))
 
-    def decision_margin(self, lead: AnnotatedLead) -> float:
-        return float(self.margins([lead])[0])
-
     def predict_proba(self, lead: AnnotatedLead) -> float:
         return float(self.probabilities([lead])[0])
 
     def predict_label(self, lead: AnnotatedLead) -> str:
-        return margin_label(self.decision_margin(lead))
+        return margin_label(float(self.margins([lead])[0]))
 
 
 def _linear_to_record(model: LinearModel) -> dict:

@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import gc
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -307,6 +308,39 @@ class TestEvaluate:
                      "--mode", "mrc", "--out", str(tmp_path)])
         assert code == 4
         assert "line 1" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def pinned_corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pinned")
+    assert main(["generate", "--n", "400", "--profile", "standard",
+                 "--seed", "7", "--out", str(root / "gen")]) == 0
+    return root
+
+
+class TestPinnedOutputs:
+    """Outputs on a 400-lead seed-7 corpus, recorded from a run of the
+    CLI; a refactor that keeps outputs byte-identical keeps these."""
+
+    def args(self, root, command, *extra):
+        gen = root / "gen"
+        return [command, "--corpus", str(gen / "corpus.jsonl"),
+                "--lexicon", str(gen / "lexicon.txt"), *extra,
+                "--seed", "0", "--out", str(root / command)]
+
+    def test_article_length_baseline_row(self, pinned_corpus):
+        assert main(self.args(pinned_corpus, "evaluate", "--labels",
+                              str(pinned_corpus / "gen" / "labels.tsv"),
+                              "--mode", "mrc", "--c-grid", "1.0")) == 0
+        rows = read(pinned_corpus / "evaluate" / "summary.tsv").splitlines()
+        assert rows[-1] == "baseline_article_length\t0.607500\t0.607500"
+
+    def test_pr_model_bytes(self, pinned_corpus):
+        assert main(self.args(pinned_corpus, "train", "--mode", "pr")) == 0
+        digest = hashlib.sha256(
+            (pinned_corpus / "train" / "model.json").read_bytes()).hexdigest()
+        assert digest == ("c266edd815944c677d70fc3928fd8edf"
+                          "320a9598d84be727c5356bbc7100eb77")
 
 
 class TestCombine:

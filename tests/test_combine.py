@@ -8,12 +8,11 @@ from contentdense.combine import (
     PREF_LEAD,
     PREF_SYSTEM,
     PREF_TIE,
-    CombinationDecision,
+    CutoffRow,
     SummaryPair,
     baseline_always_dense,
     baseline_article_length,
     binomial_superiority_check,
-    decide,
     load_pairs,
     save_pairs,
     sweep_cutoffs,
@@ -58,9 +57,6 @@ class StubScorer:
     def __init__(self, scores):
         self.scores = scores
 
-    def predict_proba(self, lead):
-        return self.scores[lead.id]
-
     def probabilities(self, leads):
         return [self.scores[lead.id] for lead in leads]
 
@@ -84,61 +80,78 @@ class TestSummaryPair:
             make_pair("p1", "maybe")
 
 
+class RecordingScorer:
+    """A classifier whose probabilities are kept as they are handed out."""
+
+    def __init__(self, classifier):
+        self.classifier = classifier
+        self.seen = []
+
+    def probabilities(self, leads):
+        probs = self.classifier.probabilities(leads)
+        self.seen.extend(probs.tolist())
+        return probs
+
+
+def fusion_classifier():
+    leads, labels = make_corpus(40, seed=2, flip=0.0)
+    bundle = build_feature_bundle(leads, labels, MRC_LEXICON)
+    model = train_feature_fusion(leads, labels, bundle,
+                                 TrainConfig(c_grid=(1.0,)))
+    clf = LeadClassifier(mode=MODE_FEATURE_FUSION, bundle=bundle, model=model)
+    return leads, clf
+
+
 class TestDecide:
+    """The cutoff rule as sweep_cutoffs applies it: the system summary is
+    chosen exactly when its score minus the lead's is >= the cutoff."""
+
     def test_clear_win_for_system(self):
         pair = make_pair("p1", PREF_SYSTEM)
-        decision = decide(pair, stub_for([pair], [(0.9, 0.3)]), 0.5)
-        assert decision.chosen == PREF_SYSTEM
-        assert decision.score_difference == pytest.approx(0.6)
+        rows = sweep_cutoffs([pair], stub_for([pair], [(0.9, 0.3)]),
+                             [0.5, 0.6 - 1e-7, 0.6 + 1e-7])
+        assert [r.n_system_chosen for r in rows] == [1, 1, 0]
 
     def test_zero_difference_at_zero_cutoff_goes_system(self):
         pair = make_pair("p2", PREF_TIE)
-        decision = decide(pair, stub_for([pair], [(0.6, 0.6)]), 0.0)
-        assert decision.score_difference == 0.0
-        assert decision.chosen == PREF_SYSTEM
+        rows = sweep_cutoffs([pair], stub_for([pair], [(0.6, 0.6)]),
+                             [0.0, 5e-324])
+        assert [r.n_system_chosen for r in rows] == [1, 0]
+        assert rows[0].chosen_pref_tie == 1
 
     def test_small_deficit_goes_lead(self):
         pair = make_pair("p3", PREF_LEAD)
-        decision = decide(pair, stub_for([pair], [(0.4, 0.6)]), 0.1)
-        assert decision.chosen == PREF_LEAD
+        (row,) = sweep_cutoffs([pair], stub_for([pair], [(0.4, 0.6)]), [0.1])
+        assert row.n_system_chosen == 0
 
     def test_decision_invariants_enforced(self):
         with pytest.raises(ValidationError):
-            CombinationDecision(article_id="a", score_system=0.9,
-                                score_lead=0.3, score_difference=0.5,
-                                cutoff=0.0, chosen=PREF_SYSTEM)
+            CutoffRow(cutoff=0.0, n_total=3, n_system_chosen=2,
+                      chosen_pref_system=1, chosen_pref_lead=0,
+                      chosen_pref_tie=0, n_correct=1)
         with pytest.raises(ValidationError):
-            CombinationDecision(article_id="a", score_system=0.9,
-                                score_lead=0.3,
-                                score_difference=0.9 - 0.3,
-                                cutoff=0.7, chosen=PREF_SYSTEM)
+            CutoffRow(cutoff=0.0, n_total=3, n_system_chosen=1,
+                      chosen_pref_system=1, chosen_pref_lead=1,
+                      chosen_pref_tie=0, n_correct=1)
 
     def test_real_classifier_scores_summaries(self):
-        leads, labels = make_corpus(40, seed=2, flip=0.0)
-        bundle = build_feature_bundle(leads, labels, MRC_LEXICON)
-        model = train_feature_fusion(leads, labels, bundle,
-                                     TrainConfig(c_grid=(1.0,)))
-        clf = LeadClassifier(mode=MODE_FEATURE_FUSION, bundle=bundle,
-                             model=model)
+        leads, clf = fusion_classifier()
         pair = SummaryPair(article_id="a1", lead_summary=leads[1],
                            system_summary=leads[0],
                            human_preference=PREF_SYSTEM)
-        decision = decide(pair, clf, 0.0)
-        assert decision.chosen in (PREF_SYSTEM, PREF_LEAD)
-        assert 0.0 < decision.score_system < 1.0
+        scorer = RecordingScorer(clf)
+        (row,) = sweep_cutoffs([pair], scorer, [0.0])
+        assert row.n_system_chosen in (0, 1)
+        assert len(scorer.seen) == 2
+        assert all(0.0 < p < 1.0 for p in scorer.seen)
 
     def test_unparsed_summary_raises_missing_parse(self):
-        leads, labels = make_corpus(40, seed=2, flip=0.0)
-        bundle = build_feature_bundle(leads, labels, MRC_LEXICON)
-        model = train_feature_fusion(leads, labels, bundle,
-                                     TrainConfig(c_grid=(1.0,)))
-        clf = LeadClassifier(mode=MODE_FEATURE_FUSION, bundle=bundle,
-                             model=model)
+        leads, clf = fusion_classifier()
         pair = SummaryPair(article_id="a2", lead_summary=leads[0],
                            system_summary=summary_lead("bare", ("no", "tree")),
                            human_preference=PREF_LEAD)
         with pytest.raises(MissingParseError):
-            decide(pair, clf, 0.0)
+            sweep_cutoffs([pair], clf, [0.0])
 
 
 class TestSweepCutoffs:

@@ -15,7 +15,10 @@ from contentdense.errors import (
     ValidationError,
 )
 from contentdense.features import (
+    SPACE_MI,
+    SPACE_MRC,
     SPACE_ORDER,
+    SPACE_PR,
     FeatureBundle,
     FeatureSpace,
     FeatureTable,
@@ -23,10 +26,7 @@ from contentdense.features import (
     ProductionRule,
     extract_production_rules,
     lead_rules,
-    mi_features,
-    mrc_features,
     mrc_space,
-    pr_features,
     pr_space,
     select_mi_vocabulary,
     space_from_lines,
@@ -48,28 +48,46 @@ def make_doc(id, words, label=None, parse=None, domain="general"):
                          sentences=(sent,), article_word_count=1000)
 
 
+def row_entries(bundle, lead, name):
+    """The lead's one-row ``bundle.matrix`` over space ``name``, as a
+    column -> value dict."""
+    X = bundle.matrix([lead], [name])
+    return dict(zip(X.indices.tolist(), X.data.tolist()))
+
+
+def mrc_row(lead, lexicon):
+    return row_entries(FeatureBundle(mrc=mrc_space(lexicon)), lead, SPACE_MRC)
+
+
+def mi_row(lead, space):
+    return row_entries(FeatureBundle(mi=space), lead, SPACE_MI)
+
+
+def pr_row(lead, space, value="count"):
+    return row_entries(FeatureBundle(pr=space, pr_value=value), lead, SPACE_PR)
+
+
 class TestMrcFeatures:
     def test_rate_with_repeats(self):
         lead = make_doc("a", ["cat", "dog", "cat", "sun", "sky",
                               "run", "hop", "sit", "lie", "fly"])
-        vec = mrc_features(lead, {"cat", "tree"})
+        entries = mrc_row(lead, {"cat", "tree"})
         space = mrc_space({"cat", "tree"})
-        assert vec.entries == {space.index_of["cat"]: pytest.approx(0.2)}
+        assert entries == {space.index_of["cat"]: pytest.approx(0.2)}
 
     def test_disjoint_lexicon_empty_vector(self):
         lead = make_doc("a", ["cat", "dog"])
-        assert mrc_features(lead, {"moon"}).entries == {}
+        assert mrc_row(lead, {"moon"}) == {}
 
     def test_single_token_identity(self):
         lead = make_doc("a", ["a"])
-        vec = mrc_features(lead, {"a"})
-        assert vec.entries == {0: 1.0}
+        assert mrc_row(lead, {"a"}) == {0: 1.0}
 
     def test_empty_lead(self):
         lead = AnnotatedLead(id="e", domain="general", lead_text="",
                              sentences=(), article_word_count=0)
         with pytest.raises(EmptyLeadError):
-            mrc_features(lead, {"a"})
+            mrc_row(lead, {"a"})
 
     def test_values_in_unit_interval_and_sum_bounded(self):
         rng = np.random.default_rng(3)
@@ -77,15 +95,14 @@ class TestMrcFeatures:
         lexicon = set(vocab[:8])
         for _ in range(50):
             words = [vocab[rng.integers(20)] for _ in range(rng.integers(1, 40))]
-            vec = mrc_features(make_doc("x", words), lexicon)
-            for v in vec.entries.values():
+            entries = mrc_row(make_doc("x", words), lexicon)
+            for v in entries.values():
                 assert 0.0 < v <= 1.0
-            assert sum(vec.entries.values()) <= 1.0 + 1e-12
+            assert sum(entries.values()) <= 1.0 + 1e-12
 
     def test_lexicon_case_folded(self):
         lead = make_doc("a", ["Cat", "cat"])
-        vec = mrc_features(lead, {"CAT"})
-        assert vec.entries == {0: 1.0}
+        assert mrc_row(lead, {"CAT"}) == {0: 1.0}
 
 
 def mi_oracle(docs, min_count, top_k):
@@ -313,24 +330,23 @@ class TestMiFeatures:
     def test_binary_presence(self):
         space = self.make_space(["cat", "dog", "sun", "sky"])
         lead = make_doc("a", ["cat", "cat", "sun", "mat"])
-        vec = mi_features(lead, space)
-        assert vec.entries == {space.index_of["cat"]: 1.0,
-                               space.index_of["sun"]: 1.0}
+        assert mi_row(lead, space) == {space.index_of["cat"]: 1.0,
+                                       space.index_of["sun"]: 1.0}
 
     def test_repeats_still_one(self):
         space = self.make_space(["cat"])
         lead = make_doc("a", ["cat"] * 5)
-        assert mi_features(lead, space).entries == {0: 1.0}
+        assert mi_row(lead, space) == {0: 1.0}
 
     def test_no_selected_words(self):
         space = self.make_space(["moon"])
         lead = make_doc("a", ["cat"])
-        assert mi_features(lead, space).entries == {}
+        assert mi_row(lead, space) == {}
 
     def test_space_name_checked(self):
         space = FeatureSpace("MRC", {"cat": 0})
         with pytest.raises(ValidationError):
-            mi_features(make_doc("a", ["cat"]), space)
+            mi_row(make_doc("a", ["cat"]), space)
 
 
 def rules_oracle(struct):
@@ -414,9 +430,8 @@ class TestPrFeatures:
             "(S (NP (NN dogs)) (VP (VBD ran)))",
         ])
         space = pr_space([lead])
-        vec = pr_features(lead, space)
         idx = space.index_of[ProductionRule("S", ("NP", "VP"))]
-        assert vec.entries[idx] == 2.0
+        assert pr_row(lead, space)[idx] == 2.0
 
     def test_binary_mode(self):
         lead = self.make_lead_with_parses([
@@ -424,14 +439,13 @@ class TestPrFeatures:
             "(S (NP (NN dogs)) (VP (VBD ran)))",
         ])
         space = pr_space([lead])
-        vec = pr_features(lead, space, value="binary")
-        assert set(vec.entries.values()) == {1.0}
+        assert set(pr_row(lead, space, value="binary").values()) == {1.0}
 
     def test_unseen_rules_ignored(self):
         train = self.make_lead_with_parses(["(S (NP (NN cats)) (VP (VBD sat)))"], "t")
         other = self.make_lead_with_parses(["(FRAG (ADVP (RB no)))"], "o")
         space = pr_space([train])
-        assert pr_features(other, space).entries == {}
+        assert pr_row(other, space) == {}
 
     def test_missing_parse_errors(self):
         no_parse = AnnotatedLead(
@@ -440,11 +454,11 @@ class TestPrFeatures:
             article_word_count=10)
         space = pr_space([self.make_lead_with_parses(["(S (NP (NN x)) (VP (VBD y)))"])])
         with pytest.raises(MissingParseError):
-            pr_features(no_parse, space)
+            pr_row(no_parse, space)
         empty = AnnotatedLead(id="m2", domain="general", lead_text="",
                               sentences=(), article_word_count=0)
         with pytest.raises(MissingParseError):
-            pr_features(empty, space)
+            pr_row(empty, space)
 
     def test_lead_rules_cached(self):
         lead = self.make_lead_with_parses(["(S (NP (NN cats)) (VP (VBD sat)))"])

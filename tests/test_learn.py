@@ -14,14 +14,13 @@ from contentdense.features import (
     SPACE_ORDER,
     SPACE_PR,
     FeatureSpace,
-    SparseFeatureVector,
     build_feature_bundle,
 )
 from contentdense.kernels import (
     LOSS_HINGE,
     LOSS_LOGISTIC,
-    build_csr,
     objective_and_grad,
+    pack_csr,
 )
 from contentdense.labeling import CONTENT_DENSE, NON_CONTENT_DENSE
 from contentdense.learn import (
@@ -101,30 +100,32 @@ def bundle(corpus):
     return build_feature_bundle(train, labels, MRC_LEXICON)
 
 
-TOY = FeatureSpace("TOY", {"x": 0})
-
-
-def toy_vec(value=None):
-    return SparseFeatureVector("TOY", {} if value is None else {0: value})
+def toy_matrix(*values, n_cols=1):
+    """One row per value over ``n_cols`` columns: ``value`` in column 0,
+    or an empty row for None."""
+    rows = [k for k, v in enumerate(values) if v is not None]
+    return pack_csr(np.array(rows, dtype=np.int64),
+                    np.zeros(len(rows), dtype=np.int64),
+                    np.array([values[k] for k in rows], dtype=np.float64),
+                    len(values), n_cols)
 
 
 class TestTrainLinear:
     def test_separable_single_feature(self):
-        X = [toy_vec(1.0)] * 10 + [toy_vec()] * 10
+        X = toy_matrix(*[1.0] * 10, *[None] * 10)
         y = [CONTENT_DENSE] * 10 + [NON_CONTENT_DENSE] * 10
-        model = train_linear(X, y, TOY, LOSS_LOGISTIC, c=4.0)
+        model = train_linear(X, y, "TOY", LOSS_LOGISTIC, c=4.0)
         assert model.weights[0] > 0
-        assert [model.predict_label(v) for v in X] == y
+        assert [margin_label(z) for z in model.margins(X).tolist()] == y
 
     def test_identical_points_opposite_labels(self):
-        X = [toy_vec(1.0), toy_vec(1.0)]
+        X = toy_matrix(1.0, 1.0)
         y = [CONTENT_DENSE, NON_CONTENT_DENSE]
-        model = train_linear(X, y, TOY, LOSS_LOGISTIC, c=1.0)
+        model = train_linear(X, y, "TOY", LOSS_LOGISTIC, c=1.0)
         assert abs(model.weights[0]) < 1e-4
         assert abs(model.bias) < 1e-4
-        csr = build_csr(X, 1)
         value, _, _ = objective_and_grad(
-            model.weights, model.bias, csr, np.array([1.0, -1.0]), 1.0,
+            model.weights, model.bias, X, np.array([1.0, -1.0]), 1.0,
             LOSS_LOGISTIC)
         assert value == pytest.approx(2.0 * math.log(2.0), rel=1e-6)
 
@@ -132,41 +133,38 @@ class TestTrainLinear:
     def test_reaches_stationary_point(self, corpus, bundle, loss):
         train, _, labels = corpus
         config = TrainConfig(c_grid=(1.0,))
-        space = bundle.space(SPACE_MI)
-        X = [bundle.extract_single(l, SPACE_MI) for l in train]
-        model = train_linear(X, [labels[l.id] for l in train], space, loss,
+        X = bundle.matrix(train, [SPACE_MI])
+        model = train_linear(X, [labels[l.id] for l in train], SPACE_MI, loss,
                              c=1.0, config=config)
-        csr = build_csr(X, space.dim)
         y = np.array([1.0 if labels[l.id] == CONTENT_DENSE else -1.0
                       for l in train])
         _, grad_w, grad_b = objective_and_grad(
-            model.weights, model.bias, csr, y, 1.0, loss)
+            model.weights, model.bias, X, y, 1.0, loss)
         assert max(np.abs(grad_w).max(), abs(grad_b)) <= config.tol
 
     def test_mismatched_lengths(self):
         with pytest.raises(ValidationError):
-            train_linear([toy_vec(1.0)], [CONTENT_DENSE, NON_CONTENT_DENSE],
-                         TOY, LOSS_LOGISTIC, c=1.0)
+            train_linear(toy_matrix(1.0), [CONTENT_DENSE, NON_CONTENT_DENSE],
+                         "TOY", LOSS_LOGISTIC, c=1.0)
 
     def test_wrong_space(self):
-        X = [SparseFeatureVector("OTHER", {0: 1.0}), toy_vec()]
+        model = train_linear(toy_matrix(1.0, None),
+                             [CONTENT_DENSE, NON_CONTENT_DENSE], "TOY",
+                             LOSS_LOGISTIC, c=1.0)
         with pytest.raises(ValidationError):
-            train_linear(X, [CONTENT_DENSE, NON_CONTENT_DENSE], TOY,
-                         LOSS_LOGISTIC, c=1.0)
+            model.margins(toy_matrix(1.0, None, n_cols=2))
 
     def test_single_class(self):
-        X = [toy_vec(1.0), toy_vec()]
         with pytest.raises(SingleClassError):
-            train_linear(X, [CONTENT_DENSE, CONTENT_DENSE], TOY,
-                         LOSS_LOGISTIC, c=1.0)
+            train_linear(toy_matrix(1.0, None), [CONTENT_DENSE, CONTENT_DENSE],
+                         "TOY", LOSS_LOGISTIC, c=1.0)
 
     def test_deterministic_bitwise(self, corpus, bundle):
         train, _, labels = corpus
-        space = bundle.space(SPACE_PR)
-        X = [bundle.extract_single(l, SPACE_PR) for l in train]
+        X = bundle.matrix(train, [SPACE_PR])
         y = [labels[l.id] for l in train]
-        a = train_linear(X, y, space, LOSS_LOGISTIC, c=2.0)
-        b = train_linear(X, y, space, LOSS_LOGISTIC, c=2.0)
+        a = train_linear(X, y, SPACE_PR, LOSS_LOGISTIC, c=2.0)
+        b = train_linear(X, y, SPACE_PR, LOSS_LOGISTIC, c=2.0)
         assert np.array_equal(a.weights, b.weights)
         assert a.bias == b.bias
 
@@ -176,34 +174,35 @@ class TestPredictProba:
         model = LinearModel(weights=np.array([2.0]), bias=-0.5,
                             space_name="TOY", loss=LOSS_LOGISTIC, l2_c=1.0)
         for value in (0.0, 0.3, 1.0):
-            vec = toy_vec(value)
-            m = model.margin(vec)
-            assert model.predict_proba(vec) == pytest.approx(
+            z = model.margins(toy_matrix(value))
+            [m] = z.tolist()
+            assert model.proba_from_margins(z)[0] == pytest.approx(
                 1.0 / (1.0 + math.exp(-m)), abs=1e-15)
 
     def test_margin_zero_gives_half_and_dense_label(self):
         model = LinearModel(weights=np.zeros(1), bias=0.0, space_name="TOY",
                             loss=LOSS_LOGISTIC, l2_c=1.0)
-        assert model.predict_proba(toy_vec(3.0)) == 0.5
-        assert model.predict_label(toy_vec(3.0)) == CONTENT_DENSE
+        z = model.margins(toy_matrix(3.0))
+        assert model.proba_from_margins(z).tolist() == [0.5]
+        assert margin_label(z[0]) == CONTENT_DENSE
 
     def test_hinge_requires_platt(self):
         model = LinearModel(weights=np.array([1.0]), bias=0.0,
                             space_name="TOY", loss=LOSS_HINGE, l2_c=1.0)
+        z = model.margins(toy_matrix(1.0))
         with pytest.raises(ValidationError):
-            model.predict_proba(toy_vec(1.0))
+            model.proba_from_margins(z)
         model.platt = (2.0, 0.1)
-        m = model.margin(toy_vec(1.0))
-        assert model.predict_proba(toy_vec(1.0)) == pytest.approx(
+        [m] = z.tolist()
+        assert model.proba_from_margins(z)[0] == pytest.approx(
             1.0 / (1.0 + math.exp(-(2.0 * m + 0.1))), abs=1e-15)
 
     def test_proba_order_follows_margin_order(self, corpus, bundle):
         train, dev, labels = corpus
         model = train_feature_fusion(train, labels, bundle,
                                      TrainConfig(c_grid=(1.0,)))
-        vecs = [bundle.extract_combined(l) for l in dev]
-        margins_ = [model.margin(v) for v in vecs]
-        probas = [model.predict_proba(v) for v in vecs]
+        margins_ = model.margins(bundle.matrix(dev, SPACE_ORDER))
+        probas = model.proba_from_margins(margins_)
         assert np.argsort(margins_).tolist() == np.argsort(probas).tolist()
 
 
@@ -220,8 +219,9 @@ class TestFeatureFusion:
         train, dev, labels = corpus
         model = train_feature_fusion(train, labels, bundle,
                                      TrainConfig(c_grid=(1.0,)))
-        hits = sum(model.predict_label(bundle.extract_combined(l))
-                   == labels[l.id] for l in dev)
+        z = model.margins(bundle.matrix(dev, SPACE_ORDER))
+        hits = sum(margin_label(m) == labels[l.id]
+                   for m, l in zip(z.tolist(), dev))
         assert hits / len(dev) >= 0.8
 
     def test_grid_needs_dev_set(self, corpus, bundle):
@@ -272,7 +272,7 @@ class TestDecisionFusion:
             p = clf.predict_proba(lead)
             assert 0.0 < p < 1.0
             assert (clf.predict_label(lead) == CONTENT_DENSE) == (
-                clf.decision_margin(lead) >= 0.0)
+                clf.margins([lead])[0] >= 0.0)
 
     def test_overlap_is_a_leak(self, corpus, bundle):
         train, dev, labels = corpus
@@ -323,15 +323,14 @@ class TestLeadClassifier:
 
     def test_single_space_mode(self, corpus, bundle):
         train, dev, labels = corpus
-        space = bundle.space(SPACE_MI)
-        X = [bundle.extract_single(l, SPACE_MI) for l in train]
-        model = train_linear(X, [labels[l.id] for l in train], space,
+        model = train_linear(bundle.matrix(train, [SPACE_MI]),
+                             [labels[l.id] for l in train], SPACE_MI,
                              LOSS_LOGISTIC, c=1.0)
         clf = LeadClassifier(mode=MODE_MI, bundle=bundle, model=model)
         for lead in dev[:6]:
-            vec = bundle.extract_single(lead, SPACE_MI)
-            assert clf.decision_margin(lead) == model.margin(vec)
-            assert clf.predict_label(lead) == model.predict_label(vec)
+            [m] = model.margins(bundle.matrix([lead], [SPACE_MI])).tolist()
+            assert clf.margins([lead]).tolist() == [m]
+            assert clf.predict_label(lead) == margin_label(m)
 
 
 def random_model(rng, mode, bundle):
@@ -364,24 +363,24 @@ class TestBatchScoring:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(learn, "SCORE_BLOCK", 2)
                 assert clf.margins(leads).tolist() == z.tolist()
-            assert z.tolist() == [clf.decision_margin(l) for l in leads]
+            assert z.tolist() == [clf.margins([l])[0] for l in leads]
             assert clf.probabilities(leads).tolist() == [
                 clf.predict_proba(l) for l in leads]
             assert [margin_label(m) for m in z.tolist()] == [
                 clf.predict_label(l) for l in leads]
             if mode in SINGLE_MODE_SPACE:
-                vecs = [bundle.extract_single(l, SINGLE_MODE_SPACE[mode])
-                        for l in leads]
+                names = [SINGLE_MODE_SPACE[mode]]
             elif mode == MODE_FEATURE_FUSION:
-                vecs = [bundle.extract_combined(l) for l in leads]
+                names = [s.name for s in bundle.active_spaces()]
             else:
-                vecs = [{name: model.first_layer[name].predict_proba(
-                            bundle.extract_single(l, name))
-                         for name in SPACE_ORDER} for l in leads]
-                assert z.tolist() == [model.margins(
-                    {name: [p] for name, p in v.items()})[0] for v in vecs]
+                probs = [{name: first.proba_from_margins(
+                             first.margins(bundle.matrix([l], [name])))
+                          for name, first in model.first_layer.items()}
+                         for l in leads]
+                assert z.tolist() == [model.margins(p)[0] for p in probs]
                 continue
-            assert z.tolist() == [model.margin(v) for v in vecs]
+            assert z.tolist() == [model.margins(bundle.matrix([l], names))[0]
+                                  for l in leads]
 
 
 class TestSerialization:
