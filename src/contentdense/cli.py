@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from math import fsum
+from math import fsum, isfinite
 from os import replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -143,6 +143,8 @@ def _floats_arg(text: str) -> tuple[float, ...]:
         )
     if not values:
         raise argparse.ArgumentTypeError("expected at least one number")
+    if not all(map(isfinite, values)):
+        raise argparse.ArgumentTypeError(f"expected finite numbers, got {text!r}")
     return values
 
 

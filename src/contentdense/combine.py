@@ -22,10 +22,15 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import AnnotatedLead, json_lines, lead_from_record, lead_to_record
+from .corpus import (
+    AnnotatedLead,
+    json_field,
+    json_lines,
+    lead_from_record,
+    lead_to_record,
+)
 from .errors import (
     ContentDenseError,
-    CorpusFormatError,
     DataLeakError,
     ValidationError,
 )
@@ -252,28 +257,17 @@ def pair_to_record(pair: SummaryPair) -> dict:
     }
 
 
-def pair_from_record(rec: dict) -> SummaryPair:
-    if not isinstance(rec, dict):
-        raise CorpusFormatError("pair record is not a JSON object")
-    for key in ("article_id", "human_preference", "lead_summary",
-                "system_summary"):
-        if key not in rec:
-            raise CorpusFormatError(f"pair record missing field {key!r}")
-    for key in ("article_id", "human_preference"):
-        if type(rec[key]) is not str:
-            raise CorpusFormatError(f"field {key!r} must be a JSON string")
-    summaries = []
+def pair_from_record(rec) -> SummaryPair:
+    """Build a pair from its JSON object; CorpusFormatError (json_field)
+    names a missing or mistyped field, after the summary that holds it."""
+    fields = [json_field(rec, "article_id", str)]
     for key in ("lead_summary", "system_summary"):
+        summary = json_field(rec, key, dict)
         try:
-            summaries.append(lead_from_record(rec[key]))
+            fields.append(lead_from_record(summary))
         except ContentDenseError as e:
             raise type(e)(f"{key}: {e}") from e
-    return SummaryPair(
-        article_id=rec["article_id"],
-        lead_summary=summaries[0],
-        system_summary=summaries[1],
-        human_preference=rec["human_preference"],
-    )
+    return SummaryPair(*fields, json_field(rec, "human_preference", str))
 
 
 def load_pairs(path: str | Path) -> list[SummaryPair]:

@@ -14,6 +14,7 @@ form. POS tags are kept verbatim.
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ class WordPosTuple(NamedTuple):
 # A token is "(", ")", an atom, or a whole preterminal "(TAG word)"; the
 # scan tries the preterminal first, so a well-formed one is always one token.
 _TOKEN = re.compile(r"\(\s*[^\s()]+\s+[^\s()]+\s*\)|[()]|[^\s()]+")
-_new_node = tuple.__new__
+_new_tuple = tuple.__new__
 
 
 class InternTable(dict):
@@ -87,7 +88,7 @@ class ParseTree(tuple):
                 f"node {label!r} must have children or a leaf word, not "
                 f"{'both' if has_children else 'neither'}"
             )
-        return _new_node(cls, (label, leaf_word, *children))
+        return _new_tuple(cls, (label, leaf_word, *children))
 
     label = property(itemgetter(0))
     leaf_word = property(itemgetter(1))
@@ -184,7 +185,7 @@ class ParseTree(tuple):
 # Preterminals repeat across a corpus and nodes are immutable with
 # structural equality, so each distinct "(TAG word)" token text maps to one
 # shared leaf node.
-_LEAVES = InternTable(lambda tok: _new_node(ParseTree, tok[1:-1].split()))
+_LEAVES = InternTable(lambda tok: _new_tuple(ParseTree, tok[1:-1].split()))
 
 
 def _byte_offset(text: str, char_index: int) -> int:
@@ -243,7 +244,7 @@ def parse_ptb_tree(bracketed: str) -> ParseTree:
                     break
                 if tok != ")":
                     fail(f"expected '(' or ')' but found {tok!r}", i)
-                node = _new_node(ParseTree, open_nodes.pop())
+                node = _new_tuple(ParseTree, open_nodes.pop())
                 i += 1
             else:
                 if i != n:
@@ -367,45 +368,66 @@ def _sentence_to_record(s: Sentence) -> dict:
 
 
 _JSON_TYPES = {str: "string", list: "array", dict: "object", int: "integer",
-               float: "number", bool: "boolean", type(None): "null"}
+               float: "number", bool: "boolean", type(None): "null",
+               (str, str): "[string, string] array"}
 
 
-def _mistyped(field: str, expected: str, value) -> CorpusFormatError:
-    return CorpusFormatError(
-        f"field {field!r} must be {expected}, not "
-        f"{_JSON_TYPES.get(type(value), type(value).__name__)}"
-    )
+def _all_of_kind(values, kind) -> bool:
+    """Whether every one of ``values`` has the JSON type ``kind`` (json_field)."""
+    if kind is float:
+        try:
+            return ({int, float}.issuperset(map(type, values))
+                    and all(map(math.isfinite, values)))
+        except OverflowError:  # an integer beyond the range of a float
+            return False
+    if type(kind) is tuple:
+        return ({list}.issuperset(map(type, values))
+                and {len(kind)}.issuperset(map(len, values))
+                and all(map(_all_of_kind, zip(*values), kind)))
+    return {kind}.issuperset(map(type, values))
 
 
-def _typed(rec: dict, field: str, kind: type):
-    """``rec[field]`` when it has the JSON type ``kind`` (a bool is no integer)."""
-    value = rec[field]
-    if type(value) is not kind:
-        raise _mistyped(field, f"a JSON {_JSON_TYPES[kind]}", value)
-    return value
+def json_field(rec, name: str, kind, items=None, optional: bool = False,
+               where: str = "record"):
+    """``rec[name]``, or CorpusFormatError naming the field and ``where``
+    (the record holding it) when ``rec`` is no object, lacks the field or
+    holds it with another JSON type. ``kind`` is str, int, float (a finite
+    number, integer or not), list or dict; a boolean is neither an integer
+    nor a number. ``items`` is the kind of every entry of an array, or
+    ``(str, str)`` for ``[word, pos]`` entries. An ``optional`` field may
+    be absent or null, giving None."""
+    if rec.__class__ is not dict:
+        raise CorpusFormatError(f"{where} is not a JSON object")
+    value = rec.get(name)
+    if value is None:
+        if optional:
+            return None
+        if name not in rec:
+            raise CorpusFormatError(f"{where} missing field {name!r}")
+    elif ((value.__class__ is kind is not float or _all_of_kind((value,), kind))
+          and (items is None or _all_of_kind(value, items))):
+        return value
+    at = ""
+    if items is not None and type(value) is list:  # name the first bad entry
+        k = next(k for k, v in enumerate(value) if not _all_of_kind((v,), items))
+        value, at = value[k], f" at entry {k}"
+    if type(value) is float and not math.isfinite(value):
+        found = json.dumps(value)  # NaN, Infinity or -Infinity: not JSON
+    else:
+        found = _JSON_TYPES.get(type(value), type(value).__name__)
+    expected = _JSON_TYPES[kind] + (f" of {_JSON_TYPES[items]}s" if items else "")
+    raise CorpusFormatError(f"field {name!r} of {where} must be a JSON "
+                            f"{expected}, not {found}{at}")
 
 
-def _strings(rec: dict, field: str) -> tuple[str, ...]:
-    value = rec[field]
-    if type(value) is not list or not {str}.issuperset(map(type, value)):
-        raise _mistyped(field, "an array of strings", value)
-    return tuple(value)
-
-
-def _sentence_from_record(rec: dict) -> Sentence:
-    if not isinstance(rec, dict):
-        raise CorpusFormatError("sentence entry is not an object")
-    for key in ("tokens", "pos"):
-        if key not in rec:
-            raise CorpusFormatError(f"sentence missing field {key!r}")
-    parse = None
-    if rec.get("parse") is not None:
-        parse = parse_ptb_tree(_typed(rec, "parse", str))
+def _sentence_from_record(rec, where: str) -> Sentence:
+    parse = json_field(rec, "parse", str, optional=True, where=where)
+    lemmas = json_field(rec, "lemmas", list, str, optional=True, where=where)
     return Sentence(
-        tokens=_strings(rec, "tokens"),
-        pos=_strings(rec, "pos"),
-        lemmas=_strings(rec, "lemmas") if rec.get("lemmas") is not None else None,
-        parse=parse,
+        tokens=tuple(json_field(rec, "tokens", list, str, where=where)),
+        pos=tuple(json_field(rec, "pos", list, str, where=where)),
+        lemmas=None if lemmas is None else tuple(lemmas),
+        parse=None if parse is None else parse_ptb_tree(parse),
     )
 
 
@@ -423,36 +445,20 @@ def lead_to_record(lead: AnnotatedLead) -> dict:
     return rec
 
 
-def _summary_from_record(entries: list) -> tuple[WordPosTuple, ...]:
-    out: list[WordPosTuple] = []
-    for k, entry in enumerate(entries):
-        if (type(entry) is not list or len(entry) != 2
-                or type(entry[0]) is not str or type(entry[1]) is not str):
-            raise CorpusFormatError(
-                f"field 'summary' entry {k} is not a [word, pos] string pair")
-        out.append(WordPosTuple(entry[0].lower(), entry[1]))
-    return tuple(out)
-
-
-def lead_from_record(rec: dict) -> AnnotatedLead:
-    """Build a lead from its JSON object; CorpusFormatError names a missing
-    field or one whose JSON type differs from FORMAT.md's."""
-    if not isinstance(rec, dict):
-        raise CorpusFormatError("record is not a JSON object")
-    for key in ("id", "domain", "lead_text", "sentences", "article_word_count"):
-        if key not in rec:
-            raise CorpusFormatError(f"record missing field {key!r}")
-    summary = None
-    if rec.get("summary") is not None:
-        summary = _summary_from_record(_typed(rec, "summary", list))
+def lead_from_record(rec) -> AnnotatedLead:
+    """Build a lead from its JSON object; CorpusFormatError (json_field)
+    names a missing or mistyped field and the sentence that holds it."""
+    summary = json_field(rec, "summary", list, (str, str), optional=True)
+    sentences = enumerate(json_field(rec, "sentences", list, dict))
     return AnnotatedLead(
-        id=_typed(rec, "id", str),
-        domain=_typed(rec, "domain", str),
-        lead_text=_typed(rec, "lead_text", str),
-        sentences=tuple(_sentence_from_record(s)
-                        for s in _typed(rec, "sentences", list)),
-        summary=summary,
-        article_word_count=_typed(rec, "article_word_count", int),
+        id=json_field(rec, "id", str),
+        domain=json_field(rec, "domain", str),
+        lead_text=json_field(rec, "lead_text", str),
+        sentences=tuple(_sentence_from_record(s, f"sentence {k}")
+                        for k, s in sentences),
+        summary=None if summary is None else tuple(
+            [_new_tuple(WordPosTuple, (w.lower(), p)) for w, p in summary]),
+        article_word_count=json_field(rec, "article_word_count", int),
     )
 
 

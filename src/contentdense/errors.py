@@ -27,7 +27,7 @@ class ParseError(ContentDenseError):
 
 
 class CorpusFormatError(ContentDenseError):
-    """A corpus file line is not valid JSON or is missing required fields."""
+    """A corpus, pair, label or model file is not well-formed."""
 
 
 class DuplicateIdError(CorpusFormatError):

@@ -493,8 +493,8 @@ def space_to_lines(space: FeatureSpace) -> list[str]:
 
 
 def space_from_lines(lines: Sequence[str]) -> FeatureSpace:
-    if not lines or not all(isinstance(line, str) for line in lines):
-        raise ValidationError("feature space table is not a list of rows")
+    if not lines:
+        raise ValidationError("feature space table has no rows")
     name, _, dim_text = lines[0].partition("\t")
     if name not in SPACE_ORDER:
         raise ValidationError(f"unknown feature space {name!r}")

@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import AnnotatedLead
+from .corpus import AnnotatedLead, json_field
 from .errors import (
     CorpusFormatError,
     DataLeakError,
@@ -83,8 +83,8 @@ class TrainConfig:
     def __post_init__(self):
         if not self.c_grid:
             raise ValidationError("c_grid is empty")
-        if any(c <= 0 for c in self.c_grid):
-            raise ValidationError("c_grid values must be positive")
+        if not all(0 < c < math.inf for c in self.c_grid):
+            raise ValidationError("c_grid values must be positive and finite")
         if self.max_iters < 1 or self.tol <= 0:
             raise ValidationError("max_iters must be >= 1 and tol > 0")
 
@@ -144,7 +144,10 @@ class LinearModel:
             raise ValidationError(
                 f"{X.n_cols}-column rows scored by a {self.dim}-dim model"
             )
-        return margins(X, self.weights, self.bias)
+        z = margins(X, self.weights, self.bias)
+        if np.isnan(z).any():  # +inf and -inf terms in one row
+            raise NumericError(f"{self.space_name} model gave a NaN margin")
+        return z
 
     def proba_from_margins(self, z: np.ndarray) -> np.ndarray:
         """Probability of the content_dense class for each margin.
@@ -161,7 +164,10 @@ class LinearModel:
                 "margins before asking for probabilities"
             )
         a, b = self.platt
-        return np.array([_sigmoid(a * m + b) for m in z.tolist()])
+        z = a * z + b
+        if np.isnan(z).any():  # a zero slope times an infinite margin
+            raise NumericError(f"{self.space_name} Platt calibration gave a NaN")
+        return np.array([_sigmoid(m) for m in z.tolist()])
 
 
 def margin_label(z: float) -> str:
@@ -171,8 +177,8 @@ def margin_label(z: float) -> str:
 
 def _train_on_csr(X: CsrMatrix, y: np.ndarray, space_name: str, loss: str,
                   c: float, config: TrainConfig) -> LinearModel:
-    if c <= 0:
-        raise ValidationError("c must be positive")
+    if not 0 < c < math.inf:
+        raise ValidationError("c must be positive and finite")
     n, d = X.n_rows, X.n_cols
     if n < 2:
         raise ValidationError("need at least two training examples")
@@ -484,29 +490,16 @@ def _linear_to_record(model: LinearModel) -> dict:
     }
 
 
-def _field(rec, key: str, kind, where: str):
-    """``rec[key]``, required to be present and of type ``kind``."""
-    if not isinstance(rec, dict) or not isinstance(rec.get(key), kind):
-        raise ValidationError(f"{where}: {key!r} is missing or mistyped")
-    return rec[key]
-
-
-def _numbers(rec, key: str, where: str) -> list:
-    values = _field(rec, key, list, where)
-    if not all(isinstance(v, (int, float)) for v in values):
-        raise ValidationError(f"{where}: {key!r} must hold numbers")
-    return values
-
-
 def _linear_from_record(rec, where: str) -> LinearModel:
+    platt = json_field(rec, "platt", list, float, optional=True, where=where)
     return LinearModel(
-        weights=np.array(_numbers(rec, "weights", where), dtype=np.float64),
-        bias=float(_field(rec, "bias", (int, float), where)),
-        space_name=_field(rec, "space_name", str, where),
-        loss=_field(rec, "loss", str, where),
-        l2_c=float(_field(rec, "l2_c", (int, float), where)),
-        platt=(None if rec.get("platt") is None
-               else tuple(_numbers(rec, "platt", where))),
+        weights=np.array(json_field(rec, "weights", list, float, where=where),
+                         dtype=np.float64),
+        bias=float(json_field(rec, "bias", float, where=where)),
+        space_name=json_field(rec, "space_name", str, where=where),
+        loss=json_field(rec, "loss", str, where=where),
+        l2_c=float(json_field(rec, "l2_c", float, where=where)),
+        platt=None if platt is None else tuple(platt),
     )
 
 
@@ -535,30 +528,32 @@ def classifier_to_record(clf: LeadClassifier) -> dict:
     return rec
 
 
-def classifier_from_record(rec: dict) -> LeadClassifier:
-    """Rebuild a classifier from its JSON object; ValidationError when a
-    field is missing or mistyped or a weight count misses its space's dim."""
-    if not isinstance(rec, dict) or rec.get("format") != MODEL_FORMAT:
+def classifier_from_record(rec) -> LeadClassifier:
+    """Rebuild a classifier from its JSON object; CorpusFormatError when a
+    field is missing or mistyped (json_field), ValidationError when it has
+    no model format marker or a weight count misses its space's dim."""
+    if json_field(rec, "format", str, optional=True) != MODEL_FORMAT:
         raise ValidationError("not a model file (missing format marker)")
-    if rec.get("version") != MODEL_VERSION:
-        raise ValidationError(f"unsupported model version {rec.get('version')!r}")
-    tables = _field(rec, "spaces", dict, "model")
-    spaces = {name: space_from_lines(_field(tables, name, list, "spaces"))
+    if json_field(rec, "version", int) != MODEL_VERSION:
+        raise ValidationError(f"unsupported model version {rec['version']!r}")
+    tables = json_field(rec, "spaces", dict)
+    spaces = {name: space_from_lines(
+                  json_field(tables, name, list, str, where="spaces"))
               for name in tables}
     bundle = FeatureBundle(
         mrc=spaces.get(SPACE_MRC), mi=spaces.get(SPACE_MI),
         pr=spaces.get(SPACE_PR), pr_value=rec.get("pr_value", "count"),
     )
-    mode = _field(rec, "mode", str, "model")
+    mode = json_field(rec, "mode", str)
     if mode == MODE_DECISION_FUSION:
-        layers = _field(rec, "first_layer", dict, "model")
+        layers = json_field(rec, "first_layer", dict)
         model: LinearModel | FusionModel = FusionModel(
             first_layer={name: _linear_from_record(m, f"first_layer {name}")
                          for name, m in layers.items()},
-            second_layer=_linear_from_record(rec.get("second_layer"),
-                                             "second_layer"))
+            second_layer=_linear_from_record(
+                json_field(rec, "second_layer", dict), "second_layer"))
     else:
-        model = _linear_from_record(rec.get("model"), "model")
+        model = _linear_from_record(json_field(rec, "model", dict), "model")
     return LeadClassifier(mode=mode, bundle=bundle, model=model)
 
 
@@ -574,5 +569,5 @@ def load_classifier(path: str | Path) -> LeadClassifier:
     try:
         with Path(path).open("r", encoding="utf-8") as fh:
             return classifier_from_record(json.load(fh))
-    except (ValueError, ValidationError) as e:
+    except (ValueError, CorpusFormatError, ValidationError) as e:
         raise CorpusFormatError(f"{path}: {e}") from e

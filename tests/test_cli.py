@@ -2,14 +2,16 @@
 
 import contextlib
 import dataclasses
+import functools
 import gc
 import hashlib
 import io
 import json
+import operator
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contentdense import cli
@@ -136,7 +138,24 @@ MODEL_CORRUPTIONS = {
         lambda rec: rec["model"]["weights"].pop())),
     "two_weight_second_layer": ("decision_fusion", _edit_record(
         lambda rec: rec["second_layer"]["weights"].pop())),
+    "nan_platt": ("decision_fusion", _edit_record(
+        lambda rec: rec["second_layer"].update(platt=[float("nan"), 0.0]))),
+    "infinite_bias": ("mi", _edit_record(
+        lambda rec: rec["model"].update(bias=float("inf")))),
+    "boolean_l2_c": ("mi", _edit_record(
+        lambda rec: rec["model"].update(l2_c=True))),
+    "huge_integer_weight": ("decision_fusion", _edit_record(
+        lambda rec: rec["first_layer"]["PR"]["weights"].__setitem__(0, 10**400))),
 }
+
+
+def set_model_value(*path, value):
+    """A damage that sets one value of a model file, e.g. a non-JSON NaN."""
+    def damage(data: bytes) -> bytes:
+        rec = json.loads(data)
+        functools.reduce(operator.getitem, path[:-1], rec)[path[-1]] = value
+        return json.dumps(rec).encode("utf-8")
+    return damage
 
 
 class TestGenerate:
@@ -394,8 +413,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("corruption", sorted(MODEL_CORRUPTIONS))
     def test_malformed_model_file(self, workspace, model_path,
-                                  fusion_model_path, tmp_path, capsys,
-                                  corruption):
+                                  fusion_model_path, pairs_path, tmp_path,
+                                  capsys, corruption):
         source, corrupt = MODEL_CORRUPTIONS[corruption]
         bad = tmp_path / "model.json"
         bad.write_text(corrupt(read(model_path if source == "mi"
@@ -404,6 +423,99 @@ class TestExitCodes:
                      "--model", str(bad), "--out", str(tmp_path / "o")])
         assert code == 4
         assert str(bad) in capsys.readouterr().err
+        code = main(["combine", "--pairs", pairs_path,
+                     "--model", str(bad), "--out", str(tmp_path / "c")])
+        assert code == 4
+        assert str(bad) in capsys.readouterr().err
+
+    # (file, edit of its first record, what the error names)
+    @pytest.mark.parametrize("source, edit, message", [
+        ("corpus", lambda rec: rec.pop("domain"),
+         "line 1: record missing field 'domain'"),
+        ("corpus", lambda rec: rec.update(article_word_count=True),
+         "line 1: field 'article_word_count' of record must be a JSON "
+         "integer, not boolean"),
+        ("corpus", lambda rec: rec["sentences"][1].pop("pos"),
+         "line 1: sentence 1 missing field 'pos'"),
+        ("corpus", lambda rec: rec["sentences"][1].update(tokens=["a", 5]),
+         "line 1: field 'tokens' of sentence 1 must be a JSON array of "
+         "strings, not integer at entry 1"),
+        ("corpus", lambda rec: rec["summary"].__setitem__(2, ["cat"]),
+         "line 1: field 'summary' of record must be a JSON array of "
+         "[string, string] arrays, not array at entry 2"),
+        ("corpus", lambda rec: rec["summary"].__setitem__(2, [5, "CD"]),
+         "line 1: field 'summary' of record must be a JSON array of "
+         "[string, string] arrays, not array at entry 2"),
+        ("pairs", lambda rec: rec["lead_summary"].pop("id"),
+         "line 1: lead_summary: record missing field 'id'"),
+        ("pairs", lambda rec: rec.update(human_preference=3),
+         "line 1: field 'human_preference' of record must be a JSON "
+         "string, not integer"),
+        ("model", lambda rec: rec["first_layer"]["MI"].pop("bias"),
+         "first_layer MI missing field 'bias'"),
+        ("model", lambda rec: rec["second_layer"].update(l2_c=True),
+         "field 'l2_c' of second_layer must be a JSON number, not boolean"),
+    ], ids=["lead-missing", "lead-mistyped", "sentence-missing",
+            "sentence-mistyped", "summary-entry-missing",
+            "summary-entry-mistyped", "pair-missing", "pair-mistyped",
+            "model-layer-missing", "model-layer-mistyped"])
+    def test_record_error_names_line_record_and_field(
+            self, workspace, pairs_path, model_for_pairs, fusion_model_path,
+            tmp_path, source, edit, message):
+        clean = {"corpus": workspace["corpus"], "pairs": pairs_path,
+                 "model": fusion_model_path}[source]
+        lines = read(clean).splitlines()
+        lines[0] = _edit_record(edit)(lines[0])
+        bad = tmp_path / "bad"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = {"corpus": ["label", "--corpus", str(bad)],
+                "pairs": ["combine", "--pairs", str(bad),
+                          "--model", model_for_pairs],
+                "model": ["predict", "--corpus", workspace["corpus"],
+                          "--model", str(bad)]}[source]
+        code, err = run_quietly([*argv, "--out", str(tmp_path / "out")])
+        assert code == 4
+        assert message in err
+        if source == "model":
+            assert str(bad) in err
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--c-grid", "1,nan"],
+        ["evaluate", "--c-grid", "inf"],
+        ["label", "--percentiles", "20,inf"],
+        ["combine", "--pairs", "p.jsonl", "--model", "m.json",
+         "--cutoffs", "0,nan"],
+    ], ids=["train-c-grid", "evaluate-c-grid", "label-percentiles",
+            "combine-cutoffs"])
+    def test_non_finite_number_is_a_usage_error(self, workspace, tmp_path,
+                                                capsys, argv):
+        if argv[0] != "combine":
+            argv = [*argv, "--corpus", workspace["corpus"]]
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--out", str(tmp_path)])
+        assert exit_.value.code == 2
+        assert "expected finite numbers" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_margins_exit_12(self, workspace, tmp_path):
+        """Count features times weights of +-1e308 overflow to +inf and
+        -inf in one row, whose margin is NaN."""
+        assert main(["train", "--corpus", workspace["corpus"],
+                     "--lexicon", workspace["lexicon"], "--mode", "pr",
+                     "--c-grid", "1.0", "--out", str(tmp_path / "m")]) == 0
+        model = tmp_path / "m" / "model.json"
+        rec = json.loads(read(model))
+        weights = rec["model"]["weights"]
+        rec["model"]["weights"] = [(-1e308, 1e308)[k % 2]
+                                   for k in range(len(weights))]
+        model.write_text(json.dumps(rec), encoding="utf-8")
+        code, err = run_quietly(["predict", "--corpus", workspace["corpus"],
+                                 "--model", str(model),
+                                 "--out", str(tmp_path / "p")])
+        assert code == 12, err
+        assert "NaN margin" in err
+        assert not (tmp_path / "p" / "predictions.tsv").exists()
 
     def test_every_error_class_has_a_distinct_code(self):
         codes = [code for _, code in _EXIT_CODES]
@@ -589,6 +701,13 @@ class TestCorruptedFiles:
     @settings(max_examples=100, deadline=None)
     @given(damage=corruptions(), fusion=st.booleans(),
            stage=st.sampled_from(("predict", "combine")))
+    @example(damage=set_model_value("second_layer", "platt",
+                                    value=[float("nan"), 0.0]),
+             fusion=True, stage="predict")
+    @example(damage=set_model_value("model", "bias", value=float("inf")),
+             fusion=False, stage="predict")
+    @example(damage=set_model_value("model", "l2_c", value=True),
+             fusion=False, stage="predict")
     def test_damaged_model_exits_with_a_documented_code(
             self, clean_files, model_for_pairs, fusion_model_path, pairs_path,
             damage, fusion, stage):
@@ -599,9 +718,14 @@ class TestCorruptedFiles:
         corpus.write_bytes(clean_files["corpus"])
         inputs = (["--corpus", str(corpus)] if stage == "predict"
                   else ["--pairs", pairs_path])
+        out = clean_files["dir"] / "damaged_model_out"
         code, err = run_quietly([stage, *inputs, "--model", str(bad), "--out",
-                                 str(clean_files["dir"] / "damaged_model_out")])
+                                 str(out)])
         assert code in DOCUMENTED_EXIT_CODES, err
+        if code == 0 and stage == "predict":
+            probs = [float(row.split("\t")[1])
+                     for row in read(out / "predictions.tsv").splitlines()]
+            assert all(0.0 <= p <= 1.0 for p in probs), probs
 
 
 @contextlib.contextmanager

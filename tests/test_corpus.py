@@ -1,4 +1,5 @@
 import json
+import math
 import pickle
 import sys
 
@@ -14,6 +15,7 @@ from contentdense.corpus import (
     Sentence,
     WordPosTuple,
     default_lexicon_path,
+    json_field,
     lead_to_record,
     load_corpus,
     load_lexicon,
@@ -557,6 +559,60 @@ class TestLoadCorpus:
         rec = lead_to_record(make_lead(summary=(WordPosTuple("cat", "NN"),)))
         assert list(rec.keys()) == ["id", "domain", "lead_text", "sentences",
                                     "summary", "article_word_count"]
+
+
+class TestJsonField:
+    @pytest.mark.parametrize("value, kind, items, ok", [
+        (3, int, None, True),
+        (True, int, None, False),
+        (3.0, int, None, False),
+        (3, float, None, True),
+        (-2.5, float, None, True),
+        (False, float, None, False),
+        (math.nan, float, None, False),
+        (-math.inf, float, None, False),
+        (10**400, float, None, False),
+        ("3", float, None, False),
+        (None, str, None, False),
+        ([], list, str, True),
+        (["a", None], list, str, False),
+        ("ab", list, str, False),
+        ([1, 2.5], list, float, True),
+        ([1, math.nan], list, float, False),
+        ([1, True], list, float, False),
+        ([["w", "NN"], ["x", "VB"]], list, (str, str), True),
+        ([["w", "NN"], ["x"]], list, (str, str), False),
+        ([["w", "NN", "x"]], list, (str, str), False),
+        ([[5, "CD"]], list, (str, str), False),
+        ([("w", "NN")], list, (str, str), False),
+        ({"a": 1}, dict, None, True),
+        ([{}], list, dict, True),
+    ])
+    def test_kinds(self, value, kind, items, ok):
+        rec = {"f": value}
+        if ok:
+            assert json_field(rec, "f", kind, items) is value
+        else:
+            with pytest.raises(CorpusFormatError,
+                               match="^field 'f' of record must be a JSON "):
+                json_field(rec, "f", kind, items)
+
+    def test_names_the_first_bad_entry(self):
+        with pytest.raises(CorpusFormatError, match=(
+                r"^field 'w' of layer 2 must be a JSON array of numbers, "
+                r"not NaN at entry 1$")):
+            json_field({"w": [0, math.nan, "x"]}, "w", list, float,
+                       where="layer 2")
+
+    def test_missing_optional_and_non_objects(self):
+        assert json_field({}, "f", str, optional=True) is None
+        assert json_field({"f": None}, "f", str, optional=True) is None
+        with pytest.raises(CorpusFormatError,
+                           match="^sentence 2 missing field 'f'$"):
+            json_field({"g": 1}, "f", str, where="sentence 2")
+        with pytest.raises(CorpusFormatError,
+                           match="^sentence 2 is not a JSON object$"):
+            json_field(["f"], "f", str, optional=True, where="sentence 2")
 
 
 def test_load_lexicon(tmp_path):

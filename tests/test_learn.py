@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from contentdense import learn
 from contentdense.corpus import AnnotatedLead, Sentence, parse_ptb_tree
-from contentdense.errors import DataLeakError, SingleClassError, ValidationError
+from contentdense.errors import (
+    DataLeakError,
+    NumericError,
+    SingleClassError,
+    ValidationError,
+)
 from contentdense.features import (
     SPACE_MI,
     SPACE_MRC,
@@ -158,6 +163,33 @@ class TestTrainLinear:
         with pytest.raises(SingleClassError):
             train_linear(toy_matrix(1.0, None), [CONTENT_DENSE, CONTENT_DENSE],
                          "TOY", LOSS_LOGISTIC, c=1.0)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+    def test_c_must_be_positive_and_finite(self, c):
+        with pytest.raises(ValidationError):
+            TrainConfig(c_grid=(1.0, c))
+        with pytest.raises(ValidationError):
+            train_linear(toy_matrix(1.0, None),
+                         [CONTENT_DENSE, NON_CONTENT_DENSE], "TOY",
+                         LOSS_LOGISTIC, c=c)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_nan_margin_is_a_numeric_error(self):
+        """Finite weights can still give a row +inf and -inf terms."""
+        model = LinearModel(weights=np.array([1e308, -1e308]), bias=0.0,
+                            space_name="TOY", loss=LOSS_LOGISTIC, l2_c=1.0)
+        row = np.array([0, 0]), np.array([0, 1])
+        assert model.margins(pack_csr(*row, np.ones(2), 1, 2)).tolist() == [0.0]
+        with pytest.raises(NumericError, match="NaN margin"):
+            model.margins(pack_csr(*row, np.full(2, 2.0), 1, 2))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_nan_platt_probability_is_a_numeric_error(self):
+        model = LinearModel(weights=np.ones(1), bias=0.0, space_name="TOY",
+                            loss=LOSS_HINGE, l2_c=1.0, platt=(0.0, 0.0))
+        assert model.proba_from_margins(np.array([1e308])).tolist() == [0.5]
+        with pytest.raises(NumericError, match="Platt calibration gave a NaN"):
+            model.proba_from_margins(np.array([1.0, math.inf]))
 
     def test_deterministic_bitwise(self, corpus, bundle):
         train, _, labels = corpus
