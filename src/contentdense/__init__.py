@@ -40,6 +40,7 @@ from .evaluation import (
     make_folds,
     pearson_correlation,
     percent_agreement_and_kappa,
+    train_modes,
 )
 from .features import (
     FeatureBundle,
@@ -118,5 +119,6 @@ __all__ = [
     "sweep_cutoffs",
     "train_decision_fusion",
     "train_feature_fusion",
+    "train_modes",
     "train_single",
 ]

@@ -54,8 +54,19 @@ from .errors import (
     SingleClassError,
     ValidationError,
 )
-from .evaluation import cross_validate, learning_curve, make_folds, strata_from_predictions
-from .features import SPACE_ORDER, FeatureTable, build_feature_bundle
+from .evaluation import (
+    cross_validate,
+    learning_curve,
+    make_folds,
+    split_train_dev,
+    strata_from_predictions,
+    train_modes,
+)
+from .features import (
+    SPACE_ORDER,
+    FeatureTable,
+    build_feature_bundle,  # unused here; kept for perfbench's tracer
+)
 from .labeling import (
     LABELS,
     MIN_SUMMARY_WORDS,
@@ -66,18 +77,17 @@ from .labeling import (
 from .learn import (
     DEFAULT_C_GRID,
     MODE_DECISION_FUSION,
-    MODE_FEATURE_FUSION,
     MODES,
-    SINGLE_MODE_SPACE,
-    LeadClassifier,
     TrainConfig,
     load_classifier,
     margin_label,
     save_classifier,
+    # unused here; kept for perfbench's tracer, which wraps them on cli
     train_decision_fusion,
     train_feature_fusion,
     train_single,
 )
+
 from .synthetic import PROFILES, generate_corpus
 
 EXIT_OK = 0
@@ -100,7 +110,7 @@ _EXIT_CODES = (
     (NumericError, 12),
 )
 
-_CLI_MODES = ("mrc", "mi", "pr", "feature-fusion", "decision-fusion")
+_CLI_MODES = tuple(mode.replace("_", "-") for mode in MODES)
 
 _STRATA_PERCENTILES = (10.0, 25.0, 50.0, 100.0)
 
@@ -254,34 +264,21 @@ def cmd_train(args) -> None:
         )
 
     order = np.random.default_rng(args.seed).permutation(len(labeled))
-    n_train = max(1, min(len(labeled) - 1, (5 * len(labeled)) // 9))
-    train_leads = [labeled[i] for i in order[:n_train]]
-    dev_leads = [labeled[i] for i in order[n_train:]]
+    train_leads, dev_leads = split_train_dev([labeled[i] for i in order])
 
     mode = _internal_mode(args.mode)
     config = TrainConfig(c_grid=tuple(args.c_grid), seed=args.seed)
-    include = ((SINGLE_MODE_SPACE[mode],) if mode in SINGLE_MODE_SPACE
-               else SPACE_ORDER)
-    bundle = build_feature_bundle(train_leads, mapping, lexicon=lexicon,
-                                  include=include, table=FeatureTable(labeled))
+    classifier = train_modes([mode], train_leads, dev_leads, mapping, lexicon,
+                             FeatureTable(labeled), config)[mode]
+    model = classifier.model
     if mode == MODE_DECISION_FUSION:
-        model = train_decision_fusion(train_leads, dev_leads, mapping, bundle,
-                                      config=config)
         chosen = ", ".join(
             f"{name}: c={model.first_layer[name].l2_c:g}"
             for name in SPACE_ORDER
         ) + f", second: c={model.second_layer.l2_c:g}"
-    elif mode == MODE_FEATURE_FUSION:
-        model = train_feature_fusion(train_leads, mapping, bundle,
-                                     config=config, dev_leads=dev_leads)
-        chosen = f"c={model.l2_c:g}"
     else:
-        model = train_single(train_leads, mapping, bundle,
-                             SINGLE_MODE_SPACE[mode], config=config,
-                             dev_leads=dev_leads)
         chosen = f"c={model.l2_c:g}"
 
-    classifier = LeadClassifier(mode=mode, bundle=bundle, model=model)
     out = _out_dir(args)
     _save_atomic(out / "model.json", lambda p: save_classifier(classifier, p))
 

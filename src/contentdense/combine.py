@@ -39,7 +39,6 @@ from .labeling import CONTENT_DENSE
 from .learn import (
     LOSS_LOGISTIC,
     LinearModel,
-    TrainConfig,
     margin_label,
     train_linear,
 )
@@ -187,25 +186,21 @@ class LengthScaler:
 
 def train_length_model(train_leads: Sequence[AnnotatedLead],
                        labels: Mapping[str, str],
-                       c: float = 1.0,
-                       config: TrainConfig | None = None,
                        ) -> tuple[LinearModel, LengthScaler]:
-    """One-feature logistic model over scaled article length."""
+    """One-feature logistic model over scaled article length, at c = 1."""
     if not train_leads:
         raise ValidationError("no training leads")
     counts = [float(l.article_word_count) for l in train_leads]
     scaler = LengthScaler(low=min(counts), high=max(counts))
     y = [labels[l.id] for l in train_leads]
     model = train_linear(scaler.matrix(train_leads), y, "LENGTH",
-                         LOSS_LOGISTIC, c, config)
+                         LOSS_LOGISTIC, 1.0)
     return model, scaler
 
 
 def baseline_article_length(train_leads: Sequence[AnnotatedLead],
                             test_leads: Sequence[AnnotatedLead],
-                            labels: Mapping[str, str],
-                            c: float = 1.0,
-                            config: TrainConfig | None = None) -> float:
+                            labels: Mapping[str, str]) -> float:
     """Test accuracy of the article-length logistic baseline."""
     if not test_leads:
         raise ValidationError("no test leads")
@@ -215,7 +210,7 @@ def baseline_article_length(train_leads: Sequence[AnnotatedLead],
             f"training and test sets share {len(overlap)} lead(s), "
             f"e.g. {sorted(overlap)[0]!r}"
         )
-    model, scaler = train_length_model(train_leads, labels, c, config)
+    model, scaler = train_length_model(train_leads, labels)
     z = model.margins(scaler.matrix(test_leads))
     correct = sum(margin_label(m) == labels[l.id]
                   for m, l in zip(z.tolist(), test_leads))

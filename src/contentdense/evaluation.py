@@ -27,6 +27,7 @@ from .learn import (
     MODES,
     SINGLE_MODE_SPACE,
     LeadClassifier,
+    LinearModel,
     TrainConfig,
     margin_label,
     train_decision_fusion,
@@ -130,6 +131,57 @@ def _needed_spaces(modes: Sequence[str]) -> tuple[str, ...]:
     return tuple(s for s in SPACE_ORDER if s in needed)
 
 
+def split_train_dev(items: Sequence) -> tuple[list, list]:
+    """The 5:4 training/development split of an ordered sequence: the
+    first floor(5n/9) items (at least one) train, the rest are for
+    development. Two or more items leave both parts non-empty."""
+    n_train = max(1, (5 * len(items)) // 9)
+    return list(items[:n_train]), list(items[n_train:])
+
+
+def train_modes(modes: Sequence[str],
+                train_leads: Sequence[AnnotatedLead],
+                dev_leads: Sequence[AnnotatedLead],
+                labels: Mapping[str, str],
+                lexicon: Iterable[str] | None,
+                table: FeatureTable,
+                config: TrainConfig,
+                min_count: int = 5,
+                top_k: int = 500,
+                pr_value: str = "count") -> dict[str, LeadClassifier]:
+    """A classifier per mode, trained on one split. All share one bundle
+    of the spaces the modes need, built from ``train_leads``; each
+    per-space model is trained once, for its single-space mode and the
+    decision-fusion first layer alike. ``dev_leads`` picks c and trains
+    the second layer; without decision fusion and with a one-value c
+    grid it may be empty."""
+    bundle = build_feature_bundle(
+        train_leads, labels, lexicon, include=_needed_spaces(modes),
+        min_count=min_count, top_k=top_k, pr_value=pr_value, table=table)
+    space_models: dict[str, LinearModel] = {}
+
+    def space_model(name: str) -> LinearModel:
+        if name not in space_models:
+            space_models[name] = train_single(train_leads, labels, bundle,
+                                              name, config, dev_leads)
+        return space_models[name]
+
+    classifiers = {}
+    for mode in modes:
+        if mode in SINGLE_MODE_SPACE:
+            model = space_model(SINGLE_MODE_SPACE[mode])
+        elif mode == MODE_FEATURE_FUSION:
+            model = train_feature_fusion(train_leads, labels, bundle, config,
+                                         dev_leads)
+        else:
+            model = train_decision_fusion(
+                train_leads, dev_leads, labels, bundle, config,
+                first_layer={name: space_model(name) for name in SPACE_ORDER})
+        classifiers[mode] = LeadClassifier(mode=mode, bundle=bundle,
+                                           model=model)
+    return classifiers
+
+
 def _check_modes_and_labels(mode_list: Sequence[str],
                             leads: Sequence[AnnotatedLead],
                             labels: Mapping[str, str]) -> None:
@@ -171,11 +223,6 @@ def cross_validate(leads: Sequence[AnnotatedLead],
     _check_modes_and_labels(mode_list, leads, labels)
     by_id = {l.id: l for l in leads}
     plan = make_folds([l.id for l in leads], k=k, seed=seed)
-    include = _needed_spaces(mode_list)
-    want_models = {SINGLE_MODE_SPACE[m] for m in mode_list
-                   if m in SINGLE_MODE_SPACE}
-    if MODE_DECISION_FUSION in mode_list:
-        want_models.update(SPACE_ORDER)
     fold_iter = (range(k) if fold_subset is None
                  else sorted(set(fold_subset)))
     results = {m: CrossValidationResult(m, [], []) for m in mode_list}
@@ -187,27 +234,11 @@ def cross_validate(leads: Sequence[AnnotatedLead],
             train_leads = [by_id[i] for f in first for i in plan.folds[f]]
             dev_leads = [by_id[i] for f in second for i in plan.folds[f]]
             test_leads = [by_id[i] for i in plan.folds[t]]
-            bundle = build_feature_bundle(
-                train_leads, labels, lexicon, include=include,
-                min_count=min_count, top_k=top_k, pr_value=pr_value,
-                table=table)
-            lexicon = bundle.mrc or lexicon  # later folds reuse its space
-            space_models = {
-                name: train_single(train_leads, labels, bundle, name,
-                                   config, dev_leads)
-                for name in SPACE_ORDER if name in want_models
-            }
-            for mode in mode_list:
-                if mode in SINGLE_MODE_SPACE:
-                    model = space_models[SINGLE_MODE_SPACE[mode]]
-                elif mode == MODE_FEATURE_FUSION:
-                    model = train_feature_fusion(train_leads, labels, bundle,
-                                                 config, dev_leads)
-                else:
-                    model = train_decision_fusion(
-                        train_leads, dev_leads, labels, bundle, config,
-                        first_layer=space_models)
-                clf = LeadClassifier(mode=mode, bundle=bundle, model=model)
+            classifiers = train_modes(mode_list, train_leads, dev_leads,
+                                      labels, lexicon, table, config,
+                                      min_count, top_k, pr_value)
+            for mode, clf in classifiers.items():
+                lexicon = clf.bundle.mrc or lexicon  # later folds reuse it
                 z = clf.margins(test_leads)
                 correct = 0
                 for lead, m, p in zip(test_leads, z.tolist(),
@@ -235,10 +266,7 @@ def learning_curve(leads: Sequence[AnnotatedLead],
                    labels: Mapping[str, str],
                    mode: str,
                    lexicon: Iterable[str] | None = None,
-                   start: int = 100,
-                   step: int = 100,
-                   stop: int = 6500,
-                   sizes: Sequence[int] | None = None,
+                   sizes: Sequence[int] = range(100, 6501, 100),
                    k: int = 10,
                    seed: int = 0,
                    fold_subset: Sequence[int] | None = None,
@@ -267,8 +295,6 @@ def learning_curve(leads: Sequence[AnnotatedLead],
         if not 0 <= t < k:
             raise ValidationError(f"fold index {t} outside 0..{k - 1}")
     pool_min = min(len(leads) - len(plan.folds[t]) for t in fold_iter)
-    if sizes is None:
-        sizes = range(start, stop + 1, step)
     wanted = sorted({int(s) for s in sizes})
     if any(s < 2 for s in wanted):
         raise ValidationError("every size must be at least 2")
@@ -277,7 +303,6 @@ def learning_curve(leads: Sequence[AnnotatedLead],
         usable = [pool_min]
     needs_dev = (mode == MODE_DECISION_FUSION
                  or len(config.sorted_c_grid) > 1)
-    include = _needed_spaces([mode])
     table = FeatureTable(leads)
     accs: dict[int, list[float]] = {s: [] for s in usable}
 
@@ -288,30 +313,13 @@ def learning_curve(leads: Sequence[AnnotatedLead],
             pool = [pool[j] for j in rng.permutation(len(pool))]
             test_leads = [by_id[i] for i in plan.folds[t]]
             for size in usable:
-                prefix = pool[:size]
-                if needs_dev:
-                    n_train = max(1, (5 * size) // 9)
-                    train_ids, dev_ids = prefix[:n_train], prefix[n_train:]
-                else:
-                    train_ids, dev_ids = prefix, []
-                train_leads = [by_id[i] for i in train_ids]
-                dev_leads = [by_id[i] for i in dev_ids]
-                bundle = build_feature_bundle(
-                    train_leads, labels, lexicon, include=include,
-                    min_count=min_count, top_k=top_k, pr_value=pr_value,
-                    table=table)
-                lexicon = bundle.mrc or lexicon
-                if mode in SINGLE_MODE_SPACE:
-                    model = train_single(train_leads, labels, bundle,
-                                         SINGLE_MODE_SPACE[mode], config,
-                                         dev_leads or None)
-                elif mode == MODE_FEATURE_FUSION:
-                    model = train_feature_fusion(train_leads, labels, bundle,
-                                                 config, dev_leads or None)
-                else:
-                    model = train_decision_fusion(train_leads, dev_leads,
-                                                  labels, bundle, config)
-                clf = LeadClassifier(mode=mode, bundle=bundle, model=model)
+                prefix = [by_id[i] for i in pool[:size]]
+                train_leads, dev_leads = (split_train_dev(prefix) if needs_dev
+                                          else (prefix, []))
+                clf = train_modes([mode], train_leads, dev_leads, labels,
+                                  lexicon, table, config, min_count, top_k,
+                                  pr_value)[mode]
+                lexicon = clf.bundle.mrc or lexicon
                 correct = sum(margin_label(m) == labels[l.id]
                               for l, m in zip(test_leads,
                                               clf.margins(test_leads).tolist()))

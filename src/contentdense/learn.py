@@ -72,12 +72,14 @@ SCORE_BLOCK = 1024  # leads per scoring pass; bounds feature-matrix memory
 
 DEFAULT_C_GRID = (2.0 ** -5, 2.0 ** -3, 2.0 ** -1, 2.0, 2.0 ** 3, 2.0 ** 5)
 
+MAX_ITERS = 300  # L-BFGS iterations per fit
+TOL = 1e-6  # gradient infinity norm at which a fit has converged
+PLATT_FOLDS = 3  # internal split of the development fold for calibration
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     c_grid: tuple[float, ...] = DEFAULT_C_GRID
-    max_iters: int = 300
-    tol: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
@@ -85,8 +87,6 @@ class TrainConfig:
             raise ValidationError("c_grid is empty")
         if not all(0 < c < math.inf for c in self.c_grid):
             raise ValidationError("c_grid values must be positive and finite")
-        if self.max_iters < 1 or self.tol <= 0:
-            raise ValidationError("max_iters must be >= 1 and tol > 0")
 
     @property
     def sorted_c_grid(self) -> tuple[float, ...]:
@@ -144,7 +144,8 @@ class LinearModel:
             raise ValidationError(
                 f"{X.n_cols}-column rows scored by a {self.dim}-dim model"
             )
-        z = margins(X, self.weights, self.bias)
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = margins(X, self.weights, self.bias)
         if np.isnan(z).any():  # +inf and -inf terms in one row
             raise NumericError(f"{self.space_name} model gave a NaN margin")
         return z
@@ -164,7 +165,8 @@ class LinearModel:
                 "margins before asking for probabilities"
             )
         a, b = self.platt
-        z = a * z + b
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = a * z + b
         if np.isnan(z).any():  # a zero slope times an infinite margin
             raise NumericError(f"{self.space_name} Platt calibration gave a NaN")
         return np.array([_sigmoid(m) for m in z.tolist()])
@@ -176,7 +178,7 @@ def margin_label(z: float) -> str:
 
 
 def _train_on_csr(X: CsrMatrix, y: np.ndarray, space_name: str, loss: str,
-                  c: float, config: TrainConfig) -> LinearModel:
+                  c: float) -> LinearModel:
     if not 0 < c < math.inf:
         raise ValidationError("c must be positive and finite")
     n, d = X.n_rows, X.n_cols
@@ -191,8 +193,7 @@ def _train_on_csr(X: CsrMatrix, y: np.ndarray, space_name: str, loss: str,
         value, grad_w, grad_b = objective_and_grad(w, b, X, y, c, loss)
         return value, np.concatenate([grad_w, [grad_b]])
 
-    res = minimize_lbfgs(fun, np.zeros(d + 1), max_iters=config.max_iters,
-                         tol=config.tol)
+    res = minimize_lbfgs(fun, np.zeros(d + 1), max_iters=MAX_ITERS, tol=TOL)
     w = res.x[:d]
     b = float(res.x[d])
     if not (np.all(np.isfinite(w)) and math.isfinite(b)):
@@ -202,17 +203,16 @@ def _train_on_csr(X: CsrMatrix, y: np.ndarray, space_name: str, loss: str,
 
 
 def train_linear(X: CsrMatrix, y: Sequence[str], space_name: str, loss: str,
-                 c: float, config: TrainConfig | None = None) -> LinearModel:
+                 c: float) -> LinearModel:
     """Fit one linear model at a fixed c to the rows of ``X``.
 
-    Minimizes 0.5*||w||^2 + c*sum(loss_i) from a zero start to within
-    config.tol of a stationary point (gradient infinity norm). The bias is
-    not regularized. Deterministic.
+    Minimizes 0.5*||w||^2 + c*sum(loss_i) from a zero start to within TOL
+    of a stationary point (gradient infinity norm). The bias is not
+    regularized. Deterministic.
     """
     if X.n_rows != len(y):
         raise ValidationError(f"{X.n_rows} rows for {len(y)} labels")
-    return _train_on_csr(X, _label_to_y(y), space_name, loss, c,
-                         config or TrainConfig())
+    return _train_on_csr(X, _label_to_y(y), space_name, loss, c)
 
 
 def _grid_search(train_X: CsrMatrix, train_y: np.ndarray,
@@ -225,7 +225,7 @@ def _grid_search(train_X: CsrMatrix, train_y: np.ndarray,
     """
     grid = config.sorted_c_grid
     if len(grid) == 1:
-        return _train_on_csr(train_X, train_y, space_name, loss, grid[0], config)
+        return _train_on_csr(train_X, train_y, space_name, loss, grid[0])
     if dev_X is None or dev_y is None:
         raise ValidationError(
             "grid search over several c values needs a development set"
@@ -233,7 +233,7 @@ def _grid_search(train_X: CsrMatrix, train_y: np.ndarray,
     best_model = None
     best_acc = -1.0
     for c in grid:
-        model = _train_on_csr(train_X, train_y, space_name, loss, c, config)
+        model = _train_on_csr(train_X, train_y, space_name, loss, c)
         predicted = np.where(model.margins(dev_X) >= 0.0, 1.0, -1.0)
         acc = float((predicted == dev_y).mean())
         if acc > best_acc:
@@ -330,21 +330,20 @@ def _meta_matrix(probs: Mapping[str, Sequence[float]]) -> CsrMatrix:
 
 
 def _platt_from_cv(dev_X: CsrMatrix, dev_y: np.ndarray, space_name: str,
-                   loss: str, c: float, config: TrainConfig,
-                   k: int = 3) -> tuple[float, float]:
+                   loss: str, c: float, seed: int) -> tuple[float, float]:
     """Calibration margins from an internal split of the development fold.
 
-    The development set is split k ways; each part's margins come from a
-    model trained on the other parts, so no margin is scored by a model
-    that saw its lead. Falls back to in-sample margins when a split would
-    leave a single-class training part.
+    The development set is split PLATT_FOLDS ways; each part's margins
+    come from a model trained on the other parts, so no margin is scored
+    by a model that saw its lead. Falls back to in-sample margins when a
+    split would leave a single-class training part.
     """
     n = dev_X.n_rows
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     order = rng.permutation(n)
-    parts = [order[i::k] for i in range(k)]
+    parts = [order[i::PLATT_FOLDS] for i in range(PLATT_FOLDS)]
     margin_out = np.zeros(n)
-    ok = n >= 2 * k
+    ok = n >= 2 * PLATT_FOLDS
     if ok:
         for part in parts:
             rest = np.setdiff1d(order, part)
@@ -352,10 +351,10 @@ def _platt_from_cv(dev_X: CsrMatrix, dev_y: np.ndarray, space_name: str,
                 ok = False
                 break
             sub = csr_take(dev_X, rest)
-            model = _train_on_csr(sub, dev_y[rest], space_name, loss, c, config)
+            model = _train_on_csr(sub, dev_y[rest], space_name, loss, c)
             margin_out[part] = model.margins(csr_take(dev_X, part))
     if not ok:
-        model = _train_on_csr(dev_X, dev_y, space_name, loss, c, config)
+        model = _train_on_csr(dev_X, dev_y, space_name, loss, c)
         margin_out = model.margins(dev_X)
     return fit_platt_sigmoid(margin_out, dev_y)
 
@@ -369,13 +368,12 @@ def train_decision_fusion(train_leads: Sequence[AnnotatedLead],
                           ) -> FusionModel:
     """Two-layer stack: per-space logistic models, then a hinge combiner.
 
-    First-layer models train on ``train_leads`` with c grid-searched by
-    development accuracy (pass ``first_layer`` to reuse models already
-    trained that way, one per feature space). The second layer trains on
-    the development set's three-probability vectors (squared hinge; c by
-    its accuracy on those same vectors, ties to smallest c) and carries a
-    Platt calibration fit on margins from an internal split of the
-    development fold.
+    First-layer models are ``train_single`` models on ``train_leads``, one
+    per feature space (pass ``first_layer`` to reuse ones already
+    trained). The second layer trains on the development set's
+    three-probability vectors (squared hinge; c by its accuracy on those
+    same vectors, ties to smallest c) and carries a Platt calibration fit
+    on margins from an internal split of the development fold.
 
     Raises DataLeakError when the two sets share a lead id.
     """
@@ -383,36 +381,33 @@ def train_decision_fusion(train_leads: Sequence[AnnotatedLead],
     if not train_leads or not dev_leads:
         raise ValidationError("both training and development sets are required")
     _check_disjoint(train_leads, dev_leads)
-    if first_layer is not None and set(first_layer) != set(SPACE_ORDER):
+    if first_layer is None:
+        first_layer = {name: train_single(train_leads, labels, bundle, name,
+                                          config, dev_leads)
+                       for name in SPACE_ORDER}
+    elif set(first_layer) != set(SPACE_ORDER):
         raise ValidationError(
             f"first layer must cover {SPACE_ORDER}, got {sorted(first_layer)}"
         )
 
-    first_layer = dict(first_layer) if first_layer is not None else {}
     dev_probs: dict[str, np.ndarray] = {}
-    train_y = _label_to_y([labels[l.id] for l in train_leads])
-    dev_y = _label_to_y([labels[l.id] for l in dev_leads])
     for name in SPACE_ORDER:
-        dev_X = bundle.matrix(dev_leads, [name])
-        model = first_layer.get(name)
-        if model is None:
-            train_X = bundle.matrix(train_leads, [name])
-            model = _grid_search(train_X, train_y, dev_X, dev_y, name,
-                                 LOSS_LOGISTIC, config)
-            first_layer[name] = model
-        elif model.space_name != name:
+        model = first_layer[name]
+        if model.space_name != name:
             raise ValidationError(
                 f"first-layer model for {name!r} was trained on "
                 f"{model.space_name!r}"
             )
+        dev_X = bundle.matrix(dev_leads, [name])
         dev_probs[name] = model.proba_from_margins(model.margins(dev_X))
 
+    dev_y = _label_to_y([labels[l.id] for l in dev_leads])
     meta_X = _meta_matrix(dev_probs)
     second = _grid_search(meta_X, dev_y, meta_X, dev_y, SPACE_META,
                           LOSS_HINGE, config)
     second.platt = _platt_from_cv(meta_X, dev_y, SPACE_META, LOSS_HINGE,
-                                  second.l2_c, config)
-    return FusionModel(first_layer=first_layer, second_layer=second)
+                                  second.l2_c, config.seed)
+    return FusionModel(first_layer=dict(first_layer), second_layer=second)
 
 
 @dataclass

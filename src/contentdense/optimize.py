@@ -22,6 +22,10 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 
+HISTORY = 10  # correction pairs the two-loop recursion keeps
+ARMIJO_C1 = 1e-4  # sufficient-decrease constant of the line search
+MAX_BACKTRACKS = 60  # step halvings before a line search gives up
+
 
 @dataclass
 class MinimizeResult:
@@ -35,10 +39,7 @@ class MinimizeResult:
 def minimize_lbfgs(fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
                    x0: np.ndarray,
                    max_iters: int = 200,
-                   tol: float = 1e-6,
-                   history: int = 10,
-                   armijo_c1: float = 1e-4,
-                   max_backtracks: int = 60) -> MinimizeResult:
+                   tol: float = 1e-6) -> MinimizeResult:
     """Minimize a smooth function given by ``fun(x) -> (value, gradient)``.
 
     Runs L-BFGS with Armijo backtracking until the gradient infinity norm
@@ -83,10 +84,10 @@ def minimize_lbfgs(fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
             gd = float(g @ d)
         alpha = 1.0
         accepted = False
-        for _ in range(max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             x_new = x + alpha * d
             f_new, g_new = fun(x_new)
-            if math.isfinite(f_new) and f_new <= f + armijo_c1 * alpha * gd:
+            if math.isfinite(f_new) and f_new <= f + ARMIJO_C1 * alpha * gd:
                 accepted = True
                 break
             alpha *= 0.5
@@ -99,7 +100,7 @@ def minimize_lbfgs(fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
             s_hist.append(s)
             y_hist.append(yv)
             rho_hist.append(1.0 / sy)
-            if len(s_hist) > history:
+            if len(s_hist) > HISTORY:
                 s_hist.pop(0)
                 y_hist.pop(0)
                 rho_hist.pop(0)

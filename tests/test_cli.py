@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import operator
+import warnings
 from pathlib import Path
 
 import pytest
@@ -337,15 +338,27 @@ def pinned_corpus(tmp_path_factory):
     return root
 
 
+# sha256 of model.json from `train --mode <key>` on the pinned corpus.
+MODEL_DIGESTS = {
+    "mrc": "2f39103aa1a4fb94b202296c7c772730bd328d3a3d296233ba252e22368dece1",
+    "mi": "4a9f49cf7e85e8432c2e221d23e28022c43a381a5fcd3b8b04022a276b2a9345",
+    "pr": "c266edd815944c677d70fc3928fd8edf320a9598d84be727c5356bbc7100eb77",
+    "feature-fusion":
+        "bfb80cb1e0609c101e7c0fab086cb8954c25a9f71edab68cc24d0606172cb44d",
+    "decision-fusion":
+        "c6070e392b68a3fb83623c064a3c925cb4155df40f99138e70ff16d876702dbe",
+}
+
+
 class TestPinnedOutputs:
     """Outputs on a 400-lead seed-7 corpus, recorded from a run of the
     CLI; a refactor that keeps outputs byte-identical keeps these."""
 
-    def args(self, root, command, *extra):
+    def args(self, root, command, *extra, out=None):
         gen = root / "gen"
         return [command, "--corpus", str(gen / "corpus.jsonl"),
                 "--lexicon", str(gen / "lexicon.txt"), *extra,
-                "--seed", "0", "--out", str(root / command)]
+                "--seed", "0", "--out", str(root / (out or command))]
 
     def test_article_length_baseline_row(self, pinned_corpus):
         assert main(self.args(pinned_corpus, "evaluate", "--labels",
@@ -354,12 +367,40 @@ class TestPinnedOutputs:
         rows = read(pinned_corpus / "evaluate" / "summary.tsv").splitlines()
         assert rows[-1] == "baseline_article_length\t0.607500\t0.607500"
 
-    def test_pr_model_bytes(self, pinned_corpus):
-        assert main(self.args(pinned_corpus, "train", "--mode", "pr")) == 0
-        digest = hashlib.sha256(
-            (pinned_corpus / "train" / "model.json").read_bytes()).hexdigest()
-        assert digest == ("c266edd815944c677d70fc3928fd8edf"
-                          "320a9598d84be727c5356bbc7100eb77")
+    @pytest.mark.parametrize("mode", MODEL_DIGESTS)
+    def test_model_bytes(self, pinned_corpus, mode):
+        out = f"train-{mode}"
+        assert main(self.args(pinned_corpus, "train", "--mode", mode,
+                              out=out)) == 0
+        model = (pinned_corpus / out / "model.json").read_bytes()
+        assert hashlib.sha256(model).hexdigest() == MODEL_DIGESTS[mode]
+
+    def test_all_modes_summary_and_curve(self, pinned_corpus):
+        assert main(self.args(pinned_corpus, "evaluate", "--labels",
+                              str(pinned_corpus / "gen" / "labels.tsv"),
+                              "--sizes", "100,300", out="evaluate-all")) == 0
+        report = pinned_corpus / "evaluate-all"
+        assert read(report / "summary.tsv") == (
+            "mode\tmean_accuracy\toverall_accuracy\n"
+            "mrc\t0.725000\t0.725000\n"
+            "mi\t0.555000\t0.555000\n"
+            "pr\t0.695000\t0.695000\n"
+            "feature_fusion\t0.672500\t0.672500\n"
+            "decision_fusion\t0.717500\t0.717500\n"
+            "baseline_always_dense\t0.500000\t0.500000\n"
+            "baseline_article_length\t0.607500\t0.607500\n")
+        assert read(report / "accuracy_by_size.tsv") == (
+            "mode\tn_train\tmean_accuracy\n"
+            "mrc\t100\t0.692500\n"
+            "mrc\t300\t0.727500\n"
+            "mi\t100\t0.477500\n"
+            "mi\t300\t0.590000\n"
+            "pr\t100\t0.692500\n"
+            "pr\t300\t0.695000\n"
+            "feature_fusion\t100\t0.667500\n"
+            "feature_fusion\t300\t0.697500\n"
+            "decision_fusion\t100\t0.695000\n"
+            "decision_fusion\t300\t0.710000\n")
 
 
 class TestCombine:
@@ -497,25 +538,37 @@ class TestExitCodes:
         assert "expected finite numbers" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_overflowing_margins_exit_12(self, workspace, tmp_path):
+    def test_overflowing_margins_exit_12(self, workspace, tmp_path,
+                                         fusion_model_path):
         """Count features times weights of +-1e308 overflow to +inf and
-        -inf in one row, whose margin is NaN."""
+        -inf in one row, whose margin is NaN; second-layer weights of
+        1e308 give an infinite margin that a zero Platt slope turns into
+        NaN. Either way the error line is all that reaches stderr."""
         assert main(["train", "--corpus", workspace["corpus"],
                      "--lexicon", workspace["lexicon"], "--mode", "pr",
                      "--c-grid", "1.0", "--out", str(tmp_path / "m")]) == 0
-        model = tmp_path / "m" / "model.json"
-        rec = json.loads(read(model))
+        pr_model = tmp_path / "m" / "model.json"
+        rec = json.loads(read(pr_model))
         weights = rec["model"]["weights"]
         rec["model"]["weights"] = [(-1e308, 1e308)[k % 2]
                                    for k in range(len(weights))]
-        model.write_text(json.dumps(rec), encoding="utf-8")
-        code, err = run_quietly(["predict", "--corpus", workspace["corpus"],
-                                 "--model", str(model),
-                                 "--out", str(tmp_path / "p")])
-        assert code == 12, err
-        assert "NaN margin" in err
-        assert not (tmp_path / "p" / "predictions.tsv").exists()
+        pr_model.write_text(json.dumps(rec), encoding="utf-8")
+        platt_model = tmp_path / "platt.json"
+        rec = json.loads(read(fusion_model_path))
+        rec["second_layer"].update(weights=[1e308] * 3, platt=[0.0, 0.0])
+        platt_model.write_text(json.dumps(rec), encoding="utf-8")
+        for model, error in (
+                (pr_model, "error: PR model gave a NaN margin"),
+                (platt_model, "error: META Platt calibration gave a NaN")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, err = run_quietly(["predict",
+                                         "--corpus", workspace["corpus"],
+                                         "--model", str(model),
+                                         "--out", str(tmp_path / "p")])
+            assert code == 12, err
+            assert err.splitlines() == [error]
+            assert not (tmp_path / "p" / "predictions.tsv").exists()
 
     def test_every_error_class_has_a_distinct_code(self):
         codes = [code for _, code in _EXIT_CODES]

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from contentdense import evaluation
 from contentdense.corpus import AnnotatedLead, Sentence
 from contentdense.errors import (
     EmptyLeadError,
@@ -26,8 +27,11 @@ from contentdense.evaluation import (
     make_folds,
     pearson_correlation,
     percent_agreement_and_kappa,
+    split_train_dev,
     strata_from_predictions,
+    train_modes,
 )
+from contentdense.features import SPACE_MRC, SPACE_ORDER, FeatureTable
 from contentdense.labeling import CONTENT_DENSE, NON_CONTENT_DENSE
 from contentdense.learn import (
     MODE_DECISION_FUSION,
@@ -35,6 +39,7 @@ from contentdense.learn import (
     MODE_MI,
     MODE_MRC,
     MODE_PR,
+    MODES,
     TrainConfig,
 )
 from test_learn import MRC_LEXICON, make_corpus
@@ -159,6 +164,30 @@ class TestCrossValidate:
         for p in both[MODE_DECISION_FUSION].predictions:
             assert fold_of[p.lead_id] == p.fold
 
+    def test_per_space_models_are_trained_once(self, monkeypatch):
+        """A single-space mode and the decision-fusion first layer share
+        one model per space: three trainings, not six."""
+        calls = []
+        train_single = evaluation.train_single
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])  # the space name
+            return train_single(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "train_single", counting)
+        leads, labels = make_corpus(80, seed=5, flip=0.1)
+        cross_validate(leads, labels, list(MODES), lexicon=MRC_LEXICON,
+                       config=ONE_C, seed=2, fold_subset=[0])
+        assert sorted(calls) == sorted(SPACE_ORDER)
+        calls.clear()
+        train, dev = split_train_dev(leads)
+        models = train_modes([MODE_MRC, MODE_DECISION_FUSION], train, dev,
+                             labels, MRC_LEXICON, FeatureTable(leads), ONE_C)
+        assert sorted(calls) == sorted(SPACE_ORDER)
+        assert (models[MODE_MRC].model
+                is models[MODE_DECISION_FUSION].model.first_layer[SPACE_MRC])
+        assert models[MODE_MRC].bundle is models[MODE_DECISION_FUSION].bundle
+
     def test_training_errors_carry_fold_index(self):
         leads, labels = make_corpus(60, seed=6)
         one_class = {i: CONTENT_DENSE for i in labels}
@@ -206,11 +235,20 @@ class TestCrossValidate:
                            lexicon=MRC_LEXICON, config=ONE_C)
 
 
+class TestSplitTrainDev:
+    @pytest.mark.parametrize("n,n_train", [(2, 1), (3, 1), (9, 5), (10, 5),
+                                           (18, 10), (376, 208)])
+    def test_five_to_four(self, n, n_train):
+        train, dev = split_train_dev(range(n))
+        assert train == list(range(n_train))
+        assert dev == list(range(n_train, n))
+
+
 class TestLearningCurve:
     def test_point_count_and_sizes(self):
         leads, labels = make_corpus(60, seed=8)
         points = learning_curve(leads, labels, MODE_MRC, lexicon=MRC_LEXICON,
-                                start=10, step=10, stop=50, config=ONE_C,
+                                sizes=range(10, 51, 10), config=ONE_C,
                                 fold_subset=[0, 1], seed=0)
         assert [p.n_train for p in points] == [10, 20, 30, 40, 50]
         for p in points:
@@ -220,14 +258,14 @@ class TestLearningCurve:
     def test_truncates_at_pool_size(self):
         leads, labels = make_corpus(60, seed=8)
         points = learning_curve(leads, labels, MODE_MRC, lexicon=MRC_LEXICON,
-                                start=40, step=30, stop=400, config=ONE_C,
+                                sizes=range(40, 401, 30), config=ONE_C,
                                 fold_subset=[0], seed=0)
         assert [p.n_train for p in points] == [40]
 
     def test_start_beyond_pool_gives_full_pool_point(self):
         leads, labels = make_corpus(60, seed=8)
         points = learning_curve(leads, labels, MODE_MRC, lexicon=MRC_LEXICON,
-                                start=100, step=100, stop=600, config=ONE_C,
+                                sizes=range(100, 601, 100), config=ONE_C,
                                 fold_subset=[0], seed=0)
         assert [p.n_train for p in points] == [54]
 

@@ -36,6 +36,7 @@ from contentdense.learn import (
     SINGLE_MODE_SPACE,
     FusionModel,
     LeadClassifier,
+    TOL,
     LinearModel,
     TrainConfig,
     classifier_from_record,
@@ -137,15 +138,14 @@ class TestTrainLinear:
     @pytest.mark.parametrize("loss", [LOSS_LOGISTIC, LOSS_HINGE])
     def test_reaches_stationary_point(self, corpus, bundle, loss):
         train, _, labels = corpus
-        config = TrainConfig(c_grid=(1.0,))
         X = bundle.matrix(train, [SPACE_MI])
         model = train_linear(X, [labels[l.id] for l in train], SPACE_MI, loss,
-                             c=1.0, config=config)
+                             c=1.0)
         y = np.array([1.0 if labels[l.id] == CONTENT_DENSE else -1.0
                       for l in train])
         _, grad_w, grad_b = objective_and_grad(
             model.weights, model.bias, X, y, 1.0, loss)
-        assert max(np.abs(grad_w).max(), abs(grad_b)) <= config.tol
+        assert max(np.abs(grad_w).max(), abs(grad_b)) <= TOL
 
     def test_mismatched_lengths(self):
         with pytest.raises(ValidationError):
@@ -173,7 +173,7 @@ class TestTrainLinear:
                          [CONTENT_DENSE, NON_CONTENT_DENSE], "TOY",
                          LOSS_LOGISTIC, c=c)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warning too
     def test_nan_margin_is_a_numeric_error(self):
         """Finite weights can still give a row +inf and -inf terms."""
         model = LinearModel(weights=np.array([1e308, -1e308]), bias=0.0,
@@ -183,7 +183,7 @@ class TestTrainLinear:
         with pytest.raises(NumericError, match="NaN margin"):
             model.margins(pack_csr(*row, np.full(2, 2.0), 1, 2))
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("error")
     def test_nan_platt_probability_is_a_numeric_error(self):
         model = LinearModel(weights=np.ones(1), bias=0.0, space_name="TOY",
                             loss=LOSS_HINGE, l2_c=1.0, platt=(0.0, 0.0))
