@@ -56,6 +56,7 @@ from .errors import (
 )
 from .evaluation import (
     cross_validate,
+    curve_sizes,
     learning_curve,
     make_folds,
     split_train_dev,
@@ -339,6 +340,7 @@ def cmd_evaluate(args) -> None:
     cli_modes = _CLI_MODES if args.mode == "all" else (args.mode,)
     modes = [_internal_mode(m) for m in cli_modes]
     config = TrainConfig(c_grid=tuple(args.c_grid), seed=args.seed)
+    sizes = None if args.sizes is None else curve_sizes(args.sizes)
 
     results = cross_validate(labeled, mapping, modes, lexicon=lexicon,
                              k=10, seed=args.seed, config=config)
@@ -374,15 +376,12 @@ def cmd_evaluate(args) -> None:
     _write_atomic(out / "folds.tsv", "".join(fold_lines))
     _write_atomic(out / "accuracy_by_confidence.tsv", "".join(conf_lines))
 
-    if args.sizes is not None:
-        size_lines = ["mode\tn_train\tmean_accuracy\n"]
-        for mode in modes:
-            points = learning_curve(labeled, mapping, mode, lexicon=lexicon,
-                                    sizes=list(args.sizes), k=10,
-                                    seed=args.seed, config=config)
-            for point in points:
-                size_lines.append(f"{mode}\t{point.n_train}\t"
-                                  f"{point.mean_accuracy:.6f}\n")
+    if sizes is not None:
+        curves = learning_curve(labeled, mapping, modes, lexicon, sizes,
+                                k=10, seed=args.seed, config=config)
+        size_lines = ["mode\tn_train\tmean_accuracy\n"] + [
+            f"{mode}\t{point.n_train}\t{point.mean_accuracy:.6f}\n"
+            for mode in modes for point in curves[mode]]
         _write_atomic(out / "accuracy_by_size.tsv", "".join(size_lines))
 
     _write_atomic(out / "summary.tsv", "".join(summary_lines))

@@ -146,9 +146,7 @@ def train_modes(modes: Sequence[str],
                 lexicon: Iterable[str] | None,
                 table: FeatureTable,
                 config: TrainConfig,
-                min_count: int = 5,
-                top_k: int = 500,
-                pr_value: str = "count") -> dict[str, LeadClassifier]:
+                top_k: int = 500) -> dict[str, LeadClassifier]:
     """A classifier per mode, trained on one split. All share one bundle
     of the spaces the modes need, built from ``train_leads``; each
     per-space model is trained once, for its single-space mode and the
@@ -157,7 +155,7 @@ def train_modes(modes: Sequence[str],
     grid it may be empty."""
     bundle = build_feature_bundle(
         train_leads, labels, lexicon, include=_needed_spaces(modes),
-        min_count=min_count, top_k=top_k, pr_value=pr_value, table=table)
+        top_k=top_k, table=table)
     space_models: dict[str, LinearModel] = {}
 
     def space_model(name: str) -> LinearModel:
@@ -182,9 +180,13 @@ def train_modes(modes: Sequence[str],
     return classifiers
 
 
-def _check_modes_and_labels(mode_list: Sequence[str],
-                            leads: Sequence[AnnotatedLead],
-                            labels: Mapping[str, str]) -> None:
+def _plan_folds(modes: str | Sequence[str], leads: Sequence[AnnotatedLead],
+                labels: Mapping[str, str], k: int, seed: int,
+                fold_subset: Sequence[int] | None):
+    """(mode list, fold plan, folds to run in increasing order, leads by
+    id), after checking the modes, the labels and every fold index, so
+    that a bad argument fails before anything trains."""
+    mode_list = [modes] if isinstance(modes, str) else list(modes)
     for mode in mode_list:
         if mode not in MODES:
             raise ValidationError(f"unknown mode {mode!r}")
@@ -192,9 +194,14 @@ def _check_modes_and_labels(mode_list: Sequence[str],
         raise ValidationError("duplicate modes requested")
     missing = [l.id for l in leads if l.id not in labels]
     if missing:
-        raise ValidationError(
-            f"{len(missing)} lead(s) have no label, e.g. {missing[0]!r}"
-        )
+        raise ValidationError(f"{len(missing)} lead(s) have no label, "
+                              f"e.g. {missing[0]!r}")
+    plan = make_folds([l.id for l in leads], k=k, seed=seed)
+    fold_iter = list(range(k) if fold_subset is None
+                     else sorted(set(fold_subset)))
+    for t in fold_iter:
+        plan.roles(t)
+    return mode_list, plan, fold_iter, {l.id: l for l in leads}
 
 
 def cross_validate(leads: Sequence[AnnotatedLead],
@@ -205,9 +212,7 @@ def cross_validate(leads: Sequence[AnnotatedLead],
                    seed: int = 0,
                    config: TrainConfig | None = None,
                    fold_subset: Sequence[int] | None = None,
-                   min_count: int = 5,
-                   top_k: int = 500,
-                   pr_value: str = "count"):
+                   top_k: int = 500):
     """Cross-validated accuracy for one mode (str) or several at once.
 
     Evaluating several modes together shares the per-fold feature spaces
@@ -217,14 +222,9 @@ def cross_validate(leads: Sequence[AnnotatedLead],
 
     Training failures carry the fold index in their message.
     """
-    single = isinstance(modes, str)
-    mode_list = [modes] if single else list(modes)
     config = config or TrainConfig()
-    _check_modes_and_labels(mode_list, leads, labels)
-    by_id = {l.id: l for l in leads}
-    plan = make_folds([l.id for l in leads], k=k, seed=seed)
-    fold_iter = (range(k) if fold_subset is None
-                 else sorted(set(fold_subset)))
+    mode_list, plan, fold_iter, by_id = _plan_folds(modes, leads, labels, k,
+                                                    seed, fold_subset)
     results = {m: CrossValidationResult(m, [], []) for m in mode_list}
     table = FeatureTable(leads)
 
@@ -235,8 +235,7 @@ def cross_validate(leads: Sequence[AnnotatedLead],
             dev_leads = [by_id[i] for f in second for i in plan.folds[f]]
             test_leads = [by_id[i] for i in plan.folds[t]]
             classifiers = train_modes(mode_list, train_leads, dev_leads,
-                                      labels, lexicon, table, config,
-                                      min_count, top_k, pr_value)
+                                      labels, lexicon, table, config, top_k)
             for mode, clf in classifiers.items():
                 lexicon = clf.bundle.mrc or lexicon  # later folds reuse it
                 z = clf.margins(test_leads)
@@ -252,7 +251,7 @@ def cross_validate(leads: Sequence[AnnotatedLead],
                     fold=t, n_test=len(test_leads), n_correct=correct))
         except ContentDenseError as e:
             raise type(e)(f"fold {t}: {e}") from e
-    return results[modes] if single else results
+    return results[modes] if isinstance(modes, str) else results
 
 
 @dataclass(frozen=True)
@@ -262,49 +261,48 @@ class LearningCurvePoint:
     fold_accuracies: tuple[float, ...]
 
 
+def curve_sizes(sizes: Iterable[int]) -> list[int]:
+    """The distinct sizes, increasing; each must be at least 2 to split."""
+    wanted = sorted({int(s) for s in sizes})
+    if any(s < 2 for s in wanted):
+        raise ValidationError("every size must be at least 2")
+    return wanted
+
+
 def learning_curve(leads: Sequence[AnnotatedLead],
                    labels: Mapping[str, str],
-                   mode: str,
+                   modes: str | Sequence[str],
                    lexicon: Iterable[str] | None = None,
                    sizes: Sequence[int] = range(100, 6501, 100),
                    k: int = 10,
                    seed: int = 0,
                    fold_subset: Sequence[int] | None = None,
                    config: TrainConfig | None = None,
-                   min_count: int = 5,
-                   top_k: int = 500,
-                   pr_value: str = "count") -> list[LearningCurvePoint]:
-    """Accuracy as a function of training set size, averaged over folds.
+                   top_k: int = 500):
+    """Accuracy by training set size, averaged over folds, for one mode
+    (str; a list of points) or several (a dict keyed by mode).
 
     For each fold the non-test leads are shuffled once (seeded by the run
     seed and the fold index); each requested size trains on a prefix of
     that shuffle, so successive points grow by adding leads to the pool,
-    never by resampling it. When the mode needs development data (fusion
+    never by resampling it. When a mode needs development data (fusion
     second layer, or a c grid with several values), the prefix splits 5:4
     into training and development parts; otherwise the whole prefix
-    trains. Sizes beyond the available pool are dropped; if none fit the
-    curve has a single point at the full pool size.
+    trains. Modes that split it alike train together, as in
+    ``cross_validate``. Sizes beyond the available pool are dropped; if
+    none fit the curve has a single point at the full pool size.
     """
     config = config or TrainConfig()
-    _check_modes_and_labels([mode], leads, labels)
-    by_id = {l.id: l for l in leads}
-    plan = make_folds([l.id for l in leads], k=k, seed=seed)
-    fold_iter = list(range(k) if fold_subset is None
-                     else sorted(set(fold_subset)))
-    for t in fold_iter:
-        if not 0 <= t < k:
-            raise ValidationError(f"fold index {t} outside 0..{k - 1}")
+    mode_list, plan, fold_iter, by_id = _plan_folds(modes, leads, labels, k,
+                                                    seed, fold_subset)
     pool_min = min(len(leads) - len(plan.folds[t]) for t in fold_iter)
-    wanted = sorted({int(s) for s in sizes})
-    if any(s < 2 for s in wanted):
-        raise ValidationError("every size must be at least 2")
-    usable = [s for s in wanted if s <= pool_min]
-    if not usable:
-        usable = [pool_min]
-    needs_dev = (mode == MODE_DECISION_FUSION
-                 or len(config.sorted_c_grid) > 1)
+    usable = [s for s in curve_sizes(sizes) if s <= pool_min] or [pool_min]
+    by_split: dict[bool, list[str]] = {}  # needs development data -> modes
+    for mode in mode_list:
+        by_split.setdefault(mode == MODE_DECISION_FUSION
+                            or len(config.sorted_c_grid) > 1, []).append(mode)
     table = FeatureTable(leads)
-    accs: dict[int, list[float]] = {s: [] for s in usable}
+    accs = {m: {s: [] for s in usable} for m in mode_list}
 
     for t in fold_iter:
         try:
@@ -314,24 +312,26 @@ def learning_curve(leads: Sequence[AnnotatedLead],
             test_leads = [by_id[i] for i in plan.folds[t]]
             for size in usable:
                 prefix = [by_id[i] for i in pool[:size]]
-                train_leads, dev_leads = (split_train_dev(prefix) if needs_dev
-                                          else (prefix, []))
-                clf = train_modes([mode], train_leads, dev_leads, labels,
-                                  lexicon, table, config, min_count, top_k,
-                                  pr_value)[mode]
-                lexicon = clf.bundle.mrc or lexicon
-                correct = sum(margin_label(m) == labels[l.id]
-                              for l, m in zip(test_leads,
-                                              clf.margins(test_leads).tolist()))
-                accs[size].append(correct / len(test_leads))
+                for needs_dev, group in by_split.items():
+                    train_leads, dev_leads = (split_train_dev(prefix)
+                                              if needs_dev else (prefix, []))
+                    classifiers = train_modes(group, train_leads, dev_leads,
+                                              labels, lexicon, table, config,
+                                              top_k)
+                    for mode, clf in classifiers.items():
+                        lexicon = clf.bundle.mrc or lexicon
+                        z = clf.margins(test_leads).tolist()
+                        correct = sum(margin_label(m) == labels[l.id]
+                                      for l, m in zip(test_leads, z))
+                        accs[mode][size].append(correct / len(test_leads))
         except ContentDenseError as e:
             raise type(e)(f"fold {t}: {e}") from e
 
-    return [LearningCurvePoint(
-                n_train=s,
-                mean_accuracy=math.fsum(accs[s]) / len(accs[s]),
-                fold_accuracies=tuple(accs[s]))
-            for s in usable]
+    curves = {m: [LearningCurvePoint(n_train=s,
+                                     mean_accuracy=math.fsum(a) / len(a),
+                                     fold_accuracies=tuple(a))
+                  for s, a in accs[m].items()] for m in mode_list}
+    return curves[modes] if isinstance(modes, str) else curves
 
 
 def pearson_correlation(x: Sequence[float], y: Sequence[float]) -> float:

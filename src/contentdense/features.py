@@ -396,9 +396,12 @@ class FeatureBundle:
         _check(leads, words=spaces[0].name != SPACE_PR,
                rules=spaces[-1].name == SPACE_PR)
         table, rows = _held(self.table, leads)
-        parts, offset = [], 0
+        parts, offset, taken = [], 0, None
         for space in spaces:
-            keys, X = table.take(rows, rules=space.name == SPACE_PR)
+            rules = space.name == SPACE_PR
+            if rules != taken:  # MRC and MI share the word rows
+                keys, X = table.take(rows, rules=rules)
+                taken = rules
             index_of = space.index_of
             cols = np.array([index_of.get(key, -1) for key in keys],
                             dtype=np.int64)[X.indices]
@@ -430,9 +433,7 @@ def build_feature_bundle(train_leads: Sequence[AnnotatedLead],
                          labels: Mapping[str, str] | None,
                          lexicon: Iterable[str] | None,
                          include: Sequence[str] = SPACE_ORDER,
-                         min_count: int = 5,
                          top_k: int = 500,
-                         pr_value: str = "count",
                          table: FeatureTable | None = None) -> FeatureBundle:
     """Build the spaces named in ``include`` from training data only.
 
@@ -455,14 +456,13 @@ def build_feature_bundle(train_leads: Sequence[AnnotatedLead],
     if SPACE_MI in include:
         if labels is None:
             raise ValidationError("MI space requested but no labels given")
-        mi, entries = select_mi_vocabulary(train_leads, labels,
-                                           min_count=min_count, top_k=top_k,
+        mi, entries = select_mi_vocabulary(train_leads, labels, top_k=top_k,
                                            table=table)
         mi_entries = tuple(entries)
     if SPACE_PR in include:
         pr = pr_space(train_leads, table)
-    return FeatureBundle(mrc=mrc, mi=mi, pr=pr, pr_value=pr_value,
-                         mi_entries=mi_entries, table=table)
+    return FeatureBundle(mrc=mrc, mi=mi, pr=pr, mi_entries=mi_entries,
+                         table=table)
 
 
 def _key_to_str(name: str, key) -> str:

@@ -329,6 +329,18 @@ class TestEvaluate:
         assert code == 4
         assert "line 1" in capsys.readouterr().err
 
+    def test_size_below_two_fails_before_training(self, workspace, tmp_path,
+                                                  monkeypatch, capsys):
+        monkeypatch.setattr(cli, "cross_validate", None)  # never reached
+        out = tmp_path / "out"
+        code = main(["evaluate", "--corpus", workspace["corpus"],
+                     "--lexicon", workspace["lexicon"],
+                     "--labels", workspace["labels"], "--mode", "mrc",
+                     "--sizes", "1,100", "--out", str(out)])
+        assert code == 6
+        assert "every size must be at least 2" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
 
 @pytest.fixture(scope="module")
 def pinned_corpus(tmp_path_factory):
@@ -401,6 +413,36 @@ class TestPinnedOutputs:
             "feature_fusion\t300\t0.697500\n"
             "decision_fusion\t100\t0.695000\n"
             "decision_fusion\t300\t0.710000\n")
+
+    def test_all_modes_summary_and_curve_one_value_grid(self, pinned_corpus):
+        """At a one-value c grid the single modes and feature fusion train
+        on the whole prefix and decision fusion on its 5:4 split."""
+        assert main(self.args(pinned_corpus, "evaluate", "--labels",
+                              str(pinned_corpus / "gen" / "labels.tsv"),
+                              "--c-grid", "16", "--sizes", "100,300",
+                              out="evaluate-all-c16")) == 0
+        report = pinned_corpus / "evaluate-all-c16"
+        assert read(report / "summary.tsv") == (
+            "mode\tmean_accuracy\toverall_accuracy\n"
+            "mrc\t0.725000\t0.725000\n"
+            "mi\t0.540000\t0.540000\n"
+            "pr\t0.695000\t0.695000\n"
+            "feature_fusion\t0.595000\t0.595000\n"
+            "decision_fusion\t0.715000\t0.715000\n"
+            "baseline_always_dense\t0.500000\t0.500000\n"
+            "baseline_article_length\t0.607500\t0.607500\n")
+        assert read(report / "accuracy_by_size.tsv") == (
+            "mode\tn_train\tmean_accuracy\n"
+            "mrc\t100\t0.717500\n"
+            "mrc\t300\t0.725000\n"
+            "mi\t100\t0.530000\n"
+            "mi\t300\t0.612500\n"
+            "pr\t100\t0.687500\n"
+            "pr\t300\t0.695000\n"
+            "feature_fusion\t100\t0.605000\n"
+            "feature_fusion\t300\t0.640000\n"
+            "decision_fusion\t100\t0.705000\n"
+            "decision_fusion\t300\t0.707500\n")
 
 
 class TestCombine:

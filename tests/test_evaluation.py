@@ -234,6 +234,16 @@ class TestCrossValidate:
             cross_validate(leads, labels, "kitchen_sink",
                            lexicon=MRC_LEXICON, config=ONE_C)
 
+    def test_bad_fold_index_rejected_before_training(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(evaluation, "train_modes",
+                            lambda *args, **kwargs: calls.append(args))
+        leads, labels = make_corpus(60, seed=6)
+        with pytest.raises(ValidationError, match="fold index 11"):
+            cross_validate(leads, labels, MODE_MRC, lexicon=MRC_LEXICON,
+                           config=ONE_C, fold_subset=[0, 11])
+        assert calls == []
+
 
 class TestSplitTrainDev:
     @pytest.mark.parametrize("n,n_train", [(2, 1), (3, 1), (9, 5), (10, 5),
@@ -303,6 +313,35 @@ class TestLearningCurve:
         with pytest.raises(ValidationError):
             learning_curve(leads, labels, MODE_MRC, lexicon=MRC_LEXICON,
                            sizes=[10], config=ONE_C, fold_subset=[11])
+
+    @pytest.mark.parametrize("config,bundles_per_size", [
+        (TrainConfig(c_grid=(1.0, 4.0)), 1),
+        (ONE_C, 2),
+    ])
+    def test_all_modes_share_a_split(self, monkeypatch, config,
+                                     bundles_per_size):
+        """Modes that split the prefix alike train on one bundle: all of
+        them with a multi-value grid; with one value, decision fusion
+        splits and the rest train on the whole prefix. Each mode's curve
+        is the one it gets alone."""
+        calls = []
+        build = evaluation.build_feature_bundle
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))  # training leads
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "build_feature_bundle", counting)
+        leads, labels = make_corpus(60, seed=9, flip=0.1)
+        kwargs = dict(lexicon=MRC_LEXICON, sizes=[18, 36], config=config,
+                      fold_subset=[0], seed=3)
+        curves = learning_curve(leads, labels, list(MODES), **kwargs)
+        assert len(calls) == 2 * bundles_per_size
+        monkeypatch.setattr(evaluation, "build_feature_bundle", build)
+        assert list(curves) == list(MODES)
+        for mode in MODES:
+            assert curves[mode] == learning_curve(leads, labels, mode,
+                                                  **kwargs)
 
 
 class TestPearsonCorrelation:
