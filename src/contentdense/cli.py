@@ -341,9 +341,10 @@ def cmd_evaluate(args) -> None:
     modes = [_internal_mode(m) for m in cli_modes]
     config = TrainConfig(c_grid=tuple(args.c_grid), seed=args.seed)
     sizes = None if args.sizes is None else curve_sizes(args.sizes)
+    table = FeatureTable(labeled)  # shared by the folds and the curve
 
     results = cross_validate(labeled, mapping, modes, lexicon=lexicon,
-                             k=10, seed=args.seed, config=config)
+                             k=10, seed=args.seed, config=config, table=table)
 
     out = _out_dir(args)
     fold_lines = ["mode\tfold\tn_test\tn_correct\taccuracy\n"]
@@ -378,7 +379,8 @@ def cmd_evaluate(args) -> None:
 
     if sizes is not None:
         curves = learning_curve(labeled, mapping, modes, lexicon, sizes,
-                                k=10, seed=args.seed, config=config)
+                                k=10, seed=args.seed, config=config,
+                                table=table)
         size_lines = ["mode\tn_train\tmean_accuracy\n"] + [
             f"{mode}\t{point.n_train}\t{point.mean_accuracy:.6f}\n"
             for mode in modes for point in curves[mode]]

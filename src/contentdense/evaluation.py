@@ -212,13 +212,15 @@ def cross_validate(leads: Sequence[AnnotatedLead],
                    seed: int = 0,
                    config: TrainConfig | None = None,
                    fold_subset: Sequence[int] | None = None,
-                   top_k: int = 500):
+                   top_k: int = 500,
+                   table: FeatureTable | None = None):
     """Cross-validated accuracy for one mode (str) or several at once.
 
     Evaluating several modes together shares the per-fold feature spaces
     and the per-space first-layer models, so the test fold and everything
     trained from the first-layer folds is identical across modes. Returns
     one CrossValidationResult for a single mode, or a dict keyed by mode.
+    Counts come from ``table`` (one over ``leads`` when none is given).
 
     Training failures carry the fold index in their message.
     """
@@ -226,7 +228,8 @@ def cross_validate(leads: Sequence[AnnotatedLead],
     mode_list, plan, fold_iter, by_id = _plan_folds(modes, leads, labels, k,
                                                     seed, fold_subset)
     results = {m: CrossValidationResult(m, [], []) for m in mode_list}
-    table = FeatureTable(leads)
+    if table is None:
+        table = FeatureTable(leads)
 
     for t in fold_iter:
         try:
@@ -278,7 +281,8 @@ def learning_curve(leads: Sequence[AnnotatedLead],
                    seed: int = 0,
                    fold_subset: Sequence[int] | None = None,
                    config: TrainConfig | None = None,
-                   top_k: int = 500):
+                   top_k: int = 500,
+                   table: FeatureTable | None = None):
     """Accuracy by training set size, averaged over folds, for one mode
     (str; a list of points) or several (a dict keyed by mode).
 
@@ -290,7 +294,8 @@ def learning_curve(leads: Sequence[AnnotatedLead],
     into training and development parts; otherwise the whole prefix
     trains. Modes that split it alike train together, as in
     ``cross_validate``. Sizes beyond the available pool are dropped; if
-    none fit the curve has a single point at the full pool size.
+    none fit the curve has a single point at the full pool size. Counts
+    come from ``table`` (one over ``leads`` when none is given).
     """
     config = config or TrainConfig()
     mode_list, plan, fold_iter, by_id = _plan_folds(modes, leads, labels, k,
@@ -301,7 +306,8 @@ def learning_curve(leads: Sequence[AnnotatedLead],
     for mode in mode_list:
         by_split.setdefault(mode == MODE_DECISION_FUSION
                             or len(config.sorted_c_grid) > 1, []).append(mode)
-    table = FeatureTable(leads)
+    if table is None:
+        table = FeatureTable(leads)
     accs = {m: {s: [] for s in usable} for m in mode_list}
 
     for t in fold_iter:

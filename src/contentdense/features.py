@@ -169,7 +169,7 @@ def select_mi_vocabulary(leads: Sequence[AnnotatedLead],
         )
 
     table, rows = _held(table, leads)
-    words, X = table.take(rows, rules=False)
+    words, _, X = table.take(rows, rules=False)
     df = np.bincount(X.indices, minlength=X.n_cols)
     in_dense = np.bincount(X.indices[dense[X.rows]], minlength=X.n_cols)
     n_docs = len(leads)
@@ -240,25 +240,27 @@ def lead_rules(lead: AnnotatedLead) -> Counter:
     return rules
 
 
-def _count_matrix(counters: Sequence[Mapping]) -> tuple[list, CsrMatrix]:
-    """The counters' distinct keys, sorted, and a CSR row of integer counts
-    over them per counter."""
+def _count_matrix(counters: Sequence[Mapping],
+                  ) -> tuple[list, dict, CsrMatrix]:
+    """The counters' distinct keys, sorted, each key's column, and a CSR
+    row of integer counts over them per counter."""
     keys = sorted(set().union(*counters))
     col = {key: j for j, key in enumerate(keys)}
     rows = np.repeat(np.arange(len(counters)), [len(c) for c in counters])
     cols = np.array([col[key] for c in counters for key in c], dtype=np.int64)
     vals = np.array([v for c in counters for v in c.values()], dtype=np.int64)
-    return keys, pack_csr(rows, cols, vals, len(counters), len(keys))
+    return keys, col, pack_csr(rows, cols, vals, len(counters), len(keys))
 
 
 class FeatureTable:
     """Word and production-rule counts of a lead list, counted once.
 
-    Row r is ``leads[r]``; ``words`` and ``rules`` are (keys, CSR of integer
-    counts) with a column per distinct key in sorted order, so a space's
-    columns are an increasing map of them. Rules are read on first use, so
-    word-only work never needs parses; a lead without them keeps an empty
-    row, and ``_check`` raises for it where rules are asked for.
+    Row r is ``leads[r]``; ``words`` and ``rules`` are (keys, key ->
+    column, CSR of integer counts) with a column per distinct key in sorted
+    order, so a space's columns are an increasing map of them. Rules are
+    read on first use, so word-only work never needs parses; a lead without
+    them keeps an empty row and a False in ``parsed``, which ``rules``
+    records, and ``_check`` raises for it where rules are asked for.
     """
 
     def __init__(self, leads: Sequence[AnnotatedLead]):
@@ -275,23 +277,27 @@ class FeatureTable:
             return None
 
     @cached_property
-    def words(self) -> tuple[list[str], CsrMatrix]:
+    def words(self) -> tuple[list[str], dict, CsrMatrix]:
         return _count_matrix([lead.word_counts for lead in self.leads])
 
     @cached_property
-    def rules(self) -> tuple[list[ProductionRule], CsrMatrix]:
+    def rules(self) -> tuple[list[ProductionRule], dict, CsrMatrix]:
         counters = []
-        for lead in self.leads:
+        self.parsed = np.ones(len(self.leads), dtype=bool)
+        for r, lead in enumerate(self.leads):
             try:
                 counters.append(lead_rules(lead))
             except MissingParseError:
                 counters.append({})
+                self.parsed[r] = False
         return _count_matrix(counters)
 
-    def take(self, rows: np.ndarray, rules: bool) -> tuple[list, CsrMatrix]:
-        """Column keys and rows ``rows`` of the word or the rule counts."""
-        keys, counts = self.rules if rules else self.words
-        return keys, csr_take(counts, rows)
+    def take(self, rows: np.ndarray, rules: bool,
+             ) -> tuple[list, dict, CsrMatrix]:
+        """Column keys, key -> column, and rows ``rows`` of the word or the
+        rule counts."""
+        keys, column_of, counts = self.rules if rules else self.words
+        return keys, column_of, csr_take(counts, rows)
 
 
 def _held(table: FeatureTable | None, leads: Sequence[AnnotatedLead],
@@ -304,23 +310,44 @@ def _held(table: FeatureTable | None, leads: Sequence[AnnotatedLead],
     return table, rows
 
 
-def _check(leads: Sequence[AnnotatedLead], words: bool, rules: bool) -> None:
-    """EmptyLeadError for the first lead without tokens (words asked for)
-    or MissingParseError for one without parses (rules asked for)."""
-    for lead in leads:
+def _check(table: FeatureTable, rows: np.ndarray, words: bool,
+           rules: bool) -> None:
+    """EmptyLeadError for the first of the rows' leads without tokens
+    (words asked for) or MissingParseError for one without parses (rules
+    asked for)."""
+    bad = np.zeros(len(rows), dtype=bool)
+    if words:
+        bad |= table.n_tokens[rows] == 0
+    if rules:
+        table.rules  # records table.parsed
+        bad |= ~table.parsed[rows]
+    first = np.flatnonzero(bad)
+    if len(first):
+        lead = table.leads[rows[first[0]]]
         if words and lead.n_tokens == 0:
             raise EmptyLeadError(f"lead {lead.id} has no tokens")
-        if rules:
-            lead_rules(lead)
+        lead_rules(lead)  # raises the lead's MissingParseError
+
+
+def _column_map(space: FeatureSpace, column_of: dict,
+                n_cols: int) -> np.ndarray:
+    """Each of ``n_cols`` table columns' index in ``space``, -1 where the
+    space lacks its key; ``column_of`` maps keys to table columns."""
+    at = np.array([column_of.get(key, -1) for key in space.key_at],
+                  dtype=np.int64)
+    held = at >= 0
+    out = np.full(n_cols, -1, dtype=np.int64)
+    out[at[held]] = np.flatnonzero(held)
+    return out
 
 
 def pr_space(leads: Sequence[AnnotatedLead],
              table: FeatureTable | None = None) -> FeatureSpace:
     """Space over every production rule occurring in the given leads: the
     rule columns of ``table`` counted in their rows."""
-    _check(leads, words=False, rules=True)
     table, rows = _held(table, leads)
-    rules, X = table.take(rows, rules=True)
+    _check(table, rows, words=False, rules=True)
+    rules, _, X = table.take(rows, rules=True)
     seen = np.flatnonzero(np.bincount(X.indices, minlength=X.n_cols))
     return FeatureSpace(SPACE_PR,
                         {rules[j]: k for k, j in enumerate(seen.tolist())})
@@ -393,18 +420,16 @@ class FeatureBundle:
         MissingParseError for one without parses (PR).
         """
         spaces = _canonical_spaces([self.space(n) for n in names])
-        _check(leads, words=spaces[0].name != SPACE_PR,
-               rules=spaces[-1].name == SPACE_PR)
         table, rows = _held(self.table, leads)
+        _check(table, rows, words=spaces[0].name != SPACE_PR,
+               rules=spaces[-1].name == SPACE_PR)
         parts, offset, taken = [], 0, None
         for space in spaces:
             rules = space.name == SPACE_PR
             if rules != taken:  # MRC and MI share the word rows
-                keys, X = table.take(rows, rules=rules)
+                _, column_of, X = table.take(rows, rules=rules)
                 taken = rules
-            index_of = space.index_of
-            cols = np.array([index_of.get(key, -1) for key in keys],
-                            dtype=np.int64)[X.indices]
+            cols = _column_map(space, column_of, X.n_cols)[X.indices]
             if space.name == SPACE_MRC:
                 vals = X.data / table.n_tokens[rows][X.rows]
             elif space.name == SPACE_MI or self.pr_value == "binary":

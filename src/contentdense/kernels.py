@@ -11,6 +11,17 @@ stored column indices followed by an ``np.bincount`` sum per row, and the
 weight gradient is an ``np.bincount`` scatter back onto the columns. Both
 are bitwise deterministic run to run.
 
+``np.bincount`` adds its weights into their bins one after another, in the
+order given. In CSR order a row's terms go into the same bin back to back,
+so each add waits for the one before it. The margin sum therefore walks
+the stored values interleaved (``CsrMatrix.interleaved``): every row's
+k-th value comes before any row's (k+1)-th, so consecutive adds go to
+different bins. Within a row the values keep their CSR order, so each
+row's sum is the same sequence of float64 adds from 0.0 as a left-to-right
+loop over the row, and gives the same bits. The gradient's column sums
+stay in CSR order, so that each column's sum runs over its rows in
+increasing row order.
+
 Supported losses (``y`` in {-1, +1}, margin ``m = y * (x.w + b)``):
 
 * ``logistic``: log(1 + exp(-m)), evaluated in overflow-safe form.
@@ -51,10 +62,28 @@ class CsrMatrix:
     n_cols: int
 
     @cached_property
+    def row_lengths(self) -> np.ndarray:
+        """Stored values per row."""
+        return np.diff(self.indptr)
+
+    @cached_property
     def rows(self) -> np.ndarray:
         """Row index per stored value, for the per-row gather and scatter."""
         return np.repeat(np.arange(self.n_rows, dtype=np.int64),
-                         self.indptr[1:] - self.indptr[:-1])
+                         self.row_lengths)
+
+    @cached_property
+    def interleaved(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, indices, data) of the stored values, every row's k-th
+        value before any row's (k+1)-th and each row's values in CSR
+        order: a stable sort by position within the row. Positions are
+        cast to the smallest unsigned type that holds them, because
+        numpy's stable sort of 8- and 16-bit integers is a radix sort."""
+        position = (np.arange(len(self.data))
+                    - np.repeat(self.indptr[:-1], self.row_lengths))
+        small = np.min_scalar_type(self.row_lengths.max(initial=0))
+        order = np.argsort(position.astype(small), kind="stable")
+        return self.rows[order], self.indices[order], self.data[order]
 
 
 def pack_csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
@@ -70,7 +99,9 @@ def pack_csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     if not np.isfinite(vals).all():
         raise NumericError(
             f"row {rows[~np.isfinite(vals)].min()}: non-finite feature value")
-    order = np.lexsort((cols, rows))
+    # One int64 key per cell sorts as (row, column) does; it cannot
+    # overflow for a matrix whose rows and columns each fit in 2**31.
+    order = np.argsort(rows.astype(np.int64) * n_cols + cols, kind="stable")
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
     return CsrMatrix(data=vals[order], indices=cols[order], indptr=indptr,
                      n_rows=n_rows, n_cols=n_cols)
@@ -78,7 +109,7 @@ def pack_csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
 
 def csr_take(X: CsrMatrix, rows: np.ndarray) -> CsrMatrix:
     """Row-subset of a CSR matrix."""
-    counts = np.diff(X.indptr)[rows]
+    counts = X.row_lengths[rows]
     indptr = np.concatenate([[0], np.cumsum(counts)])
     take = (np.repeat(X.indptr[rows] - indptr[:-1], counts)
             + np.arange(indptr[-1]))
@@ -97,9 +128,10 @@ def build_csr(vectors: Sequence, dim: int) -> CsrMatrix:
 
 
 def margins(X: CsrMatrix, w: np.ndarray, b: float) -> np.ndarray:
-    """Decision values x_i.w + b for every row."""
-    contrib = X.data * w[X.indices]
-    return np.bincount(X.rows, weights=contrib, minlength=X.n_rows) + b
+    """Decision values x_i.w + b for every row, each row summed left to
+    right from 0.0 (over the interleaved order; see the module notes)."""
+    rows, indices, data = X.interleaved
+    return np.bincount(rows, weights=data * w[indices], minlength=X.n_rows) + b
 
 
 def objective_and_grad(w: np.ndarray, b: float, X: CsrMatrix, y: np.ndarray,
@@ -116,9 +148,10 @@ def objective_and_grad(w: np.ndarray, b: float, X: CsrMatrix, y: np.ndarray,
         slack = np.maximum(0.0, 1.0 - y * z)
         loss_sum = float((slack * slack).sum())
         gz = -2.0 * y * slack
-    grad_w = w + c * np.bincount(X.indices, weights=X.data * gz[X.rows],
-                                 minlength=X.n_cols)
-    value = 0.5 * float(w @ w) + c * loss_sum
+    grad_w = w + c * np.bincount(
+        X.indices, weights=X.data * np.repeat(gz, X.row_lengths),
+        minlength=X.n_cols)
+    value = 0.5 * float(w.dot(w)) + c * loss_sum
     if not math.isfinite(value):
         raise NumericError("objective evaluated to a non-finite value")
     return value, grad_w, c * float(gz.sum())

@@ -465,6 +465,67 @@ class TestPrFeatures:
         assert lead_rules(lead) is lead_rules(lead)
 
 
+class TestCheckPrecedence:
+    """Which lead a failing matrix or PR space names, and with which
+    exception, when several leads lack tokens or parses. Leads are checked
+    in list order; for each lead the token check comes first."""
+
+    parsed = make_doc("ok", ["cats", "sat"],
+                      parse="(S (NP (NN cats)) (VP (VBD sat)))")
+    # No sentences: neither tokens nor parses.
+    empty = AnnotatedLead(id="e", domain="general", lead_text="",
+                          sentences=(), article_word_count=0)
+    # Tokens, but its second sentence has no parse.
+    unparsed = AnnotatedLead(
+        id="u", domain="general", lead_text="x y",
+        sentences=(parsed.sentences[0], Sentence(tokens=("y",), pos=("NN",))),
+        article_word_count=10)
+    pr = pr_space([parsed])
+    mrc = mrc_space(["cats"])
+    lists = {"empty_first": [parsed, empty, unparsed],
+             "unparsed_first": [parsed, unparsed, empty],
+             "empty_only": [empty]}
+    no_tokens = (EmptyLeadError, "lead e has no tokens")
+    no_sentences = (MissingParseError, "lead e has no sentences")
+    no_parse = (MissingParseError, "lead u: sentence 1 has no parse")
+
+    def raised(self, call):
+        with pytest.raises((EmptyLeadError, MissingParseError)) as info:
+            call()
+        return info.type, str(info.value)
+
+    def tables(self, leads):
+        return (None, FeatureTable(leads),
+                FeatureTable([self.unparsed, self.empty, self.parsed]))
+
+    @pytest.mark.parametrize("names,case,expected", [
+        ((SPACE_MRC,), "empty_first", no_tokens),
+        ((SPACE_MRC,), "unparsed_first", no_tokens),
+        ((SPACE_MRC,), "empty_only", no_tokens),
+        ((SPACE_PR,), "empty_first", no_sentences),
+        ((SPACE_PR,), "unparsed_first", no_parse),
+        ((SPACE_PR,), "empty_only", no_sentences),
+        ((SPACE_MRC, SPACE_PR), "empty_first", no_tokens),
+        ((SPACE_MRC, SPACE_PR), "unparsed_first", no_parse),
+        ((SPACE_MRC, SPACE_PR), "empty_only", no_tokens),
+    ])
+    def test_matrix(self, names, case, expected):
+        leads = self.lists[case]
+        for table in self.tables(leads):
+            bundle = FeatureBundle(mrc=self.mrc, pr=self.pr, table=table)
+            assert self.raised(lambda: bundle.matrix(leads, names)) == expected
+
+    @pytest.mark.parametrize("case,expected", [
+        ("empty_first", no_sentences),
+        ("unparsed_first", no_parse),
+        ("empty_only", no_sentences),
+    ])
+    def test_pr_space(self, case, expected):
+        leads = self.lists[case]
+        for table in self.tables(leads):
+            assert self.raised(lambda: pr_space(leads, table)) == expected
+
+
 def space_of(name, n):
     keys = [f"{name.lower()}{k}" for k in range(n)]
     if name == "PR":

@@ -11,6 +11,7 @@ from contentdense.kernels import (
     build_csr,
     margins,
     objective_and_grad,
+    pack_csr,
 )
 
 
@@ -146,3 +147,74 @@ def test_non_finite_feature_rejected():
 
     with pytest.raises(NumericError):
         build_csr([RawVector()], 3)
+
+
+def ragged_matrix(rng, lengths, n_cols):
+    """CSR with the given row lengths, sorted distinct columns per row
+    (so columns recur across rows), and mixed-sign values spanning six
+    decades, so that another summation order would change low bits."""
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    cols = np.concatenate([np.sort(rng.choice(n_cols, size=k, replace=False))
+                           for k in lengths]).astype(np.int64)
+    vals = rng.normal(size=len(rows)) * 10.0 ** rng.uniform(-3, 3, len(rows))
+    return pack_csr(rows, cols, vals, len(lengths), n_cols)
+
+
+def ragged_matrices(rng):
+    """Empty rows (first, inner, last), one-entry rows and long rows."""
+    yield ragged_matrix(rng, [0, 1, 300, 0, 1, 5, 2, 250, 1, 17, 0], 400)
+    yield ragged_matrix(rng, [1, 1, 1, 1], 3)
+    yield ragged_matrix(rng, [0, 0], 5)
+    yield ragged_matrix(rng, list(rng.integers(0, 60, size=40)), 64)
+
+
+class TestSummationOrder:
+    """Margins and gradients are bitwise the plain sequential sums."""
+
+    def test_margins_are_left_to_right_row_sums(self):
+        rng = np.random.default_rng(21)
+        for X in ragged_matrices(rng):
+            w = rng.normal(size=X.n_cols) * 10.0 ** rng.uniform(-2, 2, X.n_cols)
+            b = float(rng.normal())
+            expected = []
+            for r in range(X.n_rows):
+                acc = 0.0
+                for k in range(X.indptr[r], X.indptr[r + 1]):
+                    acc += float(X.data[k]) * float(w[X.indices[k]])
+                expected.append(acc + b)
+            assert margins(X, w, b).tolist() == expected
+
+    @pytest.mark.parametrize("loss", [LOSS_LOGISTIC, LOSS_HINGE])
+    def test_gradient_is_column_sums_in_row_order(self, loss):
+        rng = np.random.default_rng(22)
+        for X in ragged_matrices(rng):
+            w = rng.normal(size=X.n_cols) * 1e-3
+            b = float(rng.normal())
+            y = np.where(rng.random(X.n_rows) < 0.5, 1.0, -1.0)
+            c = 1.7
+            z = margins(X, w, b)
+            if loss == LOSS_LOGISTIC:
+                gz = -y * 0.5 * (1.0 - np.tanh(0.5 * (y * z)))
+            else:
+                gz = -2.0 * y * np.maximum(0.0, 1.0 - y * z)
+            acc = [0.0] * X.n_cols
+            for r in range(X.n_rows):
+                for k in range(X.indptr[r], X.indptr[r + 1]):
+                    acc[X.indices[k]] += float(X.data[k]) * float(gz[r])
+            expected = [float(wj) + c * a for wj, a in zip(w, acc)]
+            _, grad_w, _ = objective_and_grad(w, b, X, y, c, loss)
+            assert grad_w.tolist() == expected
+
+    def test_interleaved_order_keeps_each_row_in_csr_order(self):
+        rng = np.random.default_rng(23)
+        for X in ragged_matrices(rng):
+            rows, indices, data = X.interleaved
+            position = [0] * X.n_rows
+            seen = []
+            for r, j, v in zip(rows.tolist(), indices.tolist(), data.tolist()):
+                k = X.indptr[r] + position[r]
+                assert (j, v) == (X.indices[k], X.data[k])
+                seen.append(position[r])
+                position[r] += 1
+            assert position == np.diff(X.indptr).tolist()
+            assert seen == sorted(seen)  # every k-th entry before any (k+1)-th

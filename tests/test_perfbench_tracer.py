@@ -1,9 +1,16 @@
 """perfbench's tracer replaces package functions where their callers look
 them up (``_targets``). A site that no longer exists only fails inside a
-traced benchmark run, so this checks every site against the package."""
+traced benchmark run, and a fit that stops calling a traced name only
+zeroes a metric, so this checks every site against the package and that a
+fit still passes through the solver and objective sites."""
 
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+
+from contentdense.kernels import LOSS_LOGISTIC, pack_csr
+from contentdense.learn import train_linear
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -32,3 +39,21 @@ def test_every_traced_site_exists_and_installs():
     finally:
         run.uninstall()
     assert [owner.__dict__[attr] for owner, attr, _ in sites] == originals
+
+
+def test_a_fit_reaches_the_solver_and_objective_sites():
+    tracer = load_tracer()
+    X = pack_csr(np.array([0, 0, 1, 2, 2, 3]), np.array([0, 1, 1, 0, 2, 2]),
+                 np.array([1.0, 2.0, -1.0, 0.5, 1.5, -2.0]), 4, 3)
+    labels = ["content_dense", "non_content_dense", "content_dense",
+              "non_content_dense"]
+    run = tracer.Tracer("guard")
+    run.install()
+    try:
+        train_linear(X, labels, "MRC", LOSS_LOGISTIC, 1.0)
+    finally:
+        run.uninstall()
+    metrics = run.metrics(wall_s=0.0)
+    assert metrics["optimize.fits"] == 1
+    assert metrics["kernels.objective_calls"] > 0
+    assert metrics["optimize.iterations"] > 0
