@@ -80,6 +80,8 @@ from .learn import (
     MODE_DECISION_FUSION,
     MODES,
     TrainConfig,
+    accuracy,
+    label_to_y,
     load_classifier,
     margin_label,
     save_classifier,
@@ -127,15 +129,14 @@ def _internal_mode(cli_mode: str) -> str:
     return cli_mode.replace("-", "_")
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, content: str | Callable[[Path], None]) -> None:
+    """Write ``content`` (text, or a function that writes the file at a
+    path it is given) next to ``path``, then rename it over ``path``."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    replace(tmp, path)
-
-
-def _save_atomic(path: Path, writer: Callable[[Path], None]) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    writer(tmp)
+    if callable(content):
+        content(tmp)
+    else:
+        tmp.write_text(content, encoding="utf-8")
     replace(tmp, path)
 
 
@@ -145,30 +146,29 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _floats_arg(text: str) -> tuple[float, ...]:
+def _list_arg(text: str, kind: Callable[[str], object], noun: str) -> tuple:
+    """The non-blank comma-separated items of ``text``, each read by
+    ``kind``; ``noun`` names one item in usage messages."""
     try:
-        values = tuple(float(p) for p in text.split(",") if p.strip())
+        values = tuple(kind(p) for p in text.split(",") if p.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}"
+            f"expected comma-separated {noun}s, got {text!r}"
         )
     if not values:
-        raise argparse.ArgumentTypeError("expected at least one number")
+        raise argparse.ArgumentTypeError(f"expected at least one {noun}")
+    return values
+
+
+def _floats_arg(text: str) -> tuple[float, ...]:
+    values = _list_arg(text, float, "number")
     if not all(map(isfinite, values)):
         raise argparse.ArgumentTypeError(f"expected finite numbers, got {text!r}")
     return values
 
 
 def _ints_arg(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        )
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one integer")
-    return values
+    return _list_arg(text, int, "integer")
 
 
 def _percentiles_arg(text: str) -> tuple[float, float]:
@@ -219,7 +219,7 @@ def _labeled_subset(leads: Sequence[AnnotatedLead],
 def cmd_generate(args) -> None:
     corpus = generate_corpus(args.n, args.profile, args.seed)
     out = _out_dir(args)
-    _save_atomic(out / "corpus.jsonl", lambda p: save_corpus(corpus.leads, p))
+    _write_atomic(out / "corpus.jsonl", lambda p: save_corpus(corpus.leads, p))
     _write_atomic(out / "labels.tsv", "".join(
         f"{lead.id}\t{corpus.true_labels[lead.id]}\n" for lead in corpus.leads
     ))
@@ -281,17 +281,15 @@ def cmd_train(args) -> None:
         chosen = f"c={model.l2_c:g}"
 
     out = _out_dir(args)
-    _save_atomic(out / "model.json", lambda p: save_classifier(classifier, p))
+    _write_atomic(out / "model.json", lambda p: save_classifier(classifier, p))
 
-    n_correct = sum(
-        margin_label(m) == mapping[lead.id]
-        for lead, m in zip(dev_leads, classifier.margins(dev_leads).tolist())
-    )
+    dev_accuracy = accuracy(classifier.margins(dev_leads),
+                            label_to_y([mapping[l.id] for l in dev_leads]))
     print(f"labeled {len(labeled)} of {len(leads)} leads "
           f"({n_skipped} skipped: missing or short summary)")
     print(f"trained {args.mode} on {len(train_leads)} leads "
           f"({len(dev_leads)} dev); {chosen}")
-    print(f"dev accuracy {n_correct / len(dev_leads):.4f} -> {out / 'model.json'}")
+    print(f"dev accuracy {dev_accuracy:.4f} -> {out / 'model.json'}")
 
 
 def cmd_predict(args) -> None:

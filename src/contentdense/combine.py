@@ -39,7 +39,8 @@ from .labeling import CONTENT_DENSE
 from .learn import (
     LOSS_LOGISTIC,
     LinearModel,
-    margin_label,
+    accuracy,
+    label_to_y,
     train_linear,
 )
 
@@ -211,10 +212,8 @@ def baseline_article_length(train_leads: Sequence[AnnotatedLead],
             f"e.g. {sorted(overlap)[0]!r}"
         )
     model, scaler = train_length_model(train_leads, labels)
-    z = model.margins(scaler.matrix(test_leads))
-    correct = sum(margin_label(m) == labels[l.id]
-                  for m, l in zip(z.tolist(), test_leads))
-    return correct / len(test_leads)
+    return accuracy(model.margins(scaler.matrix(test_leads)),
+                    label_to_y([labels[l.id] for l in test_leads]))
 
 
 def binomial_superiority_check(successes: int, n: int, p0: float) -> float:

@@ -353,10 +353,6 @@ class AnnotatedLead:
             out.extend(s.word_pos_tuples())
         return tuple(out)
 
-    @cached_property
-    def tuple_set(self) -> frozenset[WordPosTuple]:
-        return frozenset(self.tuples)
-
 
 def _sentence_to_record(s: Sentence) -> dict:
     rec: dict = {"tokens": list(s.tokens), "pos": list(s.pos)}

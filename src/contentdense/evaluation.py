@@ -24,11 +24,13 @@ from .labeling import CONTENT_DENSE, LABELS, NON_CONTENT_DENSE
 from .learn import (
     MODE_DECISION_FUSION,
     MODE_FEATURE_FUSION,
+    MODE_SPACES,
     MODES,
-    SINGLE_MODE_SPACE,
     LeadClassifier,
     LinearModel,
     TrainConfig,
+    accuracy,
+    label_to_y,
     margin_label,
     train_decision_fusion,
     train_feature_fusion,
@@ -121,16 +123,6 @@ class CrossValidationResult:
         return sum(f.n_correct for f in self.folds) / total
 
 
-def _needed_spaces(modes: Sequence[str]) -> tuple[str, ...]:
-    needed: set[str] = set()
-    for mode in modes:
-        if mode in SINGLE_MODE_SPACE:
-            needed.add(SINGLE_MODE_SPACE[mode])
-        else:
-            needed.update(SPACE_ORDER)
-    return tuple(s for s in SPACE_ORDER if s in needed)
-
-
 def split_train_dev(items: Sequence) -> tuple[list, list]:
     """The 5:4 training/development split of an ordered sequence: the
     first floor(5n/9) items (at least one) train, the rest are for
@@ -154,7 +146,9 @@ def train_modes(modes: Sequence[str],
     the second layer; without decision fusion and with a one-value c
     grid it may be empty."""
     bundle = build_feature_bundle(
-        train_leads, labels, lexicon, include=_needed_spaces(modes),
+        train_leads, labels, lexicon,
+        include=[s for s in SPACE_ORDER
+                 if any(s in MODE_SPACES[m] for m in modes)],
         top_k=top_k, table=table)
     space_models: dict[str, LinearModel] = {}
 
@@ -166,15 +160,15 @@ def train_modes(modes: Sequence[str],
 
     classifiers = {}
     for mode in modes:
-        if mode in SINGLE_MODE_SPACE:
-            model = space_model(SINGLE_MODE_SPACE[mode])
-        elif mode == MODE_FEATURE_FUSION:
+        if mode == MODE_FEATURE_FUSION:
             model = train_feature_fusion(train_leads, labels, bundle, config,
                                          dev_leads)
-        else:
+        elif mode == MODE_DECISION_FUSION:
             model = train_decision_fusion(
                 train_leads, dev_leads, labels, bundle, config,
                 first_layer={name: space_model(name) for name in SPACE_ORDER})
+        else:
+            model = space_model(MODE_SPACES[mode][0])
         classifiers[mode] = LeadClassifier(mode=mode, bundle=bundle,
                                            model=model)
     return classifiers
@@ -199,6 +193,8 @@ def _plan_folds(modes: str | Sequence[str], leads: Sequence[AnnotatedLead],
     plan = make_folds([l.id for l in leads], k=k, seed=seed)
     fold_iter = list(range(k) if fold_subset is None
                      else sorted(set(fold_subset)))
+    if not fold_iter:
+        raise ValidationError("fold_subset names no fold")
     for t in fold_iter:
         plan.roles(t)
     return mode_list, plan, fold_iter, {l.id: l for l in leads}
@@ -316,6 +312,7 @@ def learning_curve(leads: Sequence[AnnotatedLead],
             rng = np.random.default_rng([seed, t])
             pool = [pool[j] for j in rng.permutation(len(pool))]
             test_leads = [by_id[i] for i in plan.folds[t]]
+            test_y = label_to_y([labels[l.id] for l in test_leads])
             for size in usable:
                 prefix = [by_id[i] for i in pool[:size]]
                 for needs_dev, group in by_split.items():
@@ -326,10 +323,8 @@ def learning_curve(leads: Sequence[AnnotatedLead],
                                               top_k)
                     for mode, clf in classifiers.items():
                         lexicon = clf.bundle.mrc or lexicon
-                        z = clf.margins(test_leads).tolist()
-                        correct = sum(margin_label(m) == labels[l.id]
-                                      for l, m in zip(test_leads, z))
-                        accs[mode][size].append(correct / len(test_leads))
+                        accs[mode][size].append(
+                            accuracy(clf.margins(test_leads), test_y))
         except ContentDenseError as e:
             raise type(e)(f"fold {t}: {e}") from e
 

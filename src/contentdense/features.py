@@ -377,7 +377,6 @@ class FeatureBundle:
     mi: FeatureSpace | None = None
     pr: FeatureSpace | None = None
     pr_value: str = "count"
-    mi_entries: tuple[MiEntry, ...] = ()
     table: FeatureTable | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -473,7 +472,6 @@ def build_feature_bundle(train_leads: Sequence[AnnotatedLead],
     if table is None:
         table = FeatureTable(train_leads)
     mrc = mi = pr = None
-    mi_entries: tuple[MiEntry, ...] = ()
     if SPACE_MRC in include:
         if lexicon is None:
             raise ValidationError("MRC space requested but no lexicon given")
@@ -481,13 +479,11 @@ def build_feature_bundle(train_leads: Sequence[AnnotatedLead],
     if SPACE_MI in include:
         if labels is None:
             raise ValidationError("MI space requested but no labels given")
-        mi, entries = select_mi_vocabulary(train_leads, labels, top_k=top_k,
-                                           table=table)
-        mi_entries = tuple(entries)
+        mi, _ = select_mi_vocabulary(train_leads, labels, top_k=top_k,
+                                     table=table)
     if SPACE_PR in include:
         pr = pr_space(train_leads, table)
-    return FeatureBundle(mrc=mrc, mi=mi, pr=pr, mi_entries=mi_entries,
-                         table=table)
+    return FeatureBundle(mrc=mrc, mi=mi, pr=pr, table=table)
 
 
 def _key_to_str(name: str, key) -> str:

@@ -64,7 +64,10 @@ MODE_FEATURE_FUSION = "feature_fusion"
 MODE_DECISION_FUSION = "decision_fusion"
 MODES = (MODE_MRC, MODE_MI, MODE_PR, MODE_FEATURE_FUSION, MODE_DECISION_FUSION)
 
-SINGLE_MODE_SPACE = {MODE_MRC: SPACE_MRC, MODE_MI: SPACE_MI, MODE_PR: SPACE_PR}
+# The feature spaces each mode's classifier reads.
+MODE_SPACES = {MODE_MRC: (SPACE_MRC,), MODE_MI: (SPACE_MI,),
+               MODE_PR: (SPACE_PR,), MODE_FEATURE_FUSION: SPACE_ORDER,
+               MODE_DECISION_FUSION: SPACE_ORDER}
 
 SPACE_META = "META"
 
@@ -93,16 +96,23 @@ class TrainConfig:
         return tuple(sorted(self.c_grid))
 
 
-def _label_to_y(labels: Sequence[str]) -> np.ndarray:
-    y = np.empty(len(labels), dtype=np.float64)
-    for k, label in enumerate(labels):
-        if label == CONTENT_DENSE:
-            y[k] = 1.0
-        elif label == NON_CONTENT_DENSE:
-            y[k] = -1.0
-        else:
-            raise ValidationError(f"unknown label {label!r}")
-    return y
+def label_to_y(labels: Sequence[str]) -> np.ndarray:
+    """The labels as a vector: content_dense +1, non_content_dense -1.
+    Raises ValidationError naming the first other label."""
+    text = np.array(labels, dtype=object)
+    dense = text == CONTENT_DENSE
+    bad = ~dense & (text != NON_CONTENT_DENSE)
+    if bad.any():
+        raise ValidationError(f"unknown label {labels[int(bad.argmax())]!r}")
+    return np.where(dense, 1.0, -1.0)
+
+
+def accuracy(z: np.ndarray, y: np.ndarray) -> float:
+    """Share of margins whose class matches y (+1/-1): a margin >= 0
+    predicts content_dense, as margin_label does."""
+    if len(z) != len(y) or not len(y):
+        raise ValidationError(f"{len(z)} margins for {len(y)} labels")
+    return int(np.count_nonzero((z >= 0.0) == (y > 0))) / len(y)
 
 
 def _sigmoid(z: float) -> float:
@@ -150,6 +160,12 @@ class LinearModel:
             raise NumericError(f"{self.space_name} model gave a NaN margin")
         return z
 
+    def score(self, bundle: FeatureBundle,
+              leads: Sequence[AnnotatedLead]) -> np.ndarray:
+        """Decision margins of the leads over the spaces ``space_name``
+        names (several joined by "+")."""
+        return self.margins(bundle.matrix(leads, self.space_name.split("+")))
+
     def proba_from_margins(self, z: np.ndarray) -> np.ndarray:
         """Probability of the content_dense class for each margin.
 
@@ -157,18 +173,17 @@ class LinearModel:
         models require a fitted Platt calibration (a, b) and return
         sigmoid(a*margin + b).
         """
-        if self.loss == LOSS_LOGISTIC:
-            return np.array([_sigmoid(m) for m in z.tolist()])
-        if self.platt is None:
-            raise ValidationError(
-                "hinge model has no Platt calibration; fit one on held-out "
-                "margins before asking for probabilities"
-            )
-        a, b = self.platt
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = a * z + b
-        if np.isnan(z).any():  # a zero slope times an infinite margin
-            raise NumericError(f"{self.space_name} Platt calibration gave a NaN")
+        if self.loss != LOSS_LOGISTIC:
+            if self.platt is None:
+                raise ValidationError(
+                    "hinge model has no Platt calibration; fit one on "
+                    "held-out margins before asking for probabilities")
+            a, b = self.platt
+            with np.errstate(over="ignore", invalid="ignore"):
+                z = a * z + b
+            if np.isnan(z).any():  # a zero slope times an infinite margin
+                raise NumericError(
+                    f"{self.space_name} Platt calibration gave a NaN")
         return np.array([_sigmoid(m) for m in z.tolist()])
 
 
@@ -212,7 +227,7 @@ def train_linear(X: CsrMatrix, y: Sequence[str], space_name: str, loss: str,
     """
     if X.n_rows != len(y):
         raise ValidationError(f"{X.n_rows} rows for {len(y)} labels")
-    return _train_on_csr(X, _label_to_y(y), space_name, loss, c)
+    return _train_on_csr(X, label_to_y(y), space_name, loss, c)
 
 
 def _grid_search(train_X: CsrMatrix, train_y: np.ndarray,
@@ -234,8 +249,7 @@ def _grid_search(train_X: CsrMatrix, train_y: np.ndarray,
     best_acc = -1.0
     for c in grid:
         model = _train_on_csr(train_X, train_y, space_name, loss, c)
-        predicted = np.where(model.margins(dev_X) >= 0.0, 1.0, -1.0)
-        acc = float((predicted == dev_y).mean())
+        acc = accuracy(model.margins(dev_X), dev_y)
         if acc > best_acc:
             best_model, best_acc = model, acc
     return best_model
@@ -269,11 +283,11 @@ def train_single(train_leads: Sequence[AnnotatedLead],
         _check_disjoint(train_leads, dev_leads)
     names = space_name.split("+")
     train_X = bundle.matrix(train_leads, names)
-    train_y = _label_to_y([labels[l.id] for l in train_leads])
+    train_y = label_to_y([labels[l.id] for l in train_leads])
     dev_X = dev_y = None
     if dev_leads:
         dev_X = bundle.matrix(dev_leads, names)
-        dev_y = _label_to_y([labels[l.id] for l in dev_leads])
+        dev_y = label_to_y([labels[l.id] for l in dev_leads])
     return _grid_search(train_X, train_y, dev_X, dev_y, space_name,
                         LOSS_LOGISTIC, config)
 
@@ -305,25 +319,48 @@ class FusionModel:
     second_layer: LinearModel
 
     def __post_init__(self):
-        if set(self.first_layer) != set(SPACE_ORDER):
-            raise ValidationError(
-                f"first layer must cover {SPACE_ORDER}, got "
-                f"{sorted(self.first_layer)}"
-            )
+        _check_first_layer(self.first_layer)
         if self.second_layer.dim != len(self.first_layer):
             raise ValidationError(
                 f"second layer dimension {self.second_layer.dim} does not "
                 f"match {len(self.first_layer)} first-layer models"
             )
 
-    def margins(self, probs: Mapping[str, Sequence[float]]) -> np.ndarray:
-        """Second-layer margins of rows of first-layer probabilities."""
-        return self.second_layer.margins(_meta_matrix(probs))
+    def score(self, bundle: FeatureBundle,
+              leads: Sequence[AnnotatedLead]) -> np.ndarray:
+        """Second-layer margins of the leads."""
+        return self.second_layer.margins(
+            _first_layer_rows(self.first_layer, bundle, leads))
+
+    def proba_from_margins(self, z: np.ndarray) -> np.ndarray:
+        """The second layer's Platt-calibrated probability of each margin."""
+        return self.second_layer.proba_from_margins(z)
 
 
-def _meta_matrix(probs: Mapping[str, Sequence[float]]) -> CsrMatrix:
-    """Dense second-layer rows: the MRC, MI and PR probabilities."""
-    values = np.column_stack([probs[name] for name in SPACE_ORDER])
+def _check_first_layer(first_layer: Mapping[str, LinearModel]) -> None:
+    """ValidationError unless there is one model per space, each trained
+    on the space it is keyed by."""
+    if set(first_layer) != set(SPACE_ORDER):
+        raise ValidationError(
+            f"first layer must cover {SPACE_ORDER}, got {sorted(first_layer)}")
+    for name, model in first_layer.items():
+        if model.space_name != name:
+            raise ValidationError(
+                f"first-layer model for {name!r} was trained on "
+                f"{model.space_name!r}")
+
+
+def _first_layer_rows(first_layer: Mapping[str, LinearModel],
+                      bundle: FeatureBundle,
+                      leads: Sequence[AnnotatedLead]) -> CsrMatrix:
+    """Dense second-layer rows of the leads: their MRC, MI and PR
+    content-dense probabilities. The bundle takes the three matrices from
+    one table holding the leads."""
+    bundle = bundle.holding(leads)
+    values = np.column_stack([
+        first_layer[name].proba_from_margins(
+            first_layer[name].score(bundle, leads))
+        for name in SPACE_ORDER])
     n, d = values.shape
     return pack_csr(np.repeat(np.arange(n), d), np.tile(np.arange(d), n),
                     values.ravel(), n, d)
@@ -385,24 +422,10 @@ def train_decision_fusion(train_leads: Sequence[AnnotatedLead],
         first_layer = {name: train_single(train_leads, labels, bundle, name,
                                           config, dev_leads)
                        for name in SPACE_ORDER}
-    elif set(first_layer) != set(SPACE_ORDER):
-        raise ValidationError(
-            f"first layer must cover {SPACE_ORDER}, got {sorted(first_layer)}"
-        )
+    _check_first_layer(first_layer)
 
-    dev_probs: dict[str, np.ndarray] = {}
-    for name in SPACE_ORDER:
-        model = first_layer[name]
-        if model.space_name != name:
-            raise ValidationError(
-                f"first-layer model for {name!r} was trained on "
-                f"{model.space_name!r}"
-            )
-        dev_X = bundle.matrix(dev_leads, [name])
-        dev_probs[name] = model.proba_from_margins(model.margins(dev_X))
-
-    dev_y = _label_to_y([labels[l.id] for l in dev_leads])
-    meta_X = _meta_matrix(dev_probs)
+    dev_y = label_to_y([labels[l.id] for l in dev_leads])
+    meta_X = _first_layer_rows(first_layer, bundle, dev_leads)
     second = _grid_search(meta_X, dev_y, meta_X, dev_y, SPACE_META,
                           LOSS_HINGE, config)
     second.platt = _platt_from_cv(meta_X, dev_y, SPACE_META, LOSS_HINGE,
@@ -424,44 +447,24 @@ class LeadClassifier:
         is_fusion = isinstance(self.model, FusionModel)
         if is_fusion != (self.mode == MODE_DECISION_FUSION):
             raise ValidationError(f"model type does not match mode {self.mode!r}")
-        for names, model in self._layers():
-            dim = sum(self.bundle.space(name).dim for name in names)
-            if model.space_name != "+".join(names) or model.dim != dim:
+        layers = (self.model.first_layer.items() if is_fusion
+                  else [("+".join(MODE_SPACES[self.mode]), self.model)])
+        for name, model in layers:
+            dim = sum(self.bundle.space(n).dim for n in name.split("+"))
+            if model.space_name != name or model.dim != dim:
                 raise ValidationError(
                     f"{model.space_name!r} model with {model.dim} weights "
-                    f"does not fit the {dim}-dim {'+'.join(names)!r} space")
-
-    def _layers(self) -> list[tuple[list[str], LinearModel]]:
-        """(space names, model) of each model that scores feature rows."""
-        if self.mode == MODE_DECISION_FUSION:
-            return [([name], self.model.first_layer[name])
-                    for name in SPACE_ORDER]
-        if self.mode == MODE_FEATURE_FUSION:
-            return [([s.name for s in self.bundle.active_spaces()], self.model)]
-        return [([SINGLE_MODE_SPACE[self.mode]], self.model)]
+                    f"does not fit the {dim}-dim {name!r} space")
 
     def margins(self, leads: Sequence[AnnotatedLead]) -> np.ndarray:
         """Decision margins of the leads, scored SCORE_BLOCK at a time."""
         return np.concatenate([np.zeros(0)] + [
-            self._block_margins(leads[i:i + SCORE_BLOCK])
+            self.model.score(self.bundle, leads[i:i + SCORE_BLOCK])
             for i in range(0, len(leads), SCORE_BLOCK)])
-
-    def _block_margins(self, leads: Sequence[AnnotatedLead]) -> np.ndarray:
-        layers = self._layers()
-        bundle = self.bundle.holding(leads)
-        if self.mode != MODE_DECISION_FUSION:
-            [(names, model)] = layers
-            return model.margins(bundle.matrix(leads, names))
-        return self.model.margins(
-            {names[0]: model.proba_from_margins(
-                model.margins(bundle.matrix(leads, names)))
-             for names, model in layers})
 
     def proba_from_margins(self, z: np.ndarray) -> np.ndarray:
         """Content-dense probability of each decision margin."""
-        fusion = self.mode == MODE_DECISION_FUSION
-        return (self.model.second_layer if fusion
-                else self.model).proba_from_margins(z)
+        return self.model.proba_from_margins(z)
 
     def probabilities(self, leads: Sequence[AnnotatedLead]) -> np.ndarray:
         """Content-dense probability of each lead."""

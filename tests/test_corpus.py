@@ -452,8 +452,8 @@ class TestAnnotatedLead:
         assert lead.n_tokens == 5
         assert lead.words == ("the", "cat", "sat", "dogs", "ran")
         assert lead.word_counts["the"] == 1
-        assert WordPosTuple("cat", "NN") in lead.tuple_set
-        assert WordPosTuple("Cat", "NN") not in lead.tuple_set
+        assert WordPosTuple("cat", "NN") in lead.tuples
+        assert WordPosTuple("Cat", "NN") not in lead.tuples
 
     def test_pos_kept_verbatim(self):
         lead = make_lead()

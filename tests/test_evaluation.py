@@ -244,6 +244,18 @@ class TestCrossValidate:
                            config=ONE_C, fold_subset=[0, 11])
         assert calls == []
 
+    @pytest.mark.parametrize("run", [cross_validate, learning_curve])
+    def test_empty_fold_subset_rejected_before_training(self, monkeypatch,
+                                                        run):
+        calls = []
+        monkeypatch.setattr(evaluation, "train_modes",
+                            lambda *args, **kwargs: calls.append(args))
+        leads, labels = make_corpus(60, seed=6)
+        with pytest.raises(ValidationError, match="fold_subset"):
+            run(leads, labels, MODE_MRC, lexicon=MRC_LEXICON, config=ONE_C,
+                fold_subset=[])
+        assert calls == []
+
 
 class TestSplitTrainDev:
     @pytest.mark.parametrize("n,n_train", [(2, 1), (3, 1), (9, 5), (10, 5),

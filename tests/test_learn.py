@@ -15,7 +15,6 @@ from contentdense.errors import (
 )
 from contentdense.features import (
     SPACE_MI,
-    SPACE_MRC,
     SPACE_ORDER,
     SPACE_PR,
     FeatureSpace,
@@ -32,14 +31,16 @@ from contentdense.learn import (
     MODE_DECISION_FUSION,
     MODE_FEATURE_FUSION,
     MODE_MI,
+    MODE_SPACES,
     MODES,
-    SINGLE_MODE_SPACE,
     FusionModel,
     LeadClassifier,
     TOL,
     LinearModel,
     TrainConfig,
+    accuracy,
     classifier_from_record,
+    label_to_y,
     load_classifier,
     margin_label,
     save_classifier,
@@ -114,6 +115,42 @@ def toy_matrix(*values, n_cols=1):
                     np.zeros(len(rows), dtype=np.int64),
                     np.array([values[k] for k in rows], dtype=np.float64),
                     len(values), n_cols)
+
+
+class TestLabelsAndAccuracy:
+    @pytest.mark.parametrize("z,label", [
+        (0.0, CONTENT_DENSE), (-0.0, CONTENT_DENSE), (5e-324, CONTENT_DENSE),
+        (-5e-324, NON_CONTENT_DENSE), (1.0, CONTENT_DENSE),
+        (-1.0, NON_CONTENT_DENSE)])
+    def test_tie_rule_is_shared(self, z, label):
+        """A margin >= 0 is content_dense, exact zeros of either sign
+        included, for one prediction and for an accuracy alike."""
+        assert margin_label(z) == label
+        assert accuracy(np.array([z]), label_to_y([label])) == 1.0
+        other = NON_CONTENT_DENSE if label == CONTENT_DENSE else CONTENT_DENSE
+        assert accuracy(np.array([z]), label_to_y([other])) == 0.0
+
+    def test_accuracy_is_the_share_correct(self):
+        z = np.array([0.5, -0.5, 0.0, -2.0, 3.0, -0.0, 1.0])
+        y = label_to_y([CONTENT_DENSE, CONTENT_DENSE, NON_CONTENT_DENSE,
+                        NON_CONTENT_DENSE, CONTENT_DENSE, CONTENT_DENSE,
+                        NON_CONTENT_DENSE])
+        assert accuracy(z, y) == 4 / 7
+        with pytest.raises(ValidationError):
+            accuracy(z[:2], y)
+        with pytest.raises(ValidationError):
+            accuracy(np.zeros(0), label_to_y([]))
+
+    def test_label_encoding(self):
+        y = label_to_y([CONTENT_DENSE, NON_CONTENT_DENSE, CONTENT_DENSE])
+        assert y.dtype == np.float64
+        assert y.tolist() == [1.0, -1.0, 1.0]
+        empty = label_to_y([])
+        assert empty.dtype == np.float64 and empty.shape == (0,)
+        with pytest.raises(ValidationError, match="unknown label 'maybe'"):
+            label_to_y([CONTENT_DENSE, "maybe", None])
+        with pytest.raises(ValidationError, match="unknown label None"):
+            label_to_y([None, "maybe"])
 
 
 class TestTrainLinear:
@@ -321,14 +358,14 @@ class TestDecisionFusion:
             assert np.array_equal(again.first_layer[name].weights,
                                   fusion.first_layer[name].weights)
 
-    def test_zero_second_layer_ties_to_dense(self, fusion):
+    def test_zero_second_layer_ties_to_dense(self, corpus, bundle, fusion):
         flat = LinearModel(weights=np.zeros(3), bias=0.0, space_name="META",
                            loss=LOSS_HINGE, l2_c=1.0, platt=(1.0, 0.0))
         tied = FusionModel(first_layer=dict(fusion.first_layer),
                            second_layer=flat)
-        z = tied.margins({SPACE_MRC: [0.9], SPACE_MI: [0.1], SPACE_PR: [0.4]})
+        z = tied.score(bundle, corpus[1][:1])
         assert z.tolist() == [0.0]
-        assert tied.second_layer.proba_from_margins(z).tolist() == [0.5]
+        assert tied.proba_from_margins(z).tolist() == [0.5]
         assert margin_label(0.0) == CONTENT_DENSE
 
     def test_second_layer_dim_checked(self, fusion):
@@ -371,11 +408,11 @@ def random_model(rng, mode, bundle):
                            bias=float(rng.normal()), space_name=space.name,
                            loss=loss, l2_c=1.0, platt=platt)
 
-    if mode in SINGLE_MODE_SPACE:
-        return linear(bundle.space(SINGLE_MODE_SPACE[mode]))
     if mode == MODE_FEATURE_FUSION:
         return linear(FeatureSpace(bundle.combined_name, {
             k: k for k in range(sum(s.dim for s in bundle.active_spaces()))}))
+    if mode != MODE_DECISION_FUSION:
+        return linear(bundle.space(MODE_SPACES[mode][0]))
     return FusionModel(
         first_layer={name: linear(bundle.space(name)) for name in SPACE_ORDER},
         second_layer=linear(FeatureSpace("META", {k: k for k in range(3)}),
@@ -400,17 +437,16 @@ class TestBatchScoring:
                 clf.predict_proba(l) for l in leads]
             assert [margin_label(m) for m in z.tolist()] == [
                 clf.predict_label(l) for l in leads]
-            if mode in SINGLE_MODE_SPACE:
-                names = [SINGLE_MODE_SPACE[mode]]
-            elif mode == MODE_FEATURE_FUSION:
-                names = [s.name for s in bundle.active_spaces()]
-            else:
-                probs = [{name: first.proba_from_margins(
-                             first.margins(bundle.matrix([l], [name])))
-                          for name, first in model.first_layer.items()}
-                         for l in leads]
-                assert z.tolist() == [model.margins(p)[0] for p in probs]
+            if mode == MODE_DECISION_FUSION:
+                first = model.first_layer
+                probs = [[first[name].proba_from_margins(first[name].margins(
+                              bundle.matrix([l], [name])))[0]
+                          for name in SPACE_ORDER] for l in leads]
+                assert z.tolist() == [model.second_layer.margins(pack_csr(
+                    np.zeros(3, dtype=np.int64), np.arange(3), np.array(p),
+                    1, 3))[0] for p in probs]
                 continue
+            names = MODE_SPACES[mode]
             assert z.tolist() == [model.margins(bundle.matrix([l], names))[0]
                                   for l in leads]
 

@@ -1,16 +1,22 @@
 """perfbench's tracer replaces package functions where their callers look
 them up (``_targets``). A site that no longer exists only fails inside a
-traced benchmark run, and a fit that stops calling a traced name only
-zeroes a metric, so this checks every site against the package and that a
-fit still passes through the solver and objective sites."""
+traced benchmark run, and a fit or a score that stops calling a traced
+name only zeroes a metric, so this checks every site against the package,
+that a fit still passes through the solver and objective sites, and that
+training and scoring a decision-fusion classifier pass through the
+training, calibration and margin sites."""
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
+from contentdense.evaluation import train_modes
+from contentdense.features import FeatureTable
 from contentdense.kernels import LOSS_LOGISTIC, pack_csr
-from contentdense.learn import train_linear
+from contentdense.learn import MODE_DECISION_FUSION, TrainConfig, train_linear
+from test_learn import MRC_LEXICON, make_corpus
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -57,3 +63,24 @@ def test_a_fit_reaches_the_solver_and_objective_sites():
     assert metrics["optimize.fits"] == 1
     assert metrics["kernels.objective_calls"] > 0
     assert metrics["optimize.iterations"] > 0
+
+
+def test_decision_fusion_reaches_the_train_platt_and_margin_sites():
+    tracer = load_tracer()
+    leads, labels = make_corpus(60, seed=7)
+    train, dev, test = leads[:30], leads[30:50], leads[50:]
+    run = tracer.Tracer("guard")
+    run.install()
+    try:
+        clf = train_modes([MODE_DECISION_FUSION], train, dev, labels,
+                          MRC_LEXICON, FeatureTable(leads),
+                          TrainConfig(c_grid=(1.0,)))[MODE_DECISION_FUSION]
+        n_trained = len(run.spans)
+        clf.margins(test)
+    finally:
+        run.uninstall()
+    spans = Counter(run.names[nid] for nid, _, _, _ in run.spans[:n_trained])
+    assert spans["learn.train"] > 0
+    assert spans["optimize.platt"] == 1
+    scored = Counter(run.names[nid] for nid, _, _, _ in run.spans[n_trained:])
+    assert scored["kernels.margins"] == 4  # three first-layer models, one second

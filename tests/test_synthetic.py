@@ -7,7 +7,7 @@ import pytest
 
 from contentdense.corpus import save_corpus
 from contentdense.errors import ValidationError
-from contentdense.features import SPACE_MI, build_feature_bundle
+from contentdense.features import select_mi_vocabulary
 from contentdense.labeling import (
     CONTENT_DENSE,
     NON_CONTENT_DENSE,
@@ -148,11 +148,9 @@ class TestPlantedSignals:
             assert label == standard.true_labels[lead_id]
 
     def test_mi_selection_finds_the_planted_markers(self, standard):
-        bundle = build_feature_bundle(
-            standard.leads, standard.true_labels,
-            lexicon=standard.lexicon_words, include=(SPACE_MI,), top_k=20,
-        )
-        for entry in bundle.mi_entries:
+        entries = select_mi_vocabulary(standard.leads, standard.true_labels,
+                                       top_k=20)[1]
+        for entry in entries:
             if entry.label == CONTENT_DENSE:
                 assert entry.word in standard.dense_markers
             else:
