@@ -9,6 +9,12 @@ is documented in FORMAT.md at the repository root.
 Words are case-folded at ingestion: the folded form of a token is its lemma
 (lower-cased) when a lemma is supplied, otherwise the lower-cased surface
 form. POS tags are kept verbatim.
+
+Loaded leads share equal values: each distinct token, lemma, folded word,
+POS tag, node label, domain, (word, POS) tuple and parse leaf is stored
+once, through bounded tables (``InternTable``) that start over when full.
+Equal values are therefore usually, but not always, the same object, so
+callers must compare them by value.
 """
 
 from __future__ import annotations
@@ -182,10 +188,39 @@ class ParseTree(tuple):
         return "".join(parts)[1:]
 
 
-# Preterminals repeat across a corpus and nodes are immutable with
-# structural equality, so each distinct "(TAG word)" token text maps to one
-# shared leaf node.
-_LEAVES = InternTable(lambda tok: _new_tuple(ParseTree, tok[1:-1].split()))
+# Decoded values repeat across a corpus and are immutable, so each distinct
+# one is stored once: words (tokens and lemmas, and their folded forms) in
+# _WORDS, POS tags, node labels and domains in _TAGS. _FOLDED maps a token or
+# lemma to its folded word, _PAIRS an unfolded (word, POS) pair to its
+# WordPosTuple, and _LEAVES a "(TAG word)" token text to its leaf node.
+_WORDS = InternTable(str)
+_TAGS = InternTable(str)
+_FOLDED = InternTable(lambda word: _WORDS[word.lower()])
+_PAIRS = InternTable(
+    lambda pair: _new_tuple(WordPosTuple, (_FOLDED[pair[0]], _TAGS[pair[1]])))
+
+
+def _leaf(token: str) -> ParseTree:
+    tag, word = token[1:-1].split()
+    return _new_tuple(ParseTree, (_TAGS[tag], _WORDS[word]))
+
+
+_LEAVES = InternTable(_leaf)
+
+
+def intern_words(words: Iterable[str]) -> tuple[str, ...]:
+    """The shared copy of each token or lemma."""
+    return tuple(map(_WORDS.__getitem__, words))
+
+
+def intern_tags(tags: Iterable[str]) -> tuple[str, ...]:
+    """The shared copy of each POS tag."""
+    return tuple(map(_TAGS.__getitem__, tags))
+
+
+def intern_pairs(pairs: Iterable[tuple[str, str]]) -> tuple[WordPosTuple, ...]:
+    """The shared WordPosTuple of each (word, POS) pair, its word folded."""
+    return tuple(map(_PAIRS.__getitem__, pairs))
 
 
 def _byte_offset(text: str, char_index: int) -> int:
@@ -225,7 +260,7 @@ def parse_ptb_tree(bracketed: str) -> ParseTree:
                     fail("missing node label", i + 1)
                 tok = tokens[i + 2]
                 if tok[0] == "(":
-                    open_nodes.append([label, None])
+                    open_nodes.append([_TAGS[label], None])
                     i += 2
                     continue
                 if tok == ")":
@@ -252,10 +287,6 @@ def parse_ptb_tree(bracketed: str) -> ParseTree:
                 return node
     except IndexError:
         fail("unbalanced parentheses: input ends inside a node", n)
-
-
-def _fold_word(surface: str, lemma: str | None) -> str:
-    return lemma.lower() if lemma is not None else surface.lower()
 
 
 @dataclass(frozen=True)
@@ -285,13 +316,14 @@ class Sentence:
             )
 
     def folded_words(self) -> list[str]:
-        """Case-folded word forms (lemma when present, else lower-cased surface)."""
-        if self.lemmas is None:
-            return [t.lower() for t in self.tokens]
-        return [_fold_word(t, l) for t, l in zip(self.tokens, self.lemmas)]
+        """Case-folded word forms (lower-cased lemma when present, else
+        lower-cased surface)."""
+        words = self.tokens if self.lemmas is None else self.lemmas
+        return list(map(_FOLDED.__getitem__, words))
 
     def word_pos_tuples(self) -> list[WordPosTuple]:
-        return [WordPosTuple(w, p) for w, p in zip(self.folded_words(), self.pos)]
+        words = self.tokens if self.lemmas is None else self.lemmas
+        return list(map(_PAIRS.__getitem__, zip(words, self.pos)))
 
 
 @dataclass(frozen=True)
@@ -420,9 +452,9 @@ def _sentence_from_record(rec, where: str) -> Sentence:
     parse = json_field(rec, "parse", str, optional=True, where=where)
     lemmas = json_field(rec, "lemmas", list, str, optional=True, where=where)
     return Sentence(
-        tokens=tuple(json_field(rec, "tokens", list, str, where=where)),
-        pos=tuple(json_field(rec, "pos", list, str, where=where)),
-        lemmas=None if lemmas is None else tuple(lemmas),
+        tokens=intern_words(json_field(rec, "tokens", list, str, where=where)),
+        pos=intern_tags(json_field(rec, "pos", list, str, where=where)),
+        lemmas=None if lemmas is None else intern_words(lemmas),
         parse=None if parse is None else parse_ptb_tree(parse),
     )
 
@@ -448,12 +480,11 @@ def lead_from_record(rec) -> AnnotatedLead:
     sentences = enumerate(json_field(rec, "sentences", list, dict))
     return AnnotatedLead(
         id=json_field(rec, "id", str),
-        domain=json_field(rec, "domain", str),
+        domain=_TAGS[json_field(rec, "domain", str)],
         lead_text=json_field(rec, "lead_text", str),
         sentences=tuple(_sentence_from_record(s, f"sentence {k}")
                         for k, s in sentences),
-        summary=None if summary is None else tuple(
-            [_new_tuple(WordPosTuple, (w.lower(), p)) for w, p in summary]),
+        summary=None if summary is None else intern_pairs(map(tuple, summary)),
         article_word_count=json_field(rec, "article_word_count", int),
     )
 

@@ -31,7 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import DOMAINS, AnnotatedLead, Sentence, WordPosTuple, parse_ptb_tree
+from .corpus import (
+    DOMAINS,
+    AnnotatedLead,
+    Sentence,
+    intern_pairs,
+    intern_tags,
+    intern_words,
+    parse_ptb_tree,
+)
 from .errors import ValidationError
 from .labeling import CONTENT_DENSE, NON_CONTENT_DENSE
 
@@ -77,7 +85,7 @@ SPARSE_TEMPLATES = (
 
 # Preterminal labels of each template, in slot order.
 _TEMPLATE_POS = {
-    template: tuple(re.findall(r"\((\S+) \{\}\)", template))
+    template: intern_tags(re.findall(r"\((\S+) \{\}\)", template))
     for template in DENSE_TEMPLATES + SPARSE_TEMPLATES
 }
 
@@ -142,7 +150,7 @@ def generate_corpus(n: int, profile: str = PROFILE_STANDARD,
         pos_tags: list[str] = []
         for half, t in enumerate(rng.integers(len(templates), size=2).tolist()):
             template = templates[t]
-            chunk = tuple(slots[half * 8:(half + 1) * 8])
+            chunk = intern_words(slots[half * 8:(half + 1) * 8])
             pos = _TEMPLATE_POS[template]
             tree = parse_ptb_tree(template.format(*chunk))
             sentences.append(Sentence(tokens=chunk, pos=pos, parse=tree))
@@ -151,9 +159,9 @@ def generate_corpus(n: int, profile: str = PROFILE_STANDARD,
         low, high = _OVERLAP_DENSE if dense else _OVERLAP_SPARSE
         n_overlap = int(rng.integers(low, high))
         picks = rng.integers(_SLOTS_PER_LEAD, size=n_overlap)
-        summary = [WordPosTuple(slots[p], pos_tags[p]) for p in picks.tolist()]
+        summary = [(slots[p], pos_tags[p]) for p in picks.tolist()]
         noise = rng.integers(len(_SUMMARY_NOISE), size=_SUMMARY_LEN - n_overlap)
-        summary += [WordPosTuple(_SUMMARY_NOISE[j], "NN") for j in noise.tolist()]
+        summary += [(_SUMMARY_NOISE[j], "NN") for j in noise.tolist()]
         summary = [summary[j] for j in rng.permutation(len(summary)).tolist()]
 
         mean_count = 900.0 if dense else 750.0
@@ -165,7 +173,7 @@ def generate_corpus(n: int, profile: str = PROFILE_STANDARD,
             domain=DOMAINS[i % len(DOMAINS)],
             lead_text=" ".join(slots),
             sentences=tuple(sentences),
-            summary=tuple(summary),
+            summary=intern_pairs(summary),
             article_word_count=word_count,
         )
         leads.append(lead)

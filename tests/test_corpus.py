@@ -1,13 +1,16 @@
+import gc
 import json
 import math
 import pickle
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contentdense.combine import PREF_SYSTEM, SummaryPair, load_pairs, save_pairs
 from contentdense.corpus import (
     AnnotatedLead,
     InternTable,
@@ -29,6 +32,7 @@ from contentdense.errors import (
     ValidationError,
 )
 from contentdense.features import ProductionRule, extract_production_rules
+from contentdense.synthetic import generate_corpus
 
 NONTERMINALS = ["S", "NP", "VP", "PP", "SBAR", "ADJP", "ADVP"]
 PRETERMINALS = ["DT", "NN", "VBD", "JJ", "IN", "RB", "PRP"]
@@ -626,3 +630,105 @@ def test_bundled_lexicon_loads():
     assert len(words) >= 200
     assert all(w == w.lower() for w in words)
     assert "granite" in words and "copper" in words
+
+
+SHARED_TABLES = ("_WORDS", "_TAGS", "_FOLDED", "_PAIRS", "_LEAVES")
+
+
+def fresh_tables(monkeypatch, limit=1 << 16):
+    """Replace every corpus intern table with an empty one."""
+    from contentdense import corpus
+    for name in SHARED_TABLES:
+        make = getattr(corpus, name).make
+        monkeypatch.setattr(corpus, name, InternTable(make, limit=limit))
+
+
+def decoded_values(leads):
+    """The leads' words (tokens, lemmas, folded and leaf words), POS tags,
+    node labels and domains, parse leaves, and (word, POS) tuples (summary
+    and cached lead tuples)."""
+    words, tags, labels, leaves, pairs = [], [], [], [], []
+    for lead in leads:
+        labels.append(lead.domain)
+        words += lead.words
+        pairs += lead.tuples + (lead.summary or ())
+        for s in lead.sentences:
+            words += s.tokens + (s.lemmas or ())
+            tags += s.pos
+            stack = [] if s.parse is None else [s.parse]
+            while stack:
+                node = stack.pop()
+                labels.append(node.label)
+                if node.is_leaf:
+                    leaves.append(node)
+                    words.append(node.leaf_word)
+                stack.extend(node.children)
+    return words, tags, labels, leaves, pairs
+
+
+def corpus_file(path, n):
+    """A seed-7 synthetic corpus of ``n`` leads, then SAMPLE_RECORDS (mixed
+    case, lemmas, a sentence without a parse)."""
+    save_corpus(generate_corpus(n, seed=7).leads, path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(rec) + "\n" for rec in SAMPLE_RECORDS)
+    return path
+
+
+class TestSharedValues:
+    def test_equal_values_are_one_object(self, tmp_path, monkeypatch):
+        fresh_tables(monkeypatch)
+        generated = generate_corpus(40, seed=7).leads
+        loaded = load_corpus(corpus_file(tmp_path / "c.jsonl", 40))
+        pairs_path = tmp_path / "pairs.jsonl"
+        save_pairs([SummaryPair(f"p{k}", generated[2 * k],
+                                generated[2 * k + 1], PREF_SYSTEM)
+                    for k in range(10)], pairs_path)
+        paired = [lead for pair in load_pairs(pairs_path)
+                  for lead in (pair.lead_summary, pair.system_summary)]
+        for leads in (generated, loaded, paired):
+            for values in decoded_values(leads):
+                # Values repeat, and each distinct value is one object.
+                assert (len({id(v) for v in values}) == len(set(values))
+                        < len(values))
+
+    def test_full_tables_change_no_value(self, tmp_path, monkeypatch):
+        path = corpus_file(tmp_path / "c.jsonl", 30)
+
+        def decode():
+            leads = load_corpus(path)
+            save_corpus(leads, tmp_path / "again.jsonl")
+            return (leads, [lead.words for lead in leads],
+                    [lead.tuples for lead in leads],
+                    [extract_production_rules(s.parse) for lead in leads
+                     for s in lead.sentences if s.parse is not None],
+                    (tmp_path / "again.jsonl").read_bytes())
+
+        fresh_tables(monkeypatch)
+        expected = decode()
+        fresh_tables(monkeypatch, limit=2)
+        assert decode() == expected
+        from contentdense import corpus
+        assert all(len(getattr(corpus, name)) <= 2 for name in SHARED_TABLES)
+
+
+# tracemalloc live bytes after loading the seed-7 corpus of 1,000 leads
+# into empty tables (CPython 3.11): 10,798,705 when only parse leaves were
+# shared and 4,277,707 with every equal decoded value shared; leaving out
+# only the node labels, the tokens or the POS tags gives 4.9-5.2 million.
+LOADED_CORPUS_BYTES = 4_800_000
+
+
+def test_loaded_corpus_memory(tmp_path, monkeypatch):
+    path = tmp_path / "c.jsonl"
+    save_corpus(generate_corpus(1000, seed=7).leads, path)
+    fresh_tables(monkeypatch)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        leads = load_corpus(path)
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(leads) == 1000
+    assert live < LOADED_CORPUS_BYTES
