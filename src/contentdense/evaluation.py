@@ -6,20 +6,35 @@ train the per-space models, four folds serve as development data (model
 selection and the fusion second layer), one fold is held out for testing.
 The test fold for iteration t is the same regardless of which classifier
 modes are evaluated, so accuracies are comparable across modes.
+
+``cross_validate`` and ``learning_curve`` train their folds in forked
+worker processes, one per usable CPU (never more than there are folds),
+when the platform can fork; otherwise, or with one CPU, they run the folds
+in the calling process. Each fold depends only on the leads, the labels
+and the fold plan, so the results do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import AnnotatedLead
 from .errors import ContentDenseError, NumericError, ValidationError
-from .features import SPACE_ORDER, FeatureTable, build_feature_bundle
+from .features import (
+    SPACE_MRC,
+    SPACE_ORDER,
+    SPACE_PR,
+    FeatureSpace,
+    FeatureTable,
+    build_feature_bundle,
+    mrc_space,
+)
 from .labeling import CONTENT_DENSE, LABELS, NON_CONTENT_DENSE
 from .learn import (
     MODE_DECISION_FUSION,
@@ -175,11 +190,13 @@ def train_modes(modes: Sequence[str],
 
 
 def _plan_folds(modes: str | Sequence[str], leads: Sequence[AnnotatedLead],
-                labels: Mapping[str, str], k: int, seed: int,
-                fold_subset: Sequence[int] | None):
+                labels: Mapping[str, str], lexicon: Iterable[str] | None,
+                k: int, seed: int, fold_subset: Sequence[int] | None):
     """(mode list, fold plan, folds to run in increasing order, leads by
-    id), after checking the modes, the labels and every fold index, so
-    that a bad argument fails before anything trains."""
+    id, lexicon), after checking the modes, the labels and every fold
+    index, so that a bad argument fails before anything trains. When a
+    mode needs the MRC space, the returned lexicon is that space, built
+    once for every fold; otherwise it is ``lexicon`` unchanged."""
     mode_list = [modes] if isinstance(modes, str) else list(modes)
     for mode in mode_list:
         if mode not in MODES:
@@ -197,7 +214,97 @@ def _plan_folds(modes: str | Sequence[str], leads: Sequence[AnnotatedLead],
         raise ValidationError("fold_subset names no fold")
     for t in fold_iter:
         plan.roles(t)
-    return mode_list, plan, fold_iter, {l.id: l for l in leads}
+    if (lexicon is not None and not isinstance(lexicon, FeatureSpace)
+            and any(SPACE_MRC in MODE_SPACES[m] for m in mode_list)):
+        lexicon = mrc_space(lexicon)
+    return mode_list, plan, fold_iter, {l.id: l for l in leads}, lexicon
+
+
+def _counted_table(table: FeatureTable | None,
+                   leads: Sequence[AnnotatedLead],
+                   mode_list: Sequence[str]) -> FeatureTable:
+    """``table`` (a new one over ``leads`` when None) holding the word and
+    rule counts the modes need, made here before the folds run, so that
+    forked fold workers inherit them instead of each counting again."""
+    if table is None:
+        table = FeatureTable(leads)
+    spaces = {s for m in mode_list for s in MODE_SPACES[m]}
+    if spaces - {SPACE_PR}:
+        table.words
+    if SPACE_PR in spaces:
+        table.rules
+    return table
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_fold_work: Callable[[int], object] | None = None  # set in pool workers
+
+
+def _adopt_fold_work(work: Callable[[int], object]) -> None:
+    global _fold_work
+    _fold_work = work
+
+
+def _run_fold_in_worker(t: int):
+    return _fold_work(t)
+
+
+def _map_folds(work: Callable[[int], object],
+               fold_iter: Sequence[int]) -> list:
+    """``work(t)`` for every fold t of ``fold_iter``, in that order.
+
+    With two or more usable CPUs and folds, and where processes can fork,
+    the folds run in a pool of forked workers, one per CPU but no more
+    than the folds. The workers inherit ``work`` (and everything it
+    refers to) through the fork, so only fold indices go to them and only
+    the plain data ``work`` returns comes back. Otherwise the folds run
+    here. A ContentDenseError re-raises as its own type with the fold
+    index in its message; of several failing folds the lowest is
+    reported. The pool is shut down and its workers joined on every way
+    out.
+    """
+    n_workers = min(_usable_cpus(), len(fold_iter))
+    pool = _fork_pool(work, n_workers) if n_workers > 1 else None
+    try:
+        if pool is None:
+            outcomes = [lambda t=t: work(t) for t in fold_iter]
+        else:
+            outcomes = [pool.submit(_run_fold_in_worker, t).result
+                        for t in fold_iter]
+        results = []
+        for t, outcome in zip(fold_iter, outcomes):
+            try:
+                results.append(outcome())
+            except ContentDenseError as e:
+                raise type(e)(f"fold {t}: {e}") from e
+        return results
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _fork_pool(work: Callable[[int], object], n_workers: int):
+    """A process pool of ``n_workers`` forked workers that run ``work``,
+    or None where processes cannot fork. Forked, not spawned: a spawned
+    worker would import the package again and be sent the leads and the
+    table. The imports stay here so that importing the package does not
+    pay for them."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return ProcessPoolExecutor(n_workers,
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_adopt_fold_work,
+                               initargs=(work,))
 
 
 def cross_validate(leads: Sequence[AnnotatedLead],
@@ -217,39 +324,41 @@ def cross_validate(leads: Sequence[AnnotatedLead],
     trained from the first-layer folds is identical across modes. Returns
     one CrossValidationResult for a single mode, or a dict keyed by mode.
     Counts come from ``table`` (one over ``leads`` when none is given).
+    Folds may train in forked worker processes (see the module notes).
 
     Training failures carry the fold index in their message.
     """
     config = config or TrainConfig()
-    mode_list, plan, fold_iter, by_id = _plan_folds(modes, leads, labels, k,
-                                                    seed, fold_subset)
-    results = {m: CrossValidationResult(m, [], []) for m in mode_list}
-    if table is None:
-        table = FeatureTable(leads)
+    mode_list, plan, fold_iter, by_id, lexicon = _plan_folds(
+        modes, leads, labels, lexicon, k, seed, fold_subset)
+    table = _counted_table(table, leads, mode_list)
 
-    for t in fold_iter:
-        try:
-            _, first, second = plan.roles(t)
-            train_leads = [by_id[i] for f in first for i in plan.folds[f]]
-            dev_leads = [by_id[i] for f in second for i in plan.folds[f]]
-            test_leads = [by_id[i] for i in plan.folds[t]]
-            classifiers = train_modes(mode_list, train_leads, dev_leads,
-                                      labels, lexicon, table, config, top_k)
-            for mode, clf in classifiers.items():
-                lexicon = clf.bundle.mrc or lexicon  # later folds reuse it
-                z = clf.margins(test_leads)
-                correct = 0
-                for lead, m, p in zip(test_leads, z.tolist(),
-                                      clf.proba_from_margins(z).tolist()):
-                    predicted = margin_label(m)
-                    correct += predicted == labels[lead.id]
-                    results[mode].predictions.append(Prediction(
-                        lead_id=lead.id, fold=t, proba=p,
-                        predicted=predicted, actual=labels[lead.id]))
-                results[mode].folds.append(FoldAccuracy(
-                    fold=t, n_test=len(test_leads), n_correct=correct))
-        except ContentDenseError as e:
-            raise type(e)(f"fold {t}: {e}") from e
+    def test_scores(t: int) -> dict[str, tuple[list[float], list[float]]]:
+        """Each mode's margins and probabilities on test fold t."""
+        _, first, second = plan.roles(t)
+        train_leads = [by_id[i] for f in first for i in plan.folds[f]]
+        dev_leads = [by_id[i] for f in second for i in plan.folds[f]]
+        test_leads = [by_id[i] for i in plan.folds[t]]
+        classifiers = train_modes(mode_list, train_leads, dev_leads, labels,
+                                  lexicon, table, config, top_k)
+        scores = {}
+        for mode, clf in classifiers.items():
+            z = clf.margins(test_leads)
+            scores[mode] = (z.tolist(), clf.proba_from_margins(z).tolist())
+        return scores
+
+    results = {m: CrossValidationResult(m, [], []) for m in mode_list}
+    for t, scores in zip(fold_iter, _map_folds(test_scores, fold_iter)):
+        for mode, (margins, probas) in scores.items():
+            correct = 0
+            for lead_id, m, p in zip(plan.folds[t], margins, probas):
+                predicted = margin_label(m)
+                correct += predicted == labels[lead_id]
+                results[mode].predictions.append(Prediction(
+                    lead_id=lead_id, fold=t, proba=p,
+                    predicted=predicted, actual=labels[lead_id]))
+            results[mode].folds.append(FoldAccuracy(
+                fold=t, n_test=len(plan.folds[t]), n_correct=correct))
     return results[modes] if isinstance(modes, str) else results
 
 
@@ -291,47 +400,47 @@ def learning_curve(leads: Sequence[AnnotatedLead],
     trains. Modes that split it alike train together, as in
     ``cross_validate``. Sizes beyond the available pool are dropped; if
     none fit the curve has a single point at the full pool size. Counts
-    come from ``table`` (one over ``leads`` when none is given).
+    come from ``table`` (one over ``leads`` when none is given). Folds may
+    train in forked worker processes (see the module notes).
     """
     config = config or TrainConfig()
-    mode_list, plan, fold_iter, by_id = _plan_folds(modes, leads, labels, k,
-                                                    seed, fold_subset)
+    mode_list, plan, fold_iter, by_id, lexicon = _plan_folds(
+        modes, leads, labels, lexicon, k, seed, fold_subset)
     pool_min = min(len(leads) - len(plan.folds[t]) for t in fold_iter)
     usable = [s for s in curve_sizes(sizes) if s <= pool_min] or [pool_min]
     by_split: dict[bool, list[str]] = {}  # needs development data -> modes
     for mode in mode_list:
         by_split.setdefault(mode == MODE_DECISION_FUSION
                             or len(config.sorted_c_grid) > 1, []).append(mode)
-    if table is None:
-        table = FeatureTable(leads)
-    accs = {m: {s: [] for s in usable} for m in mode_list}
+    table = _counted_table(table, leads, mode_list)
 
-    for t in fold_iter:
-        try:
-            pool = [i for f in range(k) if f != t for i in plan.folds[f]]
-            rng = np.random.default_rng([seed, t])
-            pool = [pool[j] for j in rng.permutation(len(pool))]
-            test_leads = [by_id[i] for i in plan.folds[t]]
-            test_y = label_to_y([labels[l.id] for l in test_leads])
-            for size in usable:
-                prefix = [by_id[i] for i in pool[:size]]
-                for needs_dev, group in by_split.items():
-                    train_leads, dev_leads = (split_train_dev(prefix)
-                                              if needs_dev else (prefix, []))
-                    classifiers = train_modes(group, train_leads, dev_leads,
-                                              labels, lexicon, table, config,
-                                              top_k)
-                    for mode, clf in classifiers.items():
-                        lexicon = clf.bundle.mrc or lexicon
-                        accs[mode][size].append(
-                            accuracy(clf.margins(test_leads), test_y))
-        except ContentDenseError as e:
-            raise type(e)(f"fold {t}: {e}") from e
+    def size_accuracies(t: int) -> dict[str, list[float]]:
+        """Each mode's test-fold accuracy at each usable size, fold t."""
+        pool = [i for f in range(k) if f != t for i in plan.folds[f]]
+        rng = np.random.default_rng([seed, t])
+        pool = [pool[j] for j in rng.permutation(len(pool))]
+        test_leads = [by_id[i] for i in plan.folds[t]]
+        test_y = label_to_y([labels[l.id] for l in test_leads])
+        accs: dict[str, list[float]] = {m: [] for m in mode_list}
+        for size in usable:
+            prefix = [by_id[i] for i in pool[:size]]
+            for needs_dev, group in by_split.items():
+                train_leads, dev_leads = (split_train_dev(prefix)
+                                          if needs_dev else (prefix, []))
+                classifiers = train_modes(group, train_leads, dev_leads,
+                                          labels, lexicon, table, config,
+                                          top_k)
+                for mode, clf in classifiers.items():
+                    accs[mode].append(accuracy(clf.margins(test_leads),
+                                               test_y))
+        return accs
 
+    per_fold = _map_folds(size_accuracies, fold_iter)
     curves = {m: [LearningCurvePoint(n_train=s,
                                      mean_accuracy=math.fsum(a) / len(a),
-                                     fold_accuracies=tuple(a))
-                  for s, a in accs[m].items()] for m in mode_list}
+                                     fold_accuracies=a)
+                  for s, a in zip(usable, zip(*(f[m] for f in per_fold)))]
+              for m in mode_list}
     return curves[modes] if isinstance(modes, str) else curves
 
 

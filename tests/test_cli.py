@@ -7,7 +7,9 @@ import gc
 import hashlib
 import io
 import json
+import multiprocessing
 import operator
+import time
 import warnings
 from pathlib import Path
 
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contentdense import cli
+from contentdense import cli, evaluation
 from contentdense.cli import _EXIT_CODES, _exit_code, main
 from contentdense.combine import (
     PREF_LEAD,
@@ -39,6 +41,7 @@ from contentdense.errors import (
     NumericError,
     SingleClassError,
 )
+from contentdense.evaluation import make_folds
 from contentdense.learn import load_classifier
 from contentdense.synthetic import generate_corpus
 
@@ -443,6 +446,68 @@ class TestPinnedOutputs:
             "feature_fusion\t300\t0.640000\n"
             "decision_fusion\t100\t0.705000\n"
             "decision_fusion\t300\t0.707500\n")
+
+
+class TestFoldWorkers:
+    """`evaluate` trains its folds in forked workers, one per usable CPU;
+    forcing the CPU count to 1 runs them in the calling process. Outputs,
+    errors and exit codes are the same either way, and no worker process
+    outlives the command."""
+
+    def run(self, monkeypatch, cpus, argv, out):
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: cpus)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--out", str(out)])
+        assert multiprocessing.active_children() == []
+        return (code, stdout.getvalue().replace(str(out), "OUT"),
+                stderr.getvalue())
+
+    def test_outputs_do_not_depend_on_the_worker_count(self, workspace,
+                                                       tmp_path, monkeypatch):
+        argv = ["evaluate", "--corpus", workspace["corpus"],
+                "--lexicon", workspace["lexicon"],
+                "--labels", workspace["labels"], "--c-grid", "1,16",
+                "--seed", "0", "--sizes", "40,90"]
+        runs = {cpus: self.run(monkeypatch, cpus, argv, tmp_path / str(cpus))
+                for cpus in (1, 2)}
+        assert runs[1] == runs[2]
+        assert runs[1][0] == 0
+        names = sorted(p.name for p in (tmp_path / "1").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
+        assert "accuracy_by_size.tsv" in names
+        for name in names:
+            assert ((tmp_path / "1" / name).read_bytes()
+                    == (tmp_path / "2" / name).read_bytes()), name
+
+    def test_a_failing_fold_reports_the_lowest_index(self, workspace,
+                                                     tmp_path, monkeypatch):
+        """Folds 3 and 6 fail, fold 3 only after a pause: with two workers
+        fold 6 fails first, and fold 3 is still the one reported."""
+        leads = load_corpus(workspace["corpus"])
+        plan = make_folds([lead.id for lead in leads], k=10, seed=0)
+        # A fold's training leads start with the fold after it.
+        fold_of = {plan.folds[(t + 1) % 10][0]: t for t in range(10)}
+        train_modes = evaluation.train_modes
+
+        def failing(modes, train_leads, *args):
+            t = fold_of[train_leads[0].id]
+            if t in (3, 6):
+                time.sleep(0.5 if t == 3 else 0.0)
+                raise SingleClassError(f"planted in fold {t}")
+            return train_modes(modes, train_leads, *args)
+
+        monkeypatch.setattr(evaluation, "train_modes", failing)
+        argv = ["evaluate", "--corpus", workspace["corpus"],
+                "--lexicon", workspace["lexicon"],
+                "--labels", workspace["labels"], "--mode", "mrc",
+                "--c-grid", "1", "--seed", "0"]
+        runs = {cpus: self.run(monkeypatch, cpus, argv, tmp_path / str(cpus))
+                for cpus in (1, 2)}
+        assert runs[1] == runs[2]
+        assert runs[1] == (_exit_code(SingleClassError()), "",
+                           "error: fold 3: planted in fold 3\n")
 
 
 class TestCombine:

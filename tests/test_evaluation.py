@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import multiprocessing
+import os
 from collections import Counter
 
 import numpy as np
@@ -264,6 +266,34 @@ class TestSplitTrainDev:
         train, dev = split_train_dev(range(n))
         assert train == list(range(n_train))
         assert dev == list(range(n_train, n))
+
+
+class TestMapFolds:
+    """The fold dispatch of cross_validate and learning_curve."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_results_come_back_in_fold_order(self, monkeypatch, cpus):
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: cpus)
+        results = evaluation._map_folds(lambda t: (t, os.getpid()),
+                                        [0, 2, 5, 7])
+        assert [t for t, _ in results] == [0, 2, 5, 7]
+        forks = cpus > 1 and "fork" in multiprocessing.get_all_start_methods()
+        assert {pid == os.getpid() for _, pid in results} == {not forks}
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_other_errors_pass_through_and_workers_are_joined(
+            self, monkeypatch, cpus):
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: cpus)
+
+        def work(t):
+            if t == 1:
+                raise KeyError("not a package error")
+            return t
+
+        with pytest.raises(KeyError, match="not a package error"):
+            evaluation._map_folds(work, [0, 1, 2])
+        assert multiprocessing.active_children() == []
 
 
 class TestLearningCurve:
