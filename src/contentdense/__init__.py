@@ -20,7 +20,7 @@ from .combine import (
 )
 from .corpus import (
     AnnotatedLead,
-    ParseTree,
+    Parse,
     Sentence,
     WordPosTuple,
     default_lexicon_path,
@@ -82,7 +82,7 @@ __all__ = [
     "MODES",
     "NON_CONTENT_DENSE",
     "PROFILES",
-    "ParseTree",
+    "Parse",
     "Sentence",
     "SummaryPair",
     "TrainConfig",

@@ -6,15 +6,19 @@ bracketed constituency parse per sentence, an optional reference-summary
 tuple list, and the word count of the full article. The exact field layout
 is documented in FORMAT.md at the repository root.
 
+A parse is read straight into what the package uses of it (Parse): its
+text in canonical spacing, which is what a saved corpus holds, its leaf
+count, and its unlexicalized production rules. No tree is kept.
+
 Words are case-folded at ingestion: the folded form of a token is its lemma
 (lower-cased) when a lemma is supplied, otherwise the lower-cased surface
 form. POS tags are kept verbatim.
 
 Loaded leads share equal values: each distinct token, lemma, folded word,
-POS tag, node label, domain, (word, POS) tuple and parse leaf is stored
-once, through bounded tables (``InternTable``) that start over when full.
-Equal values are therefore usually, but not always, the same object, so
-callers must compare them by value.
+POS tag, node label, domain, (word, POS) tuple and production rule is
+stored once, through bounded tables (``InternTable``) that start over when
+full. Equal values are therefore usually, but not always, the same object,
+so callers must compare them by value.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -53,6 +56,49 @@ _TOKEN = re.compile(r"\(\s*[^\s()]+\s+[^\s()]+\s*\)|[()]|[^\s()]+")
 _new_tuple = tuple.__new__
 
 
+class ProductionRule(tuple):
+    """Unlexicalized grammar production: LHS label and child labels.
+
+    The immutable tuple ``(lhs, rhs)``, so hashing, equality and ordering
+    (by LHS, then RHS) are the tuple's own.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, lhs: str, rhs: tuple[str, ...]):
+        if not rhs:
+            raise ValidationError(f"production {lhs!r} has an empty RHS")
+        return tuple.__new__(cls, (lhs, rhs))
+
+    lhs = property(itemgetter(0))
+    rhs = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"ProductionRule(lhs={self[0]!r}, rhs={self[1]!r})"
+
+    def __str__(self):
+        return f"{self.lhs} -> {' '.join(self.rhs)}"
+
+
+class Parse(NamedTuple):
+    """A sentence's constituency parse, as far as the package reads it.
+
+    ``text`` is the bracketed parse in canonical spacing (one space before
+    every "(" but the first and between a preterminal's label and word,
+    no other whitespace), ``n_leaves`` its number of words, and ``rules``
+    one production per internal node, in preorder: the node's label over
+    its children's labels. A preterminal (a label
+    over a word) makes no rule, so no word is in ``rules``.
+    """
+
+    text: str
+    n_leaves: int
+    rules: tuple[ProductionRule, ...]
+
+
 class InternTable(dict):
     """Maps each key to one shared immutable value, made by ``make(key)`` on
     first lookup; the table starts over when it holds ``limit`` entries."""
@@ -71,141 +117,19 @@ class InternTable(dict):
         return value
 
 
-class ParseTree(tuple):
-    """Node of a constituency tree.
-
-    A node has either children (internal node) or a leaf word (preterminal),
-    never both and never neither. A node is the immutable tuple
-    ``(label, leaf_word, *children)`` (so ``(label, word)`` for a leaf and
-    ``(label, None, child, ...)`` otherwise) and compares equal only to
-    nodes.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, label: str, children: tuple["ParseTree", ...] = (),
-                leaf_word: str | None = None):
-        if not label:
-            raise ValidationError("parse tree node has an empty label")
-        has_children = len(children) > 0
-        has_word = leaf_word is not None
-        if has_children == has_word:
-            raise ValidationError(
-                f"node {label!r} must have children or a leaf word, not "
-                f"{'both' if has_children else 'neither'}"
-            )
-        return _new_tuple(cls, (label, leaf_word, *children))
-
-    label = property(itemgetter(0))
-    leaf_word = property(itemgetter(1))
-
-    @property
-    def children(self) -> tuple["ParseTree", ...]:
-        return self[2:]
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return False if isinstance(other, tuple) else NotImplemented
-        pending = [(self, other)]
-        while pending:
-            a, b = pending.pop()
-            if len(a) != len(b) or a[0] != b[0] or a[1] != b[1]:
-                return False
-            for x, y in zip(a[2:], b[2:]):
-                if x.__class__ is y.__class__ is self.__class__:
-                    pending.append((x, y))
-                elif x != y:
-                    return False
-        return True
-
-    def __ne__(self, other):
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-    __hash__ = tuple.__hash__
-
-    def __getnewargs__(self):
-        return self[0], self[2:], self[1]
-
-    def __repr__(self):
-        parts: list[str] = []  # the recursive tuple repr's text, iteratively
-        stack: list = [self]
-        while stack:
-            node = stack.pop()
-            if node.__class__ is str:
-                parts.append(node)
-                continue
-            kids = node[2:]
-            parts.append(f"ParseTree(label={node[0]!r}, children=(")
-            stack.append(f"{',' * (len(kids) == 1)}), leaf_word={node[1]!r})")
-            for k in range(len(kids) - 1, -1, -1):
-                stack.append(kids[k])
-                if k:
-                    stack.append(", ")
-        return "".join(parts)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self[1] is not None
-
-    def leaves(self) -> list[str]:
-        """Leaf words in source order."""
-        out: list[str] = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node[1] is None:
-                stack.extend(reversed(node[2:]))
-            else:
-                out.append(node[1])
-        return out
-
-    def leaf_count(self) -> int:
-        count = 0
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node[1] is None:
-                stack.extend(node[2:])
-            else:
-                count += 1
-        return count
-
-    def to_bracketed(self) -> str:
-        """Serialize back to the bracketed source form."""
-        parts: list[str] = []  # every node's text opens with a space
-        stack: list = [self]
-        while stack:
-            node = stack.pop()
-            if node.__class__ is str:
-                parts.append(node)
-            elif node[1] is not None:
-                parts.append(f" ({node[0]} {node[1]})")
-            else:
-                parts.append(f" ({node[0]}")
-                stack.append(")")
-                stack.extend(node[:1:-1])  # children, last first
-        return "".join(parts)[1:]
-
-
 # Decoded values repeat across a corpus and are immutable, so each distinct
 # one is stored once: words (tokens and lemmas, and their folded forms) in
 # _WORDS, POS tags, node labels and domains in _TAGS. _FOLDED maps a token or
 # lemma to its folded word, _PAIRS an unfolded (word, POS) pair to its
-# WordPosTuple, and _LEAVES a "(TAG word)" token text to its leaf node.
+# WordPosTuple, and _RULES a flat (lhs, *rhs) label tuple to its
+# ProductionRule.
 _WORDS = InternTable(str)
 _TAGS = InternTable(str)
 _FOLDED = InternTable(lambda word: _WORDS[word.lower()])
 _PAIRS = InternTable(
     lambda pair: _new_tuple(WordPosTuple, (_FOLDED[pair[0]], _TAGS[pair[1]])))
-
-
-def _leaf(token: str) -> ParseTree:
-    tag, word = token[1:-1].split()
-    return _new_tuple(ParseTree, (_TAGS[tag], _WORDS[word]))
-
-
-_LEAVES = InternTable(_leaf)
+_RULES = InternTable(
+    lambda labels: ProductionRule(_TAGS[labels[0]], intern_tags(labels[1:])))
 
 
 def intern_words(words: Iterable[str]) -> tuple[str, ...]:
@@ -227,13 +151,15 @@ def _byte_offset(text: str, char_index: int) -> int:
     return len(text[:char_index].encode("utf-8", "surrogatepass"))
 
 
-def parse_ptb_tree(bracketed: str) -> ParseTree:
+def parse_ptb_tree(bracketed: str) -> Parse:
     """Parse one bracketed constituency tree, e.g. ``(S (NP (DT the) (NN cat)) (VP (VBD sat)))``.
 
     Labels are whitespace-delimited (any Unicode whitespace); a node is
     either ``(LABEL word)`` or ``(LABEL subtree...)``, nested to any depth.
-    Raises ParseError (with the byte offset of the problem) on empty input,
-    unbalanced parentheses, or trailing content.
+    One scan over the tokens checks the tree and reads its canonical text,
+    leaf count and rules (Parse). Raises ParseError (with the byte offset
+    of the problem) on empty input, unbalanced parentheses, or trailing
+    content.
     """
     tokens = _TOKEN.findall(bracketed)
     n = len(tokens)
@@ -249,7 +175,10 @@ def parse_ptb_tree(bracketed: str) -> ParseTree:
         raise ParseError("empty parse string", offset=0)
     if tokens[0][0] != "(":
         fail(f"expected '(' but found {tokens[0]!r}", 0)
-    open_nodes: list[list] = []  # [label, None, children so far...]
+    nodes: list[list[str]] = []  # [label, child labels...] per internal node
+    path: list[list[str]] = []  # the open nodes, innermost last
+    parts: list[str] = []  # the canonical text; each node's opens with " ("
+    n_leaves = 0
     i = 0  # tokens[i] opens the next node: "(" or a whole preterminal
     try:
         while True:
@@ -260,7 +189,11 @@ def parse_ptb_tree(bracketed: str) -> ParseTree:
                     fail("missing node label", i + 1)
                 tok = tokens[i + 2]
                 if tok[0] == "(":
-                    open_nodes.append([_TAGS[label], None])
+                    if path:
+                        path[-1].append(label)
+                    path.append([label])
+                    nodes.append(path[-1])
+                    parts.append(" (" + label)
                     i += 2
                     continue
                 if tok == ")":
@@ -269,22 +202,27 @@ def parse_ptb_tree(bracketed: str) -> ParseTree:
                 found = tokens[i + 3]
                 fail(f"expected ')' after leaf word but found "
                      f"{'(' if found[0] == '(' else found!r}", i + 3)
-            node = _LEAVES[tok]
+            label, word = tok[1:-1].split()
+            if path:
+                path[-1].append(label)
+            parts.append(f" ({label} {word})")
+            n_leaves += 1
             i += 1
-            # Attach the finished node, closing every parent whose ")" follows.
-            while open_nodes:
-                open_nodes[-1].append(node)
+            # Close every open node whose ")" follows.
+            while path:
                 tok = tokens[i]
                 if tok[0] == "(":
                     break
                 if tok != ")":
                     fail(f"expected '(' or ')' but found {tok!r}", i)
-                node = _new_tuple(ParseTree, open_nodes.pop())
+                path.pop()
+                parts.append(")")
                 i += 1
             else:
                 if i != n:
                     fail("trailing content after tree", i)
-                return node
+                return Parse("".join(parts)[1:], n_leaves,
+                             tuple([_RULES[tuple(node)] for node in nodes]))
     except IndexError:
         fail("unbalanced parentheses: input ends inside a node", n)
 
@@ -296,7 +234,7 @@ class Sentence:
     tokens: tuple[str, ...]
     pos: tuple[str, ...]
     lemmas: tuple[str, ...] | None = None
-    parse: ParseTree | None = None
+    parse: Parse | None = None
 
     def __post_init__(self):
         if len(self.tokens) == 0:
@@ -309,9 +247,9 @@ class Sentence:
             raise ValidationError(
                 f"{len(self.lemmas)} lemmas for {len(self.tokens)} tokens"
             )
-        if self.parse is not None and self.parse.leaf_count() != len(self.tokens):
+        if self.parse is not None and self.parse.n_leaves != len(self.tokens):
             raise ValidationError(
-                f"parse has {self.parse.leaf_count()} leaves for "
+                f"parse has {self.parse.n_leaves} leaves for "
                 f"{len(self.tokens)} tokens"
             )
 
@@ -375,10 +313,6 @@ class AnnotatedLead:
         return tuple(out)
 
     @cached_property
-    def word_counts(self) -> Counter:
-        return Counter(self.words)
-
-    @cached_property
     def tuples(self) -> tuple[WordPosTuple, ...]:
         out: list[WordPosTuple] = []
         for s in self.sentences:
@@ -391,7 +325,7 @@ def _sentence_to_record(s: Sentence) -> dict:
     if s.lemmas is not None:
         rec["lemmas"] = list(s.lemmas)
     if s.parse is not None:
-        rec["parse"] = s.parse.to_bracketed()
+        rec["parse"] = s.parse.text
     return rec
 
 

@@ -25,12 +25,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import AnnotatedLead, InternTable, ParseTree
+from .corpus import AnnotatedLead, Parse, ProductionRule
 from .errors import (
     EmptyLeadError,
     MissingParseError,
@@ -44,33 +43,6 @@ SPACE_MRC = "MRC"
 SPACE_MI = "MI"
 SPACE_PR = "PR"
 SPACE_ORDER = (SPACE_MRC, SPACE_MI, SPACE_PR)
-
-
-class ProductionRule(tuple):
-    """Unlexicalized grammar production: LHS label and child labels.
-
-    The immutable tuple ``(lhs, rhs)``, so hashing, equality and ordering
-    (by LHS, then RHS) are the tuple's own.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, lhs: str, rhs: tuple[str, ...]):
-        if not rhs:
-            raise ValidationError(f"production {lhs!r} has an empty RHS")
-        return tuple.__new__(cls, (lhs, rhs))
-
-    lhs = property(itemgetter(0))
-    rhs = property(itemgetter(1))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __repr__(self):
-        return f"ProductionRule(lhs={self[0]!r}, rhs={self[1]!r})"
-
-    def __str__(self):
-        return f"{self.lhs} -> {' '.join(self.rhs)}"
 
 
 @dataclass(frozen=True)
@@ -193,50 +165,27 @@ def select_mi_vocabulary(leads: Sequence[AnnotatedLead],
     return space, entries
 
 
-# Rules repeat across leads and are immutable, so each (lhs, rhs) maps to
-# one shared ProductionRule.
-_RULES = InternTable(lambda key: ProductionRule(*key))
-
-
-def extract_production_rules(tree: ParseTree) -> Counter:
-    """Multiset of productions from internal nodes.
-
-    One rule per node that has child subtrees, with the children's labels as
-    the RHS. Preterminal nodes (label + leaf word) contribute no rule of
-    their own, so no surface word ever appears in a rule; their labels still
-    appear on the RHS of their parents. Nodes are visited in preorder.
-    """
-    counts: dict[tuple[str, tuple[str, ...]], int] = {}
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node.leaf_word is None:
-            children = node.children
-            key = (node.label, tuple([child.label for child in children]))
-            counts[key] = counts.get(key, 0) + 1
-            stack.extend(reversed(children))
-    return Counter({_RULES[key]: n for key, n in counts.items()})
+def extract_production_rules(parse: Parse) -> Counter:
+    """Multiset of the parse's productions, one per internal node, with the
+    children's labels as the RHS. Preterminal nodes (label + leaf word)
+    contribute no rule of their own, so no surface word ever appears in a
+    rule; their labels still appear on the RHS of their parents."""
+    return Counter(parse.rules)
 
 
 def lead_rules(lead: AnnotatedLead) -> Counter:
     """Combined rule multiset across the lead's sentence parses.
 
     Raises MissingParseError when the lead has no sentences or any sentence
-    lacks a parse. The result is stashed on the lead (same mechanism as
-    cached_property) because rule extraction does not depend on any fold or
-    space and leads are immutable.
+    lacks a parse.
     """
-    cached = lead.__dict__.get("_rule_counts")
-    if cached is not None:
-        return cached
     if not lead.sentences:
         raise MissingParseError(f"lead {lead.id} has no sentences")
     rules: Counter = Counter()
     for k, sentence in enumerate(lead.sentences):
         if sentence.parse is None:
             raise MissingParseError(f"lead {lead.id}: sentence {k} has no parse")
-        rules.update(extract_production_rules(sentence.parse))
-    lead.__dict__["_rule_counts"] = rules
+        rules.update(sentence.parse.rules)
     return rules
 
 
@@ -278,7 +227,7 @@ class FeatureTable:
 
     @cached_property
     def words(self) -> tuple[list[str], dict, CsrMatrix]:
-        return _count_matrix([lead.word_counts for lead in self.leads])
+        return _count_matrix([Counter(lead.words) for lead in self.leads])
 
     @cached_property
     def rules(self) -> tuple[list[ProductionRule], dict, CsrMatrix]:

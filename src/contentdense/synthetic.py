@@ -152,8 +152,8 @@ def generate_corpus(n: int, profile: str = PROFILE_STANDARD,
             template = templates[t]
             chunk = intern_words(slots[half * 8:(half + 1) * 8])
             pos = _TEMPLATE_POS[template]
-            tree = parse_ptb_tree(template.format(*chunk))
-            sentences.append(Sentence(tokens=chunk, pos=pos, parse=tree))
+            parse = parse_ptb_tree(template.format(*chunk))
+            sentences.append(Sentence(tokens=chunk, pos=pos, parse=parse))
             pos_tags.extend(pos)
 
         low, high = _OVERLAP_DENSE if dense else _OVERLAP_SPARSE

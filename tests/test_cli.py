@@ -700,11 +700,11 @@ def run_quietly(argv) -> tuple[int, str]:
 
 def deep_lead(depth: int) -> AnnotatedLead:
     text = "(X (DT a) " * (depth - 1) + "(NN w)" + ")" * (depth - 1)
-    tree = parse_ptb_tree(text)
     return AnnotatedLead(
         id="deep", domain="general", lead_text="a w",
-        sentences=(Sentence(tokens=tuple(tree.leaves()),
-                            pos=("DT",) * (depth - 1) + ("NN",), parse=tree),),
+        sentences=(Sentence(tokens=("a",) * (depth - 1) + ("w",),
+                            pos=("DT",) * (depth - 1) + ("NN",),
+                            parse=parse_ptb_tree(text)),),
         summary=(WordPosTuple("a", "DT"),) * 30, article_word_count=depth)
 
 

@@ -14,7 +14,8 @@ from contentdense.combine import PREF_SYSTEM, SummaryPair, load_pairs, save_pair
 from contentdense.corpus import (
     AnnotatedLead,
     InternTable,
-    ParseTree,
+    Parse,
+    ProductionRule,
     Sentence,
     WordPosTuple,
     default_lexicon_path,
@@ -31,7 +32,7 @@ from contentdense.errors import (
     ParseError,
     ValidationError,
 )
-from contentdense.features import ProductionRule, extract_production_rules
+from contentdense.features import extract_production_rules
 from contentdense.synthetic import generate_corpus
 
 NONTERMINALS = ["S", "NP", "VP", "PP", "SBAR", "ADJP", "ADVP"]
@@ -40,7 +41,7 @@ WORDS = ["the", "cat", "sat", "big", "on", "mat", "quietly", "dogs", "ran"]
 
 
 def random_struct(rng, depth):
-    """Ground-truth tree as nested plain tuples, independent of ParseTree."""
+    """Ground-truth tree as nested plain tuples, independent of the parser."""
     if depth == 0 or rng.random() < 0.3:
         return (PRETERMINALS[rng.integers(len(PRETERMINALS))],
                 WORDS[rng.integers(len(WORDS))])
@@ -59,24 +60,32 @@ def render_struct(struct, rng):
     return f"({label}{pad} {inner})"
 
 
-def tree_to_struct(tree):
-    if tree.is_leaf:
-        return (tree.label, tree.leaf_word)
-    return (tree.label, [tree_to_struct(c) for c in tree.children])
+def struct_summary(struct):
+    """(canonical text, leaf count, rules in preorder) of a ground-truth
+    tree, a (label, word) leaf or a (label, [children]) node."""
+    label, rest = struct
+    if isinstance(rest, str):
+        return f"({label} {rest})", 1, ()
+    texts, n_leaves, rules = [], 0, [(label, tuple(c[0] for c in rest))]
+    for child in rest:
+        text, n, child_rules = struct_summary(child)
+        texts.append(text)
+        n_leaves += n
+        rules += child_rules
+    return f"({label} {' '.join(texts)})", n_leaves, tuple(rules)
 
 
 class TestParsePtbTree:
     def test_three_leaf_tree(self):
-        tree = parse_ptb_tree("(S (NP (DT the) (NN cat)) (VP (VBD sat)))")
-        assert tree.label == "S"
-        assert tree.leaf_count() == 3
-        assert tree.leaves() == ["the", "cat", "sat"]
+        parse = parse_ptb_tree("(S (NP (DT the) (NN cat)) (VP (VBD sat)))")
+        assert parse.text == "(S (NP (DT the) (NN cat)) (VP (VBD sat)))"
+        assert parse.n_leaves == 3
+        assert parse.rules == (ProductionRule("S", ("NP", "VP")),
+                               ProductionRule("NP", ("DT", "NN")),
+                               ProductionRule("VP", ("VBD",)))
 
     def test_single_preterminal(self):
-        tree = parse_ptb_tree("(NN cat)")
-        assert tree.is_leaf
-        assert tree.label == "NN"
-        assert tree.leaf_word == "cat"
+        assert parse_ptb_tree("(NN cat)") == Parse("(NN cat)", 1, ())
 
     def test_unbalanced_raises(self):
         with pytest.raises(ParseError):
@@ -118,11 +127,9 @@ class TestParsePtbTree:
         for _ in range(200):
             struct = random_struct(rng, depth=4)
             text = render_struct(struct, rng)
-            tree = parse_ptb_tree(text)
-            assert tree_to_struct(tree) == struct
-            again = parse_ptb_tree(tree.to_bracketed())
-            assert again == tree
-            assert again.to_bracketed() == tree.to_bracketed()
+            parse = parse_ptb_tree(text)
+            assert parse == struct_summary(struct)
+            assert parse_ptb_tree(parse.text) == parse
 
 
 def _oracle_byte_offset(text, char_index):
@@ -151,7 +158,8 @@ def _oracle_tokenize(text):
 def oracle_parse(bracketed):
     """The character-by-character, recursive-descent parser the package
     used before its single-pass one: the reference for trees, error
-    messages and offsets."""
+    messages and offsets. A tree is (label, word) at a leaf and (label,
+    [children]) elsewhere."""
     tokens = _oracle_tokenize(bracketed)
     if not tokens:
         raise ParseError("empty parse string", offset=0)
@@ -184,7 +192,7 @@ def oracle_parse(bracketed):
                         offset=end)
                 tok, at = tokens[pos]
                 if tok == ")":
-                    return ParseTree(label, children=tuple(children)), pos + 1
+                    return (label, children), pos + 1
                 if tok != "(":
                     raise ParseError(
                         f"expected '(' or ')' but found {tok!r}",
@@ -203,7 +211,7 @@ def oracle_parse(bracketed):
             raise ParseError(
                 f"expected ')' after leaf word but found {closer!r}",
                 offset=_oracle_byte_offset(bracketed, at))
-        return ParseTree(label, leaf_word=tok), pos + 1
+        return (label, tok), pos + 1
 
     tree, pos = parse_node(0)
     if pos != len(tokens):
@@ -213,11 +221,13 @@ def oracle_parse(bracketed):
 
 
 def parse_outcome(parser, text):
-    """The tree, or the message and offset of the ParseError raised."""
+    """The parse's (canonical text, leaf count, rules in preorder), or the
+    message and offset of the ParseError raised."""
     try:
-        return parser(text)
+        parse = parser(text)
     except ParseError as err:
         return ("ParseError", str(err), err.offset)
+    return tuple(parse) if type(parse) is Parse else struct_summary(parse)
 
 
 # Every character str.isspace() accepts below U+3001, and look-alikes it
@@ -263,13 +273,6 @@ def padded_brackets(draw):
     return text
 
 
-def struct_tree(struct):
-    label, rest = struct
-    if isinstance(rest, str):
-        return ParseTree(label, leaf_word=rest)
-    return ParseTree(label, tuple(struct_tree(c) for c in rest))
-
-
 class TestParserMatchesOracle:
     @settings(max_examples=400, deadline=None)
     @given(padded_brackets())
@@ -295,50 +298,32 @@ class TestParserMatchesOracle:
 
 
 class TestParseTreeNode:
-    def test_equality_is_same_class_only(self):
-        tree = ParseTree("NN", leaf_word="cat")
-        assert tree == ParseTree("NN", (), "cat")
-        assert tree != ("NN", (), "cat")
-        assert ("NN", (), "cat") != tree
-        assert hash(tree) == hash(ParseTree("NN", leaf_word="cat"))
-        assert tree != ParseTree("NN", leaf_word="dog")
-
     def test_immutable(self):
-        tree = parse_ptb_tree("(NP (NN cat))")
+        parse = parse_ptb_tree("(NP (NN cat))")
         with pytest.raises(AttributeError):
-            tree.label = "VP"
+            parse.text = "(VP (VB sit))"
         with pytest.raises(AttributeError):
-            tree.extra = 1
-
-    def test_node_checks(self):
-        with pytest.raises(ValidationError, match="empty label"):
-            ParseTree("", leaf_word="cat")
-        with pytest.raises(ValidationError, match="neither"):
-            ParseTree("NN")
-        with pytest.raises(ValidationError, match="both"):
-            ParseTree("NN", children=(ParseTree("DT", leaf_word="a"),),
-                      leaf_word="cat")
+            parse.extra = 1
 
     def test_shared_leaves_and_rules_survive_a_full_table(self, monkeypatch):
-        from contentdense import corpus, features
-        for module, name in ((corpus, "_LEAVES"), (features, "_RULES")):
-            table = getattr(module, name)
-            monkeypatch.setattr(module, name, InternTable(table.make, limit=2))
-        assert parse_ptb_tree("(NN cat)") is parse_ptb_tree(" (NN cat) ")
+        from contentdense import corpus
+        for name in ("_TAGS", "_RULES"):
+            table = getattr(corpus, name)
+            monkeypatch.setattr(corpus, name, InternTable(table.make, limit=2))
+        assert (parse_ptb_tree("(NP (NN cat))").rules[0]
+                is parse_ptb_tree(" (NP (NN dog)) ").rules[0])
         texts = ["(S (NP (DT the) (NN cat)) (VP (VBD sat)))",
                  "(S (NP (DT a) (NN dog)) (VP (VBD ran) (NP (NN home))))"] * 3
         for text in texts:
-            tree = parse_ptb_tree(text)
-            assert tree == oracle_parse(text)
-            assert len(corpus._LEAVES) <= 2
-            rules = extract_production_rules(tree)
-            assert rules == extract_production_rules(oracle_parse(text))
-            assert len(features._RULES) <= 2
+            parse = parse_ptb_tree(text)
+            assert tuple(parse) == struct_summary(oracle_parse(text))
+            assert len(corpus._TAGS) <= 2 and len(corpus._RULES) <= 2
 
     def test_pickle_round_trip(self):
-        tree = parse_ptb_tree("(S (NP (DT the) (NN cat)) (VP (VBD sat)))")
-        again = pickle.loads(pickle.dumps(tree))
-        assert again == tree and type(again) is ParseTree
+        parse = parse_ptb_tree("(S (NP (DT the) (NN cat)) (VP (VBD sat)))")
+        again = pickle.loads(pickle.dumps(parse))
+        assert again == parse and type(again) is Parse
+        assert {type(rule) for rule in again.rules} == {ProductionRule}
 
 
 DEPTH = 5000
@@ -353,35 +338,14 @@ class TestDeepNesting:
     def test_parse_walk_and_serialize(self):
         assert sys.getrecursionlimit() < DEPTH
         text = deep_bracketed(DEPTH)
-        tree = parse_ptb_tree(text)
-        assert tree.leaf_count() == DEPTH
-        assert tree.leaves() == ["a"] * (DEPTH - 1) + ["w"]
-        assert tree.to_bracketed() == text
-        assert extract_production_rules(tree) == {
+        parse = parse_ptb_tree(text)
+        assert parse.n_leaves == DEPTH
+        assert parse.text == text
+        assert extract_production_rules(parse) == {
             ProductionRule("X", ("DT", "X")): DEPTH - 2,
             ProductionRule("X", ("DT", "NN")): 1,
         }
-        assert parse_ptb_tree(text) == tree
-
-    def test_repr(self):
-        assert sys.getrecursionlimit() < DEPTH
-        tree = parse_ptb_tree(deep_bracketed(DEPTH))
-        text = repr(tree)
-        assert text.startswith("ParseTree(label='X', children=(ParseTree(")
-        assert text.count("ParseTree(") == 2 * DEPTH - 1
-        assert text.endswith("children=(), leaf_word='w')"
-                             + "), leaf_word=None)" * (DEPTH - 1))
-
-    @settings(max_examples=200, deadline=None)
-    @given(STRUCTS.map(struct_tree))
-    def test_repr_matches_the_recursive_tuple_repr(self, tree):
-        def recursive_repr(node):
-            kids = node.children
-            inner = ", ".join(recursive_repr(k) for k in kids)
-            return (f"ParseTree(label={node.label!r}, children=("
-                    f"{inner}{',' if len(kids) == 1 else ''}), "
-                    f"leaf_word={node.leaf_word!r})")
-        assert repr(tree) == recursive_repr(tree)
+        assert parse_ptb_tree(text) == parse
 
     def test_unbalanced_deep_input_is_a_parse_error(self):
         text = deep_bracketed(DEPTH)[:-1]
@@ -390,12 +354,12 @@ class TestDeepNesting:
         assert err.value.offset == len(text)
 
     def test_corpus_round_trip(self, tmp_path):
-        tree = parse_ptb_tree(deep_bracketed(DEPTH))
+        parse = parse_ptb_tree(deep_bracketed(DEPTH))
         lead = AnnotatedLead(
             id="deep", domain="general", lead_text="a w",
-            sentences=(Sentence(tokens=tuple(tree.leaves()),
+            sentences=(Sentence(tokens=("a",) * (DEPTH - 1) + ("w",),
                                 pos=("DT",) * (DEPTH - 1) + ("NN",),
-                                parse=tree),),
+                                parse=parse),),
             article_word_count=DEPTH)
         p1, p2 = tmp_path / "c1.jsonl", tmp_path / "c2.jsonl"
         save_corpus([lead], p1)
@@ -411,9 +375,9 @@ class TestSentence:
             Sentence(tokens=("a", "b"), pos=("DT",))
 
     def test_parse_leaf_mismatch(self):
-        tree = parse_ptb_tree("(NP (DT the) (NN cat))")
+        parse = parse_ptb_tree("(NP (DT the) (NN cat))")
         with pytest.raises(ValidationError):
-            Sentence(tokens=("the",), pos=("DT",), parse=tree)
+            Sentence(tokens=("the",), pos=("DT",), parse=parse)
 
     def test_folded_words_lowercase_surface(self):
         s = Sentence(tokens=("The", "Cats"), pos=("DT", "NNS"))
@@ -455,7 +419,6 @@ class TestAnnotatedLead:
         lead = make_lead(n_extra=1)
         assert lead.n_tokens == 5
         assert lead.words == ("the", "cat", "sat", "dogs", "ran")
-        assert lead.word_counts["the"] == 1
         assert WordPosTuple("cat", "NN") in lead.tuples
         assert WordPosTuple("Cat", "NN") not in lead.tuples
 
@@ -632,7 +595,7 @@ def test_bundled_lexicon_loads():
     assert "granite" in words and "copper" in words
 
 
-SHARED_TABLES = ("_WORDS", "_TAGS", "_FOLDED", "_PAIRS", "_LEAVES")
+SHARED_TABLES = ("_WORDS", "_TAGS", "_FOLDED", "_PAIRS", "_RULES")
 
 
 def fresh_tables(monkeypatch, limit=1 << 16):
@@ -644,10 +607,10 @@ def fresh_tables(monkeypatch, limit=1 << 16):
 
 
 def decoded_values(leads):
-    """The leads' words (tokens, lemmas, folded and leaf words), POS tags,
-    node labels and domains, parse leaves, and (word, POS) tuples (summary
+    """The leads' words (tokens, lemmas and folded words), POS tags, node
+    labels and domains, production rules, and (word, POS) tuples (summary
     and cached lead tuples)."""
-    words, tags, labels, leaves, pairs = [], [], [], [], []
+    words, tags, labels, rules, pairs = [], [], [], [], []
     for lead in leads:
         labels.append(lead.domain)
         words += lead.words
@@ -655,15 +618,10 @@ def decoded_values(leads):
         for s in lead.sentences:
             words += s.tokens + (s.lemmas or ())
             tags += s.pos
-            stack = [] if s.parse is None else [s.parse]
-            while stack:
-                node = stack.pop()
-                labels.append(node.label)
-                if node.is_leaf:
-                    leaves.append(node)
-                    words.append(node.leaf_word)
-                stack.extend(node.children)
-    return words, tags, labels, leaves, pairs
+            for rule in () if s.parse is None else s.parse.rules:
+                rules.append(rule)
+                labels += (rule.lhs, *rule.rhs)
+    return words, tags, labels, rules, pairs
 
 
 def corpus_file(path, n):
@@ -714,9 +672,12 @@ class TestSharedValues:
 
 # tracemalloc live bytes after loading the seed-7 corpus of 1,000 leads
 # into empty tables (CPython 3.11): 10,798,705 when only parse leaves were
-# shared and 4,277,707 with every equal decoded value shared; leaving out
-# only the node labels, the tokens or the POS tags gives 4.9-5.2 million.
-LOADED_CORPUS_BYTES = 4_800_000
+# shared and 4,277,707 with every equal decoded value shared (both with a
+# tree of nodes per parse); leaving out only the node labels, the tokens or
+# the POS tags gave 4.9-5.2 million. Each parse read into its canonical
+# text, leaf count and shared rules instead of a tree: 3,505,692. The bound
+# keeps the 12% headroom it had over 4,277,707 (4,800,000).
+LOADED_CORPUS_BYTES = 3_930_000
 
 
 def test_loaded_corpus_memory(tmp_path, monkeypatch):

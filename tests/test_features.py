@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -35,15 +36,18 @@ from contentdense.features import (
 from contentdense.labeling import CONTENT_DENSE, NON_CONTENT_DENSE
 
 
+def parsed_sentence(text):
+    """A sentence of the bracketed parse's words, each tagged XX."""
+    words = tuple(re.findall(r"\([^\s()]+ ([^\s()]+)\)", text))
+    return Sentence(tokens=words, pos=("XX",) * len(words),
+                    parse=parse_ptb_tree(text))
+
+
 def make_doc(id, words, label=None, parse=None, domain="general"):
-    tokens = tuple(words)
-    pos = tuple("NN" for _ in words)
-    tree = parse_ptb_tree(parse) if parse else None
-    if tree is not None:
-        sent = Sentence(tokens=tuple(tree.leaves()),
-                        pos=tuple("XX" for _ in tree.leaves()), parse=tree)
+    if parse:
+        sent = parsed_sentence(parse)
     else:
-        sent = Sentence(tokens=tokens, pos=pos)
+        sent = Sentence(tokens=tuple(words), pos=tuple("NN" for _ in words))
     return AnnotatedLead(id=id, domain=domain, lead_text=" ".join(sent.tokens),
                          sentences=(sent,), article_word_count=1000)
 
@@ -415,14 +419,9 @@ class TestPrFeatures:
     two_sentence_lead = None
 
     def make_lead_with_parses(self, parses, id="p1"):
-        sentences = []
-        for p in parses:
-            tree = parse_ptb_tree(p)
-            sentences.append(Sentence(tokens=tuple(tree.leaves()),
-                                      pos=tuple("XX" for _ in tree.leaves()),
-                                      parse=tree))
         return AnnotatedLead(id=id, domain="general", lead_text="x",
-                             sentences=tuple(sentences), article_word_count=999)
+                             sentences=tuple(map(parsed_sentence, parses)),
+                             article_word_count=999)
 
     def test_count_across_sentences(self):
         lead = self.make_lead_with_parses([
@@ -459,10 +458,6 @@ class TestPrFeatures:
                               sentences=(), article_word_count=0)
         with pytest.raises(MissingParseError):
             pr_row(empty, space)
-
-    def test_lead_rules_cached(self):
-        lead = self.make_lead_with_parses(["(S (NP (NN cats)) (VP (VBD sat)))"])
-        assert lead_rules(lead) is lead_rules(lead)
 
 
 class TestCheckPrecedence:
@@ -543,14 +538,10 @@ TREE_STRUCTS = st.recursive(
 
 
 def lead_of_structs(id, structs):
-    sentences = []
-    for struct in structs:
-        tree = parse_ptb_tree(struct_to_bracketed(struct))
-        sentences.append(Sentence(tokens=tuple(tree.leaves()),
-                                  pos=tuple("XX" for _ in tree.leaves()),
-                                  parse=tree))
+    sentences = tuple(parsed_sentence(struct_to_bracketed(struct))
+                      for struct in structs)
     return AnnotatedLead(id=id, domain="general", lead_text="x",
-                         sentences=tuple(sentences), article_word_count=1000)
+                         sentences=sentences, article_word_count=1000)
 
 
 @st.composite

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contentdense import learn
-from contentdense.corpus import AnnotatedLead, Sentence, parse_ptb_tree
+from contentdense.corpus import AnnotatedLead
 from contentdense.errors import (
     DataLeakError,
     NumericError,
@@ -48,7 +48,7 @@ from contentdense.learn import (
     train_feature_fusion,
     train_linear,
 )
-from test_features import corpora
+from test_features import corpora, parsed_sentence
 
 MRC_LEXICON = ("glass", "iron", "river", "stone")
 DENSE_MARKERS = ("fact", "figure")
@@ -58,15 +58,9 @@ DENSE_TREE = ("(S (NP (DT the) (NN report)) (VP (VBD listed) "
 SPARSE_TREE = "(S (NP (PRP it)) (VP (VBD seemed) (ADJP (JJ nice))))"
 
 
-def tree_sentence(text):
-    tree = parse_ptb_tree(text)
-    leaves = tuple(tree.leaves())
-    return Sentence(tokens=leaves, pos=tuple("XX" for _ in leaves), parse=tree)
-
-
 def word_sentence(marker, fillers):
     text = "(S (NN {}) (VB saw) (NN {}) (NN {}))".format(marker, *fillers)
-    return tree_sentence(text)
+    return parsed_sentence(text)
 
 
 def make_corpus(n, seed=0, flip=0.1):
@@ -85,7 +79,7 @@ def make_corpus(n, seed=0, flip=0.1):
         else:
             fillers = ("idea", "hope")
         sents = (word_sentence(marker, fillers),
-                 tree_sentence(DENSE_TREE if pr_dense else SPARSE_TREE))
+                 parsed_sentence(DENSE_TREE if pr_dense else SPARSE_TREE))
         lead = AnnotatedLead(
             id=f"lead{k:04d}", domain="general",
             lead_text=" ".join(w for s in sents for w in s.tokens),

@@ -2,9 +2,10 @@
 them up (``_targets``). A site that no longer exists only fails inside a
 traced benchmark run, and a fit or a score that stops calling a traced
 name only zeroes a metric, so this checks every site against the package,
-that a fit still passes through the solver and objective sites, and that
+that a fit still passes through the solver and objective sites, that
 training and scoring a decision-fusion classifier pass through the
-training, calibration and margin sites."""
+training, calibration and margin sites, and that every parse a load or
+the generator makes passes through the parse sites."""
 
 import importlib.util
 from collections import Counter
@@ -12,10 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
+from contentdense.corpus import AnnotatedLead, Sentence, load_corpus, save_corpus
 from contentdense.evaluation import train_modes
 from contentdense.features import FeatureTable
 from contentdense.kernels import LOSS_LOGISTIC, pack_csr
 from contentdense.learn import MODE_DECISION_FUSION, TrainConfig, train_linear
+from contentdense.synthetic import generate_corpus
 from test_learn import MRC_LEXICON, make_corpus
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -84,3 +87,24 @@ def test_decision_fusion_reaches_the_train_platt_and_margin_sites():
     assert spans["optimize.platt"] == 1
     scored = Counter(run.names[nid] for nid, _, _, _ in run.spans[n_trained:])
     assert scored["kernels.margins"] == 4  # three first-layer models, one second
+
+
+def test_every_parse_reaches_the_parse_sites(tmp_path):
+    tracer = load_tracer()
+    unparsed = AnnotatedLead(
+        id="plain", domain="general", lead_text="Dogs ran.",
+        sentences=(Sentence(tokens=("Dogs", "ran"), pos=("NNS", "VBD")),),
+        article_word_count=2)
+    path = tmp_path / "corpus.jsonl"
+    run = tracer.Tracer("guard")
+    run.install()
+    try:
+        generated = list(generate_corpus(20, seed=7).leads)
+        save_corpus(generated + [unparsed], path)
+        loaded = load_corpus(path)
+    finally:
+        run.uninstall()
+    parsed = [s for lead in generated + loaded for s in lead.sentences
+              if s.parse is not None]
+    assert len(parsed) == 80
+    assert run.metrics(wall_s=0.0)["corpus.parse_calls"] == len(parsed)

@@ -1,6 +1,7 @@
 """Tests for the synthetic corpus generator."""
 
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -59,16 +60,16 @@ class TestGeneration:
             assert lead.article_word_count >= lead.n_tokens
             for s in lead.sentences:
                 assert s.parse is not None
-                assert s.parse.leaf_count() == len(s.tokens)
+                assert s.parse.n_leaves == len(s.tokens)
 
     def test_every_lead_contains_the_full_lexicon(self, standard):
         for lead in standard.leads:
             for word in LEXICON_WORDS:
-                assert word in lead.word_counts
+                assert word in Counter(lead.words)
 
     def test_lexicon_rate_is_exactly_bimodal(self, standard):
         rates = {
-            sum(lead.word_counts[w] for w in LEXICON_WORDS) / lead.n_tokens
+            sum(Counter(lead.words)[w] for w in LEXICON_WORDS) / lead.n_tokens
             for lead in standard.leads
         }
         assert rates == {2 / 16, 4 / 16}
