@@ -277,13 +277,15 @@ def cmd_train(args) -> None:
             f"{name}: c={model.first_layer[name].l2_c:g}"
             for name in SPACE_ORDER
         ) + f", second: c={model.second_layer.l2_c:g}"
+        dev_margins = model.second_layer.dev_margins
     else:
         chosen = f"c={model.l2_c:g}"
+        dev_margins = model.dev_margins
 
     out = _out_dir(args)
     _write_atomic(out / "model.json", lambda p: save_classifier(classifier, p))
 
-    dev_accuracy = accuracy(classifier.margins(dev_leads),
+    dev_accuracy = accuracy(dev_margins,
                             label_to_y([mapping[l.id] for l in dev_leads]))
     print(f"labeled {len(labeled)} of {len(leads)} leads "
           f"({n_skipped} skipped: missing or short summary)")

@@ -305,14 +305,14 @@ class AnnotatedLead:
     def n_tokens(self) -> int:
         return sum(len(s.tokens) for s in self.sentences)
 
-    @cached_property
+    @property
     def words(self) -> tuple[str, ...]:
         out: list[str] = []
         for s in self.sentences:
             out.extend(s.folded_words())
         return tuple(out)
 
-    @cached_property
+    @property
     def tuples(self) -> tuple[WordPosTuple, ...]:
         out: list[WordPosTuple] = []
         for s in self.sentences:

@@ -42,10 +42,9 @@ from .learn import (
     MODE_SPACES,
     MODES,
     LeadClassifier,
-    LinearModel,
     TrainConfig,
     accuracy,
-    label_to_y,
+    label_vector,
     margin_label,
     train_decision_fusion,
     train_feature_fusion,
@@ -159,31 +158,31 @@ def train_modes(modes: Sequence[str],
     per-space model is trained once, for its single-space mode and the
     decision-fusion first layer alike. ``dev_leads`` picks c and trains
     the second layer; without decision fusion and with a one-value c
-    grid it may be empty."""
+    grid it may be empty. A ValidationError names the first lead that
+    ``table`` lacks or ``labels`` does not label, before anything trains."""
+    train_rows, dev_rows = table.rows(train_leads), table.rows(dev_leads)
+    y = label_vector(table, labels)
+    table.check_labelled(np.concatenate([train_rows, dev_rows]), y)
     bundle = build_feature_bundle(
-        train_leads, labels, lexicon,
+        train_rows, y, lexicon,
         include=[s for s in SPACE_ORDER
                  if any(s in MODE_SPACES[m] for m in modes)],
         top_k=top_k, table=table)
-    space_models: dict[str, LinearModel] = {}
-
-    def space_model(name: str) -> LinearModel:
-        if name not in space_models:
-            space_models[name] = train_single(train_leads, labels, bundle,
-                                              name, config, dev_leads)
-        return space_models[name]
-
+    shared = {s for m in modes if m != MODE_FEATURE_FUSION
+              for s in MODE_SPACES[m]}
+    space_models = {name: train_single(train_rows, y, bundle, name, config,
+                                       dev_rows)
+                    for name in SPACE_ORDER if name in shared}
     classifiers = {}
     for mode in modes:
         if mode == MODE_FEATURE_FUSION:
-            model = train_feature_fusion(train_leads, labels, bundle, config,
-                                         dev_leads)
+            model = train_feature_fusion(train_rows, y, bundle, config,
+                                         dev_rows)
         elif mode == MODE_DECISION_FUSION:
-            model = train_decision_fusion(
-                train_leads, dev_leads, labels, bundle, config,
-                first_layer={name: space_model(name) for name in SPACE_ORDER})
+            model = train_decision_fusion(train_rows, dev_rows, y, bundle,
+                                          config, first_layer=space_models)
         else:
-            model = space_model(MODE_SPACES[mode][0])
+            model = space_models[MODE_SPACES[mode][0]]
         classifiers[mode] = LeadClassifier(mode=mode, bundle=bundle,
                                            model=model)
     return classifiers
@@ -191,12 +190,15 @@ def train_modes(modes: Sequence[str],
 
 def _plan_folds(modes: str | Sequence[str], leads: Sequence[AnnotatedLead],
                 labels: Mapping[str, str], lexicon: Iterable[str] | None,
-                k: int, seed: int, fold_subset: Sequence[int] | None):
+                k: int, seed: int, fold_subset: Sequence[int] | None,
+                table: FeatureTable | None):
     """(mode list, fold plan, folds to run in increasing order, leads by
-    id, lexicon), after checking the modes, the labels and every fold
-    index, so that a bad argument fails before anything trains. When a
-    mode needs the MRC space, the returned lexicon is that space, built
-    once for every fold; otherwise it is ``lexicon`` unchanged."""
+    id, lexicon, table), after checking the modes, the labels, every fold
+    index and that ``table`` (a new one over ``leads`` when None) holds
+    every lead, so that a bad argument fails before anything trains. The
+    table has counted what the modes need, for forked fold workers to
+    inherit. When a mode needs the MRC space, the returned lexicon is
+    that space, built once for every fold."""
     mode_list = [modes] if isinstance(modes, str) else list(modes)
     for mode in mode_list:
         if mode not in MODES:
@@ -214,26 +216,18 @@ def _plan_folds(modes: str | Sequence[str], leads: Sequence[AnnotatedLead],
         raise ValidationError("fold_subset names no fold")
     for t in fold_iter:
         plan.roles(t)
-    if (lexicon is not None and not isinstance(lexicon, FeatureSpace)
-            and any(SPACE_MRC in MODE_SPACES[m] for m in mode_list)):
-        lexicon = mrc_space(lexicon)
-    return mode_list, plan, fold_iter, {l.id: l for l in leads}, lexicon
-
-
-def _counted_table(table: FeatureTable | None,
-                   leads: Sequence[AnnotatedLead],
-                   mode_list: Sequence[str]) -> FeatureTable:
-    """``table`` (a new one over ``leads`` when None) holding the word and
-    rule counts the modes need, made here before the folds run, so that
-    forked fold workers inherit them instead of each counting again."""
     if table is None:
         table = FeatureTable(leads)
+    table.rows(leads)  # raises for a lead the table lacks
     spaces = {s for m in mode_list for s in MODE_SPACES[m]}
     if spaces - {SPACE_PR}:
         table.words
     if SPACE_PR in spaces:
         table.rules
-    return table
+    if (lexicon is not None and not isinstance(lexicon, FeatureSpace)
+            and SPACE_MRC in spaces):
+        lexicon = mrc_space(lexicon)
+    return mode_list, plan, fold_iter, {l.id: l for l in leads}, lexicon, table
 
 
 def _usable_cpus() -> int:
@@ -323,27 +317,27 @@ def cross_validate(leads: Sequence[AnnotatedLead],
     and the per-space first-layer models, so the test fold and everything
     trained from the first-layer folds is identical across modes. Returns
     one CrossValidationResult for a single mode, or a dict keyed by mode.
-    Counts come from ``table`` (one over ``leads`` when none is given).
-    Folds may train in forked worker processes (see the module notes).
+    Counts come from ``table`` (one over ``leads`` when none is given),
+    which must hold every lead. Folds may train in forked worker
+    processes (see the module notes).
 
     Training failures carry the fold index in their message.
     """
     config = config or TrainConfig()
-    mode_list, plan, fold_iter, by_id, lexicon = _plan_folds(
-        modes, leads, labels, lexicon, k, seed, fold_subset)
-    table = _counted_table(table, leads, mode_list)
+    mode_list, plan, fold_iter, by_id, lexicon, table = _plan_folds(
+        modes, leads, labels, lexicon, k, seed, fold_subset, table)
 
     def test_scores(t: int) -> dict[str, tuple[list[float], list[float]]]:
         """Each mode's margins and probabilities on test fold t."""
         _, first, second = plan.roles(t)
         train_leads = [by_id[i] for f in first for i in plan.folds[f]]
         dev_leads = [by_id[i] for f in second for i in plan.folds[f]]
-        test_leads = [by_id[i] for i in plan.folds[t]]
+        test_rows = table.rows([by_id[i] for i in plan.folds[t]])
         classifiers = train_modes(mode_list, train_leads, dev_leads, labels,
                                   lexicon, table, config, top_k)
         scores = {}
         for mode, clf in classifiers.items():
-            z = clf.margins(test_leads)
+            z = clf.model.score(clf.bundle, test_rows)
             scores[mode] = (z.tolist(), clf.proba_from_margins(z).tolist())
         return scores
 
@@ -400,27 +394,27 @@ def learning_curve(leads: Sequence[AnnotatedLead],
     trains. Modes that split it alike train together, as in
     ``cross_validate``. Sizes beyond the available pool are dropped; if
     none fit the curve has a single point at the full pool size. Counts
-    come from ``table`` (one over ``leads`` when none is given). Folds may
-    train in forked worker processes (see the module notes).
+    come from ``table`` (one over ``leads`` when none is given), which
+    must hold every lead. Folds may train in forked worker processes (see
+    the module notes).
     """
     config = config or TrainConfig()
-    mode_list, plan, fold_iter, by_id, lexicon = _plan_folds(
-        modes, leads, labels, lexicon, k, seed, fold_subset)
+    mode_list, plan, fold_iter, by_id, lexicon, table = _plan_folds(
+        modes, leads, labels, lexicon, k, seed, fold_subset, table)
+    y = label_vector(table, labels)
     pool_min = min(len(leads) - len(plan.folds[t]) for t in fold_iter)
     usable = [s for s in curve_sizes(sizes) if s <= pool_min] or [pool_min]
     by_split: dict[bool, list[str]] = {}  # needs development data -> modes
     for mode in mode_list:
         by_split.setdefault(mode == MODE_DECISION_FUSION
                             or len(config.sorted_c_grid) > 1, []).append(mode)
-    table = _counted_table(table, leads, mode_list)
 
     def size_accuracies(t: int) -> dict[str, list[float]]:
         """Each mode's test-fold accuracy at each usable size, fold t."""
         pool = [i for f in range(k) if f != t for i in plan.folds[f]]
         rng = np.random.default_rng([seed, t])
         pool = [pool[j] for j in rng.permutation(len(pool))]
-        test_leads = [by_id[i] for i in plan.folds[t]]
-        test_y = label_to_y([labels[l.id] for l in test_leads])
+        test_rows = table.rows([by_id[i] for i in plan.folds[t]])
         accs: dict[str, list[float]] = {m: [] for m in mode_list}
         for size in usable:
             prefix = [by_id[i] for i in pool[:size]]
@@ -431,8 +425,8 @@ def learning_curve(leads: Sequence[AnnotatedLead],
                                           labels, lexicon, table, config,
                                           top_k)
                 for mode, clf in classifiers.items():
-                    accs[mode].append(accuracy(clf.margins(test_leads),
-                                               test_y))
+                    accs[mode].append(accuracy(
+                        clf.model.score(clf.bundle, test_rows), y[test_rows]))
         return accs
 
     per_fold = _map_folds(size_accuracies, fold_iter)

@@ -37,7 +37,7 @@ from .errors import (
     ValidationError,
 )
 from .kernels import CsrMatrix, csr_take, pack_csr
-from .labeling import CONTENT_DENSE, LABELS, NON_CONTENT_DENSE
+from .labeling import CONTENT_DENSE, NON_CONTENT_DENSE
 
 SPACE_MRC = "MRC"
 SPACE_MI = "MI"
@@ -99,11 +99,12 @@ def mrc_space(lexicon: Iterable[str]) -> FeatureSpace:
     return FeatureSpace(SPACE_MRC, {w: k for k, w in enumerate(words)})
 
 
-def select_mi_vocabulary(leads: Sequence[AnnotatedLead],
-                         labels: Mapping[str, str],
+def select_mi_vocabulary(rows: np.ndarray,
+                         y: np.ndarray,
                          min_count: int = 5,
                          top_k: int = 500,
-                         table: FeatureTable | None = None,
+                         *,
+                         table: FeatureTable,
                          ) -> tuple[FeatureSpace, list[MiEntry]]:
     """Select the top_k words most associated with each class.
 
@@ -114,37 +115,32 @@ def select_mi_vocabulary(leads: Sequence[AnnotatedLead],
     must appear in at least ``min_count`` documents to be eligible; a word
     never occurring in a class is excluded from that class's ranking
     entirely. Ties at the selection boundary break lexicographically.
-    Document counts are column counts of the leads' rows in ``table``.
+    The training documents are the rows ``rows`` of ``table``, and
+    ``y`` holds each table row's class (+1 content_dense, -1 not, 0 none).
 
     Returns the feature space (the deduplicated union of both classes' top
     lists, indexed in sorted word order) and the selected entries, ordered
     content_dense first, then by descending association and word.
 
     Raises SingleClassError when the training labels cover one class only,
-    ValidationError when a lead has no label in ``labels``.
+    ValidationError when a training lead has no label.
     """
     if min_count < 1 or top_k < 1:
         raise ValidationError("min_count and top_k must be at least 1")
-    class_counts: Counter = Counter()
-    dense = np.zeros(len(leads), dtype=bool)
-    for k, lead in enumerate(leads):
-        label = labels.get(lead.id)
-        if label is None:
-            raise ValidationError(f"lead {lead.id} has no label")
-        if label not in LABELS:
-            raise ValidationError(f"lead {lead.id}: unknown label {label!r}")
-        class_counts[label] += 1
-        dense[k] = label == CONTENT_DENSE
-    if len(class_counts) < 2:
+    table.check_labelled(rows, y)
+    dense = y[rows] > 0
+    n_docs = len(rows)
+    n_dense = int(np.count_nonzero(dense))
+    class_counts = {CONTENT_DENSE: n_dense, NON_CONTENT_DENSE: n_docs - n_dense}
+    covered = [label for label, n in class_counts.items() if n]
+    if len(covered) < 2:
         raise SingleClassError(
-            f"training data covers only {list(class_counts) or 'no'} labels"
+            f"training data covers only {covered or 'no'} labels"
         )
 
-    table, rows = _held(table, leads)
     words, _, X = table.take(rows, rules=False)
     df = np.bincount(X.indices, minlength=X.n_cols)
     in_dense = np.bincount(X.indices[dense[X.rows]], minlength=X.n_cols)
-    n_docs = len(leads)
     entries: list[MiEntry] = []
     selected_words: set[str] = set()
     for label, present in ((CONTENT_DENSE, in_dense),
@@ -217,13 +213,16 @@ class FeatureTable:
         self._row_of = {id(lead): r for r, lead in enumerate(self.leads)}
         self.n_tokens = np.array([lead.n_tokens for lead in self.leads])
 
-    def rows(self, leads: Sequence[AnnotatedLead]) -> np.ndarray | None:
-        """Each lead's row, found by identity; None when one is not held."""
+    def rows(self, leads: Sequence[AnnotatedLead]) -> np.ndarray:
+        """Each lead's row, found by identity; ValidationError naming the
+        first lead the table does not hold."""
         row_of = self._row_of
         try:
             return np.array([row_of[id(lead)] for lead in leads], dtype=np.int64)
         except KeyError:
-            return None
+            lead = next(lead for lead in leads if id(lead) not in row_of)
+            raise ValidationError(
+                f"feature table does not hold lead {lead.id!r}") from None
 
     @cached_property
     def words(self) -> tuple[list[str], dict, CsrMatrix]:
@@ -248,15 +247,13 @@ class FeatureTable:
         keys, column_of, counts = self.rules if rules else self.words
         return keys, column_of, csr_take(counts, rows)
 
-
-def _held(table: FeatureTable | None, leads: Sequence[AnnotatedLead],
-          ) -> tuple[FeatureTable, np.ndarray]:
-    """``table`` and the leads' rows in it, or a new table over the leads
-    when ``table`` does not hold them all."""
-    rows = None if table is None else table.rows(leads)
-    if rows is None:
-        return FeatureTable(leads), np.arange(len(leads))
-    return table, rows
+    def check_labelled(self, rows: np.ndarray, y: np.ndarray) -> None:
+        """ValidationError naming the first of the rows' leads whose
+        class in ``y`` (indexed by row) is 0, i.e. that has no label."""
+        missing = np.flatnonzero(y[rows] == 0)
+        if len(missing):
+            lead = self.leads[rows[missing[0]]]
+            raise ValidationError(f"lead {lead.id} has no label")
 
 
 def _check(table: FeatureTable, rows: np.ndarray, words: bool,
@@ -290,11 +287,9 @@ def _column_map(space: FeatureSpace, column_of: dict,
     return out
 
 
-def pr_space(leads: Sequence[AnnotatedLead],
-             table: FeatureTable | None = None) -> FeatureSpace:
-    """Space over every production rule occurring in the given leads: the
-    rule columns of ``table`` counted in their rows."""
-    table, rows = _held(table, leads)
+def pr_space(rows: np.ndarray, table: FeatureTable) -> FeatureSpace:
+    """Space over every production rule occurring in the leads of rows
+    ``rows`` of ``table``: the rule columns counted in those rows."""
     _check(table, rows, words=False, rules=True)
     rules, _, X = table.take(rows, rules=True)
     seen = np.flatnonzero(np.bincount(X.indices, minlength=X.n_cols))
@@ -306,9 +301,6 @@ def _canonical_spaces(spaces: Sequence[FeatureSpace]) -> list[FeatureSpace]:
     names = [s.name for s in spaces]
     if len(set(names)) != len(names):
         raise ValidationError(f"duplicate feature space in {names}")
-    for name in names:
-        if name not in SPACE_ORDER:
-            raise ValidationError(f"unknown feature space {name!r}")
     return sorted(spaces, key=lambda s: SPACE_ORDER.index(s.name))
 
 
@@ -319,7 +311,7 @@ class FeatureBundle:
     MI and PR spaces depend on training data (vocabulary selection, seen
     rules), so a bundle is built per training fold and never shared across
     folds. Spaces left out at build time are None and cannot be extracted.
-    ``table``, when given, holds the counts that matrices are taken from.
+    ``table`` holds the counts that ``matrix`` takes its rows from.
     """
 
     mrc: FeatureSpace | None = None
@@ -349,26 +341,18 @@ class FeatureBundle:
         """Name of the active spaces side by side, e.g. "MRC+MI+PR"."""
         return "+".join(s.name for s in self.active_spaces())
 
-    def holding(self, leads: Sequence[AnnotatedLead]) -> FeatureBundle:
-        """This bundle, or a copy with a table over ``leads`` when its own
-        table does not hold them all; build once, take several matrices."""
-        table, _ = _held(self.table, leads)
-        return self if table is self.table else replace(self, table=table)
-
-    def matrix(self, leads: Sequence[AnnotatedLead],
-               names: Sequence[str]) -> CsrMatrix:
-        """One CSR row per lead over the named spaces, side by side.
+    def matrix(self, rows: np.ndarray, names: Sequence[str]) -> CsrMatrix:
+        """One CSR row per table row in ``rows``, named spaces side by side.
 
         Columns follow the named spaces in the order MRC, MI, PR, each at
         the offset of the dims before it. Values: MRC a word's count over
         the lead's token count, MI 1.0 per present word, PR a rule's count
         (1.0 when ``pr_value`` is binary); keys outside a space are
-        skipped. Rows come from ``table`` when it holds every lead. Raises
-        EmptyLeadError for a lead without tokens (MRC, MI) and
-        MissingParseError for one without parses (PR).
+        skipped. Raises EmptyLeadError for a lead without tokens (MRC, MI)
+        and MissingParseError for one without parses (PR).
         """
         spaces = _canonical_spaces([self.space(n) for n in names])
-        table, rows = _held(self.table, leads)
+        table = self.table
         _check(table, rows, words=spaces[0].name != SPACE_PR,
                rules=spaces[-1].name == SPACE_PR)
         parts, offset, taken = [], 0, None
@@ -388,12 +372,13 @@ class FeatureBundle:
             parts.append((X.rows[keep], cols[keep] + offset, vals[keep]))
             offset += space.dim
         entries = [np.concatenate(p) for p in zip(*parts)]
-        return pack_csr(*entries, len(leads), offset)
+        return pack_csr(*entries, len(rows), offset)
 
     def extract_single(self, lead: AnnotatedLead, name: str) -> SparseFeatureVector:
-        """The lead's row of ``matrix`` over the space ``name``; a name
-        joining several spaces with "+" names their combined space."""
-        X = self.matrix([lead], name.split("+"))
+        """The lead's row of ``matrix`` over the space ``name``, from a
+        table over it; a name joining spaces with "+" names their union."""
+        X = replace(self, table=FeatureTable([lead])).matrix(
+            np.zeros(1, dtype=np.int64), name.split("+"))
         return SparseFeatureVector(
             name, dict(zip(X.indices.tolist(), X.data.tolist())))
 
@@ -402,36 +387,35 @@ class FeatureBundle:
         return self.extract_single(lead, self.combined_name)
 
 
-def build_feature_bundle(train_leads: Sequence[AnnotatedLead],
-                         labels: Mapping[str, str] | None,
+def build_feature_bundle(train_rows: np.ndarray,
+                         y: np.ndarray | None,
                          lexicon: Iterable[str] | None,
                          include: Sequence[str] = SPACE_ORDER,
                          top_k: int = 500,
-                         table: FeatureTable | None = None) -> FeatureBundle:
-    """Build the spaces named in ``include`` from training data only.
+                         *,
+                         table: FeatureTable) -> FeatureBundle:
+    """Build the spaces named in ``include`` from the training rows
+    ``train_rows`` of ``table`` only; the bundle keeps ``table``.
 
     The MRC space needs ``lexicon`` (a word list, or its space); the MI
-    space needs ``labels`` for the training leads; the PR space needs every
-    training lead parsed. Counts come from ``table`` (one over the
-    training leads when none is given), which the bundle keeps.
+    space needs ``y``, the class of each table row (see
+    select_mi_vocabulary), labelling every training row; the PR space
+    needs every training lead parsed.
     """
     for name in include:
         if name not in SPACE_ORDER:
             raise ValidationError(f"unknown feature space {name!r}")
-    if table is None:
-        table = FeatureTable(train_leads)
     mrc = mi = pr = None
     if SPACE_MRC in include:
         if lexicon is None:
             raise ValidationError("MRC space requested but no lexicon given")
         mrc = lexicon if isinstance(lexicon, FeatureSpace) else mrc_space(lexicon)
     if SPACE_MI in include:
-        if labels is None:
+        if y is None:
             raise ValidationError("MI space requested but no labels given")
-        mi, _ = select_mi_vocabulary(train_leads, labels, top_k=top_k,
-                                     table=table)
+        mi, _ = select_mi_vocabulary(train_rows, y, top_k=top_k, table=table)
     if SPACE_PR in include:
-        pr = pr_space(train_leads, table)
+        pr = pr_space(train_rows, table)
     return FeatureBundle(mrc=mrc, mi=mi, pr=pr, table=table)
 
 

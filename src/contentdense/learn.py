@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -40,6 +40,7 @@ from .features import (
     SPACE_ORDER,
     SPACE_PR,
     FeatureBundle,
+    FeatureTable,
     space_from_lines,
     space_to_lines,
 )
@@ -107,6 +108,15 @@ def label_to_y(labels: Sequence[str]) -> np.ndarray:
     return np.where(dense, 1.0, -1.0)
 
 
+def label_vector(table: FeatureTable, labels: Mapping[str, str]) -> np.ndarray:
+    """``y`` indexed by ``table`` row: each row's lead's label in
+    ``labels`` as label_to_y encodes it, and 0 where ``labels`` has none."""
+    held = [r for r, lead in enumerate(table.leads) if lead.id in labels]
+    y = np.zeros(len(table.leads))
+    y[held] = label_to_y([labels[table.leads[r].id] for r in held])
+    return y
+
+
 def accuracy(z: np.ndarray, y: np.ndarray) -> float:
     """Share of margins whose class matches y (+1/-1): a margin >= 0
     predicts content_dense, as margin_label does."""
@@ -132,6 +142,9 @@ class LinearModel:
     loss: str
     l2_c: float
     platt: tuple[float, float] | None = None
+    # The development rows' margins, when training had some; not saved.
+    dev_margins: np.ndarray | None = field(default=None, init=False,
+                                           repr=False, compare=False)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -160,11 +173,10 @@ class LinearModel:
             raise NumericError(f"{self.space_name} model gave a NaN margin")
         return z
 
-    def score(self, bundle: FeatureBundle,
-              leads: Sequence[AnnotatedLead]) -> np.ndarray:
-        """Decision margins of the leads over the spaces ``space_name``
-        names (several joined by "+")."""
-        return self.margins(bundle.matrix(leads, self.space_name.split("+")))
+    def score(self, bundle: FeatureBundle, rows: np.ndarray) -> np.ndarray:
+        """Decision margins of rows ``rows`` of the bundle's table over the
+        spaces ``space_name`` names (several joined by "+")."""
+        return self.margins(bundle.matrix(rows, self.space_name.split("+")))
 
     def proba_from_margins(self, z: np.ndarray) -> np.ndarray:
         """Probability of the content_dense class for each margin.
@@ -236,75 +248,77 @@ def _grid_search(train_X: CsrMatrix, train_y: np.ndarray,
                  config: TrainConfig) -> LinearModel:
     """Pick c by development accuracy; ties go to the smallest c.
 
-    With a single-value grid no development data is needed.
+    With a single-value grid no development data is needed; when given,
+    the chosen model keeps its margins on it in ``dev_margins``.
     """
     grid = config.sorted_c_grid
-    if len(grid) == 1:
-        return _train_on_csr(train_X, train_y, space_name, loss, grid[0])
     if dev_X is None or dev_y is None:
-        raise ValidationError(
-            "grid search over several c values needs a development set"
-        )
+        if len(grid) > 1:
+            raise ValidationError(
+                "grid search over several c values needs a development set"
+            )
+        return _train_on_csr(train_X, train_y, space_name, loss, grid[0])
     best_model = None
     best_acc = -1.0
     for c in grid:
         model = _train_on_csr(train_X, train_y, space_name, loss, c)
-        acc = accuracy(model.margins(dev_X), dev_y)
+        model.dev_margins = model.margins(dev_X)
+        acc = accuracy(model.dev_margins, dev_y)
         if acc > best_acc:
             best_model, best_acc = model, acc
     return best_model
 
 
-def _check_disjoint(train_leads: Sequence[AnnotatedLead],
-                    dev_leads: Sequence[AnnotatedLead]) -> None:
-    overlap = {l.id for l in train_leads} & {l.id for l in dev_leads}
-    if overlap:
+def _check_disjoint(bundle: FeatureBundle, train_rows: np.ndarray,
+                    dev_rows: np.ndarray) -> None:
+    overlap = np.intersect1d(train_rows, dev_rows)
+    if len(overlap):
+        first = min(bundle.table.leads[r].id for r in overlap.tolist())
         raise DataLeakError(
             f"training and development sets share {len(overlap)} lead(s), "
-            f"e.g. {sorted(overlap)[0]!r}"
+            f"e.g. {first!r}"
         )
 
 
-def train_single(train_leads: Sequence[AnnotatedLead],
-                 labels: Mapping[str, str],
+def train_single(train_rows: np.ndarray,
+                 y: np.ndarray,
                  bundle: FeatureBundle,
                  space_name: str,
                  config: TrainConfig | None = None,
-                 dev_leads: Sequence[AnnotatedLead] | None = None,
+                 dev_rows: np.ndarray | None = None,
                  ) -> LinearModel:
     """Grid-searched logistic model on one feature space.
 
-    A ``space_name`` joining several spaces with "+" (a combined space's
-    name) trains on their rows side by side. A model trained on one space
-    can be passed to train_decision_fusion as a first-layer member.
+    Trains on rows ``train_rows`` of the bundle's table, ``y`` giving
+    each table row's class (+1/-1); ``dev_rows`` pick c. A ``space_name``
+    joining several spaces with "+" (a combined space's name) trains on
+    their rows side by side. A model trained on one space with
+    ``dev_rows`` can be passed to train_decision_fusion as a first layer.
     """
     config = config or TrainConfig()
-    if dev_leads:
-        _check_disjoint(train_leads, dev_leads)
     names = space_name.split("+")
-    train_X = bundle.matrix(train_leads, names)
-    train_y = label_to_y([labels[l.id] for l in train_leads])
+    train_X = bundle.matrix(train_rows, names)
     dev_X = dev_y = None
-    if dev_leads:
-        dev_X = bundle.matrix(dev_leads, names)
-        dev_y = label_to_y([labels[l.id] for l in dev_leads])
-    return _grid_search(train_X, train_y, dev_X, dev_y, space_name,
+    if dev_rows is not None and len(dev_rows):
+        _check_disjoint(bundle, train_rows, dev_rows)
+        dev_X, dev_y = bundle.matrix(dev_rows, names), y[dev_rows]
+    return _grid_search(train_X, y[train_rows], dev_X, dev_y, space_name,
                         LOSS_LOGISTIC, config)
 
 
-def train_feature_fusion(train_leads: Sequence[AnnotatedLead],
-                         labels: Mapping[str, str],
+def train_feature_fusion(train_rows: np.ndarray,
+                         y: np.ndarray,
                          bundle: FeatureBundle,
                          config: TrainConfig | None = None,
-                         dev_leads: Sequence[AnnotatedLead] | None = None,
+                         dev_rows: np.ndarray | None = None,
                          ) -> LinearModel:
     """Logistic model on the concatenated feature representation.
 
     A development set is required whenever config.c_grid has more than one
     value (grid search selects by development accuracy).
     """
-    return train_single(train_leads, labels, bundle,
-                        bundle.combined_name, config, dev_leads)
+    return train_single(train_rows, y, bundle, bundle.combined_name, config,
+                        dev_rows)
 
 
 @dataclass
@@ -326,11 +340,11 @@ class FusionModel:
                 f"match {len(self.first_layer)} first-layer models"
             )
 
-    def score(self, bundle: FeatureBundle,
-              leads: Sequence[AnnotatedLead]) -> np.ndarray:
-        """Second-layer margins of the leads."""
-        return self.second_layer.margins(
-            _first_layer_rows(self.first_layer, bundle, leads))
+    def score(self, bundle: FeatureBundle, rows: np.ndarray) -> np.ndarray:
+        """Second-layer margins of rows ``rows`` of the bundle's table."""
+        return self.second_layer.margins(_second_layer_rows(
+            self.first_layer, [self.first_layer[name].score(bundle, rows)
+                               for name in SPACE_ORDER]))
 
     def proba_from_margins(self, z: np.ndarray) -> np.ndarray:
         """The second layer's Platt-calibrated probability of each margin."""
@@ -350,17 +364,12 @@ def _check_first_layer(first_layer: Mapping[str, LinearModel]) -> None:
                 f"{model.space_name!r}")
 
 
-def _first_layer_rows(first_layer: Mapping[str, LinearModel],
-                      bundle: FeatureBundle,
-                      leads: Sequence[AnnotatedLead]) -> CsrMatrix:
-    """Dense second-layer rows of the leads: their MRC, MI and PR
-    content-dense probabilities. The bundle takes the three matrices from
-    one table holding the leads."""
-    bundle = bundle.holding(leads)
-    values = np.column_stack([
-        first_layer[name].proba_from_margins(
-            first_layer[name].score(bundle, leads))
-        for name in SPACE_ORDER])
+def _second_layer_rows(first_layer: Mapping[str, LinearModel],
+                       margins: Sequence[np.ndarray]) -> CsrMatrix:
+    """Dense second-layer rows: the content-dense probabilities of the
+    first layer's MRC, MI and PR margins, given in that order."""
+    values = np.column_stack([first_layer[name].proba_from_margins(z)
+                              for name, z in zip(SPACE_ORDER, margins)])
     n, d = values.shape
     return pack_csr(np.repeat(np.arange(n), d), np.tile(np.arange(d), n),
                     values.ravel(), n, d)
@@ -396,36 +405,41 @@ def _platt_from_cv(dev_X: CsrMatrix, dev_y: np.ndarray, space_name: str,
     return fit_platt_sigmoid(margin_out, dev_y)
 
 
-def train_decision_fusion(train_leads: Sequence[AnnotatedLead],
-                          dev_leads: Sequence[AnnotatedLead],
-                          labels: Mapping[str, str],
+def train_decision_fusion(train_rows: np.ndarray,
+                          dev_rows: np.ndarray,
+                          y: np.ndarray,
                           bundle: FeatureBundle,
                           config: TrainConfig | None = None,
                           first_layer: Mapping[str, LinearModel] | None = None,
                           ) -> FusionModel:
     """Two-layer stack: per-space logistic models, then a hinge combiner.
 
-    First-layer models are ``train_single`` models on ``train_leads``, one
-    per feature space (pass ``first_layer`` to reuse ones already
-    trained). The second layer trains on the development set's
-    three-probability vectors (squared hinge; c by its accuracy on those
-    same vectors, ties to smallest c) and carries a Platt calibration fit
-    on margins from an internal split of the development fold.
+    Rows index the bundle's table, ``y`` gives each table row's class.
+    First-layer models are ``train_single`` models on ``train_rows`` with
+    ``dev_rows``, one per feature space (pass ``first_layer`` to reuse
+    ones already trained so). The second layer trains on the development
+    rows' three-probability vectors from the first layer's ``dev_margins``
+    (squared hinge; c by its accuracy on those same vectors, ties to
+    smallest c) and carries a Platt calibration fit on margins from an
+    internal split of the development fold.
 
-    Raises DataLeakError when the two sets share a lead id.
+    Raises DataLeakError when the two sets share a lead.
     """
     config = config or TrainConfig()
-    if not train_leads or not dev_leads:
+    if not len(train_rows) or not len(dev_rows):
         raise ValidationError("both training and development sets are required")
-    _check_disjoint(train_leads, dev_leads)
+    _check_disjoint(bundle, train_rows, dev_rows)
     if first_layer is None:
-        first_layer = {name: train_single(train_leads, labels, bundle, name,
-                                          config, dev_leads)
+        first_layer = {name: train_single(train_rows, y, bundle, name,
+                                          config, dev_rows)
                        for name in SPACE_ORDER}
     _check_first_layer(first_layer)
+    dev_margins = [first_layer[name].dev_margins for name in SPACE_ORDER]
+    if any(z is None or len(z) != len(dev_rows) for z in dev_margins):
+        raise ValidationError("first layer lacks development margins")
 
-    dev_y = label_to_y([labels[l.id] for l in dev_leads])
-    meta_X = _first_layer_rows(first_layer, bundle, dev_leads)
+    dev_y = y[dev_rows]
+    meta_X = _second_layer_rows(first_layer, dev_margins)
     second = _grid_search(meta_X, dev_y, meta_X, dev_y, SPACE_META,
                           LOSS_HINGE, config)
     second.platt = _platt_from_cv(meta_X, dev_y, SPACE_META, LOSS_HINGE,
@@ -457,10 +471,14 @@ class LeadClassifier:
                     f"does not fit the {dim}-dim {name!r} space")
 
     def margins(self, leads: Sequence[AnnotatedLead]) -> np.ndarray:
-        """Decision margins of the leads, scored SCORE_BLOCK at a time."""
+        """Decision margins of the leads, scored SCORE_BLOCK at a time,
+        each block from a table over it."""
+        blocks = [leads[i:i + SCORE_BLOCK]
+                  for i in range(0, len(leads), SCORE_BLOCK)]
         return np.concatenate([np.zeros(0)] + [
-            self.model.score(self.bundle, leads[i:i + SCORE_BLOCK])
-            for i in range(0, len(leads), SCORE_BLOCK)])
+            self.model.score(replace(self.bundle, table=FeatureTable(block)),
+                             np.arange(len(block)))
+            for block in blocks])
 
     def proba_from_margins(self, z: np.ndarray) -> np.ndarray:
         """Content-dense probability of each decision margin."""

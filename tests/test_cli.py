@@ -9,8 +9,10 @@ import io
 import json
 import multiprocessing
 import operator
+import re
 import time
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -41,8 +43,9 @@ from contentdense.errors import (
     NumericError,
     SingleClassError,
 )
-from contentdense.evaluation import make_folds
-from contentdense.learn import load_classifier
+from contentdense.evaluation import cross_validate, make_folds
+from contentdense.features import FeatureBundle, FeatureTable
+from contentdense.learn import MODES, load_classifier
 from contentdense.synthetic import generate_corpus
 
 
@@ -508,6 +511,69 @@ class TestFoldWorkers:
         assert runs[1] == runs[2]
         assert runs[1] == (_exit_code(SingleClassError()), "",
                            "error: fold 3: planted in fold 3\n")
+
+
+class TestDevelopmentMatrices:
+    """Training takes the matrix of the development rows once per space:
+    the margins that pick c also make decision fusion's second-layer rows
+    and train's dev accuracy. Calls on the training rows are not counted."""
+
+    @pytest.fixture(scope="class")
+    def readme_corpus(self, tmp_path_factory):
+        """The README walkthrough's corpus: 1000 leads, seed 7."""
+        root = tmp_path_factory.mktemp("readme")
+        assert main(["generate", "--n", "1000", "--profile", "standard",
+                     "--seed", "7", "--out", str(root)]) == 0
+        return root
+
+    def record_matrices(self, monkeypatch):
+        """Every FeatureBundle.matrix call's (row set, space names)."""
+        calls = []
+        matrix = FeatureBundle.matrix
+
+        def recording(bundle, rows, names):
+            calls.append((frozenset(rows.tolist()), tuple(names)))
+            return matrix(bundle, rows, names)
+
+        monkeypatch.setattr(FeatureBundle, "matrix", recording)
+        return calls
+
+    @pytest.mark.parametrize("mode,expected", [
+        ("decision-fusion", {("MRC",): 1, ("MI",): 1, ("PR",): 1}),
+        ("mi", {("MI",): 1}),
+        ("feature-fusion", {("MRC", "MI", "PR"): 1}),
+    ])
+    def test_readme_train(self, readme_corpus, tmp_path, monkeypatch, mode,
+                          expected):
+        calls = self.record_matrices(monkeypatch)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(["train", "--corpus",
+                         str(readme_corpus / "corpus.jsonl"), "--seed", "7",
+                         "--mode", mode, "--out", str(tmp_path)]) == 0
+        n_dev = int(re.search(r"\((\d+) dev\)", stdout.getvalue())[1])
+        assert n_dev == 168
+        dev = Counter(names for rows, names in calls if len(rows) == n_dev)
+        assert dev == expected
+
+    def test_cross_validation_fold(self, readme_corpus, monkeypatch):
+        """One fold of every mode: decision fusion's first layer is the
+        single-space models, whose development margins it reuses."""
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 1)
+        leads = load_corpus(readme_corpus / "corpus.jsonl")
+        labels = dict(line.split("\t") for line in read(
+            readme_corpus / "labels.tsv").splitlines())
+        plan = make_folds([lead.id for lead in leads], k=10, seed=7)
+        dev_ids = {i for f in plan.roles(0)[2] for i in plan.folds[f]}
+        dev_rows = frozenset(r for r, lead in enumerate(leads)
+                             if lead.id in dev_ids)
+        calls = self.record_matrices(monkeypatch)
+        cross_validate(leads, labels, list(MODES),
+                       lexicon=read(readme_corpus / "lexicon.txt").split(),
+                       seed=7, fold_subset=[0], table=FeatureTable(leads))
+        dev = Counter(names for rows, names in calls if rows == dev_rows)
+        assert dev == {("MRC",): 1, ("MI",): 1, ("PR",): 1,
+                       ("MRC", "MI", "PR"): 1}
 
 
 class TestCombine:

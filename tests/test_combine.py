@@ -25,12 +25,13 @@ from contentdense.errors import (
     MissingParseError,
     ValidationError,
 )
-from contentdense.features import build_feature_bundle
+from contentdense.features import FeatureTable, build_feature_bundle
 from contentdense.labeling import CONTENT_DENSE, NON_CONTENT_DENSE
 from contentdense.learn import (
     MODE_FEATURE_FUSION,
     LeadClassifier,
     TrainConfig,
+    label_vector,
     train_feature_fusion,
 )
 from test_learn import MRC_LEXICON, make_corpus
@@ -95,9 +96,10 @@ class RecordingScorer:
 
 def fusion_classifier():
     leads, labels = make_corpus(40, seed=2, flip=0.0)
-    bundle = build_feature_bundle(leads, labels, MRC_LEXICON)
-    model = train_feature_fusion(leads, labels, bundle,
-                                 TrainConfig(c_grid=(1.0,)))
+    table = FeatureTable(leads)
+    rows, y = np.arange(len(leads)), label_vector(table, labels)
+    bundle = build_feature_bundle(rows, y, MRC_LEXICON, table=table)
+    model = train_feature_fusion(rows, y, bundle, TrainConfig(c_grid=(1.0,)))
     clf = LeadClassifier(mode=MODE_FEATURE_FUSION, bundle=bundle, model=model)
     return leads, clf
 

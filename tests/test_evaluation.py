@@ -259,6 +259,77 @@ class TestCrossValidate:
         assert calls == []
 
 
+class TestTableMustHoldTheLeads:
+    """A ``table`` lacking some of the leads fails before anything trains,
+    naming the first lead it lacks; a table over more leads works alike."""
+
+    @pytest.mark.parametrize("run", [cross_validate, learning_curve])
+    def test_partial_table_rejected_before_training(self, monkeypatch, run):
+        calls = []
+        monkeypatch.setattr(evaluation, "train_modes",
+                            lambda *args, **kwargs: calls.append(args))
+        leads, labels = make_corpus(60, seed=6)
+        with pytest.raises(ValidationError,
+                           match=f"does not hold lead '{leads[10].id}'$"):
+            run(leads, labels, [MODE_MI, MODE_DECISION_FUSION],
+                lexicon=MRC_LEXICON, config=ONE_C, fold_subset=[0],
+                table=FeatureTable(leads[:10]))
+        assert calls == []
+
+    def test_train_modes_names_the_first_missing_lead(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(evaluation, "build_feature_bundle",
+                            lambda *args, **kwargs: calls.append(args))
+        leads, labels = make_corpus(60, seed=6)
+        train, dev = split_train_dev(leads)
+        for table, missing in ((FeatureTable(train[:5] + dev), train[5]),
+                               (FeatureTable(train), dev[0])):
+            with pytest.raises(ValidationError,
+                               match=f"does not hold lead '{missing.id}'$"):
+                train_modes([MODE_MI], train, dev, labels, MRC_LEXICON,
+                            table, ONE_C)
+        unlabeled = {i: label for i, label in labels.items()
+                     if i != dev[3].id}
+        with pytest.raises(ValidationError,
+                           match=f"^lead {dev[3].id} has no label$"):
+            train_modes([MODE_MRC], train, dev, unlabeled, MRC_LEXICON,
+                        FeatureTable(leads), ONE_C)
+        assert calls == []
+
+    def test_wider_table_gives_the_same_results(self, monkeypatch):
+        """A table over more leads, in another order and some of them
+        unlabeled, gives what a table over the leads gives; and with one
+        worker no fold builds a table of its own."""
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 1)
+        built = []
+        init = FeatureTable.__init__
+
+        def counting(self, leads):
+            built.append(len(leads))
+            init(self, leads)
+
+        leads, labels = make_corpus(80, seed=5, flip=0.1)
+        used = leads[:60]
+        labels = {lead.id: labels[lead.id] for lead in used}
+        modes = [MODE_MI, MODE_DECISION_FUSION]
+        kwargs = dict(lexicon=MRC_LEXICON, config=ONE_C, seed=2,
+                      fold_subset=[0, 3])
+        runs = {}
+        for name, table in (("own", FeatureTable(used)),
+                            ("wider", FeatureTable(leads[::-1]))):
+            monkeypatch.setattr(FeatureTable, "__init__", counting)
+            runs[name] = (
+                cross_validate(used, labels, modes, table=table, **kwargs),
+                learning_curve(used, labels, modes, sizes=[18, 36],
+                               table=table, **kwargs))
+            monkeypatch.setattr(FeatureTable, "__init__", init)
+        assert built == []
+        results, curves = runs["own"]
+        assert runs["wider"] == runs["own"]
+        assert all(results[m].predictions for m in modes)
+        assert all(curves[m] for m in modes)
+
+
 class TestSplitTrainDev:
     @pytest.mark.parametrize("n,n_train", [(2, 1), (3, 1), (9, 5), (10, 5),
                                            (18, 10), (376, 208)])

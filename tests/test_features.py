@@ -1,6 +1,7 @@
 import math
 import re
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +34,9 @@ from contentdense.features import (
     space_from_lines,
     space_to_lines,
 )
-from contentdense.labeling import CONTENT_DENSE, NON_CONTENT_DENSE
+from contentdense.labeling import CONTENT_DENSE, NON_CONTENT_DENSE, score_leads
+from contentdense.learn import label_vector
+from contentdense.synthetic import generate_corpus
 
 
 def parsed_sentence(text):
@@ -52,10 +55,31 @@ def make_doc(id, words, label=None, parse=None, domain="general"):
                          sentences=(sent,), article_word_count=1000)
 
 
+def lead_matrix(bundle, leads, names):
+    """``bundle.matrix`` of the leads, taken from a table over them."""
+    return replace(bundle, table=FeatureTable(leads)).matrix(
+        np.arange(len(leads)), names)
+
+
+def select_mi(leads, labels, *args, table=None, **kwargs):
+    """select_mi_vocabulary on the leads' rows of ``table`` (a table over
+    the leads when None), each row's class read from ``labels``."""
+    table = FeatureTable(leads) if table is None else table
+    return select_mi_vocabulary(table.rows(leads), label_vector(table, labels),
+                                *args, table=table, **kwargs)
+
+
+def pr_space_of(leads, table=None):
+    """pr_space on the leads' rows of ``table`` (a table over the leads
+    when None)."""
+    table = FeatureTable(leads) if table is None else table
+    return pr_space(table.rows(leads), table)
+
+
 def row_entries(bundle, lead, name):
     """The lead's one-row ``bundle.matrix`` over space ``name``, as a
     column -> value dict."""
-    X = bundle.matrix([lead], [name])
+    X = lead_matrix(bundle, [lead], [name])
     return dict(zip(X.indices.tolist(), X.data.tolist()))
 
 
@@ -147,7 +171,7 @@ class TestSelectMiVocabulary:
         docs = [(["ubiq", f"u{k}"], CONTENT_DENSE) for k in range(5)]
         docs += [(["ubiq", f"v{k}"], NON_CONTENT_DENSE) for k in range(5)]
         leads, labels = self.docs_to_leads(docs)
-        _, entries = select_mi_vocabulary(leads, labels, min_count=5, top_k=500)
+        _, entries = select_mi(leads, labels, min_count=5, top_k=500)
         for e in entries:
             if e.word == "ubiq":
                 assert e.mi == 0.0
@@ -157,7 +181,7 @@ class TestSelectMiVocabulary:
         docs = [(["signal", f"u{k}"], CONTENT_DENSE) for k in range(5)]
         docs += [([f"v{k}", "other"], NON_CONTENT_DENSE) for k in range(5)]
         leads, labels = self.docs_to_leads(docs)
-        _, entries = select_mi_vocabulary(leads, labels, min_count=5, top_k=500)
+        _, entries = select_mi(leads, labels, min_count=5, top_k=500)
         got = {(e.word, e.label): e.mi for e in entries}
         assert got[("signal", CONTENT_DENSE)] == pytest.approx(math.log(2), abs=1e-15)
         assert ("signal", NON_CONTENT_DENSE) not in got
@@ -172,7 +196,7 @@ class TestSelectMiVocabulary:
             words = ["w"] if k < 2 else ["z"]
             docs.append((words + [f"v{k}"], NON_CONTENT_DENSE))
         leads, labels = self.docs_to_leads(docs)
-        _, entries = select_mi_vocabulary(leads, labels, min_count=5, top_k=500)
+        _, entries = select_mi(leads, labels, min_count=5, top_k=500)
         got = {(e.word, e.label): e.mi for e in entries}
         assert got[("w", CONTENT_DENSE)] == pytest.approx(math.log(1.5), abs=1e-15)
 
@@ -180,7 +204,7 @@ class TestSelectMiVocabulary:
         docs = [(["rare", f"u{k}"], CONTENT_DENSE) for k in range(4)]
         docs += [([f"v{k}"], NON_CONTENT_DENSE) for k in range(4)]
         leads, labels = self.docs_to_leads(docs)
-        space, entries = select_mi_vocabulary(leads, labels, min_count=5, top_k=500)
+        space, entries = select_mi(leads, labels, min_count=5, top_k=500)
         assert "rare" not in space.index_of
         assert all(e.word != "rare" for e in entries)
 
@@ -190,7 +214,7 @@ class TestSelectMiVocabulary:
         docs = [(["alpha", "beta", f"u{k}"], CONTENT_DENSE) for k in range(5)]
         docs += [([f"v{k}"], NON_CONTENT_DENSE) for k in range(5)]
         leads, labels = self.docs_to_leads(docs)
-        _, entries = select_mi_vocabulary(leads, labels, min_count=5, top_k=1)
+        _, entries = select_mi(leads, labels, min_count=5, top_k=1)
         dense = [e for e in entries if e.label == CONTENT_DENSE]
         assert [e.word for e in dense] == ["alpha"]
 
@@ -198,14 +222,14 @@ class TestSelectMiVocabulary:
         docs = [(["a", f"u{k}"], CONTENT_DENSE) for k in range(6)]
         leads, labels = self.docs_to_leads(docs)
         with pytest.raises(SingleClassError):
-            select_mi_vocabulary(leads, labels)
+            select_mi(leads, labels)
 
     def test_unlabeled_lead_error(self):
         docs = [(["a"], CONTENT_DENSE), (["b"], NON_CONTENT_DENSE)]
         leads, labels = self.docs_to_leads(docs)
         del labels["d0"]
         with pytest.raises(ValidationError):
-            select_mi_vocabulary(leads, labels, min_count=1, top_k=5)
+            select_mi(leads, labels, min_count=1, top_k=5)
 
     def test_matches_fraction_oracle_on_random_corpora(self):
         rng = np.random.default_rng(17)
@@ -223,7 +247,7 @@ class TestSelectMiVocabulary:
             min_count = int(rng.integers(1, 5))
             top_k = int(rng.integers(1, 12))
             leads, labels = self.docs_to_leads(docs)
-            _, entries = select_mi_vocabulary(leads, labels, min_count, top_k)
+            _, entries = select_mi(leads, labels, min_count, top_k)
             expected = mi_oracle(docs, min_count, top_k)
             for label in (CONTENT_DENSE, NON_CONTENT_DENSE):
                 got = [(e.word, e.mi) for e in entries if e.label == label]
@@ -428,7 +452,7 @@ class TestPrFeatures:
             "(S (NP (NN cats)) (VP (VBD sat)))",
             "(S (NP (NN dogs)) (VP (VBD ran)))",
         ])
-        space = pr_space([lead])
+        space = pr_space_of([lead])
         idx = space.index_of[ProductionRule("S", ("NP", "VP"))]
         assert pr_row(lead, space)[idx] == 2.0
 
@@ -437,13 +461,13 @@ class TestPrFeatures:
             "(S (NP (NN cats)) (VP (VBD sat)))",
             "(S (NP (NN dogs)) (VP (VBD ran)))",
         ])
-        space = pr_space([lead])
+        space = pr_space_of([lead])
         assert set(pr_row(lead, space, value="binary").values()) == {1.0}
 
     def test_unseen_rules_ignored(self):
         train = self.make_lead_with_parses(["(S (NP (NN cats)) (VP (VBD sat)))"], "t")
         other = self.make_lead_with_parses(["(FRAG (ADVP (RB no)))"], "o")
-        space = pr_space([train])
+        space = pr_space_of([train])
         assert pr_row(other, space) == {}
 
     def test_missing_parse_errors(self):
@@ -451,7 +475,7 @@ class TestPrFeatures:
             id="m", domain="general", lead_text="x",
             sentences=(Sentence(tokens=("x",), pos=("NN",)),),
             article_word_count=10)
-        space = pr_space([self.make_lead_with_parses(["(S (NP (NN x)) (VP (VBD y)))"])])
+        space = pr_space_of([self.make_lead_with_parses(["(S (NP (NN x)) (VP (VBD y)))"])])
         with pytest.raises(MissingParseError):
             pr_row(no_parse, space)
         empty = AnnotatedLead(id="m2", domain="general", lead_text="",
@@ -475,7 +499,7 @@ class TestCheckPrecedence:
         id="u", domain="general", lead_text="x y",
         sentences=(parsed.sentences[0], Sentence(tokens=("y",), pos=("NN",))),
         article_word_count=10)
-    pr = pr_space([parsed])
+    pr = pr_space_of([parsed])
     mrc = mrc_space(["cats"])
     lists = {"empty_first": [parsed, empty, unparsed],
              "unparsed_first": [parsed, unparsed, empty],
@@ -490,7 +514,7 @@ class TestCheckPrecedence:
         return info.type, str(info.value)
 
     def tables(self, leads):
-        return (None, FeatureTable(leads),
+        return (FeatureTable(leads),
                 FeatureTable([self.unparsed, self.empty, self.parsed]))
 
     @pytest.mark.parametrize("names,case,expected", [
@@ -508,7 +532,8 @@ class TestCheckPrecedence:
         leads = self.lists[case]
         for table in self.tables(leads):
             bundle = FeatureBundle(mrc=self.mrc, pr=self.pr, table=table)
-            assert self.raised(lambda: bundle.matrix(leads, names)) == expected
+            assert self.raised(lambda: bundle.matrix(table.rows(leads),
+                                                     names)) == expected
 
     @pytest.mark.parametrize("case,expected", [
         ("empty_first", no_sentences),
@@ -518,7 +543,7 @@ class TestCheckPrecedence:
     def test_pr_space(self, case, expected):
         leads = self.lists[case]
         for table in self.tables(leads):
-            assert self.raised(lambda: pr_space(leads, table)) == expected
+            assert self.raised(lambda: pr_space_of(leads, table)) == expected
 
 
 def space_of(name, n):
@@ -560,7 +585,7 @@ def corpora(draw):
         mrc=mrc_space(draw(st.lists(st.sampled_from(VOCAB + ("zeta",)),
                                     min_size=1))),
         mi=FeatureSpace("MI", {w: k for k, w in enumerate(mi_words)}),
-        pr=pr_space(draw(st.lists(st.sampled_from(leads), max_size=3))),
+        pr=pr_space_of(draw(st.lists(st.sampled_from(leads), max_size=3))),
         pr_value=draw(st.sampled_from(("count", "binary"))))
     return leads, structs, bundle
 
@@ -596,7 +621,7 @@ class TestMatrixOracle:
         cases.append((list(SPACE_ORDER),
                       np.hstack([dense[name] for name in SPACE_ORDER])))
         for names, expected in cases:
-            X = bundle.matrix(leads, names)
+            X = lead_matrix(bundle, leads, names)
             assert (X.n_rows, X.n_cols) == expected.shape
             got = np.zeros(expected.shape)
             for r in range(X.n_rows):
@@ -618,7 +643,7 @@ class TestConcat:
         lead = make_doc("a", [], parse="(S (X (pr2 w)) (X (pr2 w)) (X (pr2 w)))")
         bundle = bundle_of(*spaces)
         assert bundle.extract_combined(lead).entries == {14: 3.0}
-        X = bundle.matrix([lead], SPACE_ORDER)
+        X = lead_matrix(bundle, [lead], SPACE_ORDER)
         assert (X.indices.tolist(), X.data.tolist(), X.n_cols) == ([14], [3.0], 21)
         assert X.indices[0] == 5 + 7 + spaces[2].index_of[pr_key] == 14
 
@@ -627,7 +652,7 @@ class TestConcat:
         lead = make_doc("a", [], parse="(S (NP (NN cat)))")
         bundle = bundle_of(*spaces)
         assert bundle.extract_combined(lead).entries == {}
-        X = bundle.matrix([lead, lead], SPACE_ORDER)
+        X = lead_matrix(bundle, [lead, lead], SPACE_ORDER)
         assert X.indptr.tolist() == [0, 0, 0] and X.n_cols == 21
         assert sum(s.dim for s in bundle.active_spaces()) == 21
 
@@ -641,7 +666,7 @@ class TestConcat:
     def test_duplicate_space_rejected(self):
         bundle = bundle_of(space_of("MI", 4))
         with pytest.raises(ValidationError):
-            bundle.matrix([make_doc("a", ["mi0"])], ["MI", "MI"])
+            lead_matrix(bundle, [make_doc("a", ["mi0"])], ["MI", "MI"])
 
     def test_canonical_reorder(self):
         bundle = bundle_of(space_of("PR", 2), space_of("MRC", 3))
@@ -649,7 +674,7 @@ class TestConcat:
         combined = bundle.extract_combined(lead)
         assert combined.space_name == "MRC+PR"
         assert combined.entries == {1: 1.0, 3: 1.0}
-        X = bundle.matrix([lead], ["PR", "MRC"])
+        X = lead_matrix(bundle, [lead], ["PR", "MRC"])
         assert (X.indices.tolist(), X.data.tolist(), X.n_cols) == ([1, 3], [1.0, 1.0], 5)
 
     def test_combined_index_injective(self):
@@ -657,7 +682,7 @@ class TestConcat:
         words = [f"mrc{k}" for k in range(11)] + [f"mi{k}" for k in range(13)]
         lead = make_doc("a", [], parse="(S {})".format(" ".join(
             f"(X (pr{k % 7} {w}))" for k, w in enumerate(words))))
-        combined = bundle_of(*spaces).matrix([lead], SPACE_ORDER)
+        combined = lead_matrix(bundle_of(*spaces), [lead], SPACE_ORDER)
         assert sorted(combined.indices.tolist()) == list(range(31))
 
 
@@ -689,9 +714,9 @@ class TestTableSelectionMatchesOracle:
         leads, train, labels, min_count, top_k = case
         expected = outcome(oracle_select_mi_vocabulary, train, labels,
                            min_count, top_k)
-        for table in (None, FeatureTable(leads)):
-            got = outcome(select_mi_vocabulary, train, labels, min_count,
-                          top_k, table=table)
+        for table in (FeatureTable(train), FeatureTable(leads)):
+            got = outcome(select_mi, train, labels, min_count, top_k,
+                          table=table)
             assert got == expected
             if isinstance(got[1], list):
                 assert ([e.mi.hex() for e in got[1]]
@@ -705,5 +730,17 @@ class TestTableSelectionMatchesOracle:
                  make_doc(f"l{k}", ["unparsed"]) for k, s in enumerate(structs)]
         train = [leads[k % len(leads)] for k in picks]
         expected = outcome(oracle_pr_space, train)
-        for table in (None, FeatureTable(leads)):
-            assert outcome(pr_space, train, table) == expected
+        for table in (FeatureTable(train), FeatureTable(leads)):
+            assert outcome(pr_space_of, train, table) == expected
+
+
+def test_counting_and_scoring_stash_nothing_on_the_leads():
+    """A lead's folded words and (word, POS) tuples are made for the one
+    pass that reads them, not kept on the lead."""
+    leads = list(generate_corpus(30, seed=7).leads)
+    table = FeatureTable(leads)
+    table.words, table.rules
+    scores, _ = score_leads(leads)
+    assert scores
+    assert [key for lead in leads for key in vars(lead)
+            if key in ("words", "tuples")] == []

@@ -18,6 +18,7 @@ from contentdense.features import (
     SPACE_ORDER,
     SPACE_PR,
     FeatureSpace,
+    FeatureTable,
     build_feature_bundle,
 )
 from contentdense.kernels import (
@@ -41,6 +42,7 @@ from contentdense.learn import (
     accuracy,
     classifier_from_record,
     label_to_y,
+    label_vector,
     load_classifier,
     margin_label,
     save_classifier,
@@ -48,7 +50,7 @@ from contentdense.learn import (
     train_feature_fusion,
     train_linear,
 )
-from test_features import corpora, parsed_sentence
+from test_features import corpora, lead_matrix, parsed_sentence
 
 MRC_LEXICON = ("glass", "iron", "river", "stone")
 DENSE_MARKERS = ("fact", "figure")
@@ -95,10 +97,24 @@ def corpus():
     return leads[:40], leads[40:], labels
 
 
+def table_rows(leads, labels, *parts):
+    """A table over ``leads``, each of ``parts``' rows in it, and y."""
+    table = FeatureTable(leads)
+    return (table, *(table.rows(part) for part in parts),
+            label_vector(table, labels))
+
+
 @pytest.fixture(scope="module")
-def bundle(corpus):
-    train, _, labels = corpus
-    return build_feature_bundle(train, labels, MRC_LEXICON)
+def rows(corpus):
+    """A table over the corpus, its training and development rows, y."""
+    train, dev, labels = corpus
+    return table_rows(train + dev, labels, train, dev)
+
+
+@pytest.fixture(scope="module")
+def bundle(rows):
+    table, train_rows, _, y = rows
+    return build_feature_bundle(train_rows, y, MRC_LEXICON, table=table)
 
 
 def toy_matrix(*values, n_cols=1):
@@ -167,9 +183,9 @@ class TestTrainLinear:
         assert value == pytest.approx(2.0 * math.log(2.0), rel=1e-6)
 
     @pytest.mark.parametrize("loss", [LOSS_LOGISTIC, LOSS_HINGE])
-    def test_reaches_stationary_point(self, corpus, bundle, loss):
+    def test_reaches_stationary_point(self, corpus, rows, bundle, loss):
         train, _, labels = corpus
-        X = bundle.matrix(train, [SPACE_MI])
+        X = bundle.matrix(rows[1], [SPACE_MI])
         model = train_linear(X, [labels[l.id] for l in train], SPACE_MI, loss,
                              c=1.0)
         y = np.array([1.0 if labels[l.id] == CONTENT_DENSE else -1.0
@@ -222,9 +238,9 @@ class TestTrainLinear:
         with pytest.raises(NumericError, match="Platt calibration gave a NaN"):
             model.proba_from_margins(np.array([1.0, math.inf]))
 
-    def test_deterministic_bitwise(self, corpus, bundle):
+    def test_deterministic_bitwise(self, corpus, rows, bundle):
         train, _, labels = corpus
-        X = bundle.matrix(train, [SPACE_PR])
+        X = bundle.matrix(rows[1], [SPACE_PR])
         y = [labels[l.id] for l in train]
         a = train_linear(X, y, SPACE_PR, LOSS_LOGISTIC, c=2.0)
         b = train_linear(X, y, SPACE_PR, LOSS_LOGISTIC, c=2.0)
@@ -260,60 +276,62 @@ class TestPredictProba:
         assert model.proba_from_margins(z)[0] == pytest.approx(
             1.0 / (1.0 + math.exp(-(2.0 * m + 0.1))), abs=1e-15)
 
-    def test_proba_order_follows_margin_order(self, corpus, bundle):
-        train, dev, labels = corpus
-        model = train_feature_fusion(train, labels, bundle,
+    def test_proba_order_follows_margin_order(self, rows, bundle):
+        _, train_rows, dev_rows, y = rows
+        model = train_feature_fusion(train_rows, y, bundle,
                                      TrainConfig(c_grid=(1.0,)))
-        margins_ = model.margins(bundle.matrix(dev, SPACE_ORDER))
+        margins_ = model.margins(bundle.matrix(dev_rows, SPACE_ORDER))
         probas = model.proba_from_margins(margins_)
         assert np.argsort(margins_).tolist() == np.argsort(probas).tolist()
 
 
 class TestFeatureFusion:
-    def test_combined_space_and_dim(self, corpus, bundle):
-        train, _, labels = corpus
-        model = train_feature_fusion(train, labels, bundle,
+    def test_combined_space_and_dim(self, rows, bundle):
+        _, train_rows, _, y = rows
+        model = train_feature_fusion(train_rows, y, bundle,
                                      TrainConfig(c_grid=(1.0,)))
         assert model.space_name == bundle.combined_name
         assert model.dim == sum(s.dim for s in bundle.active_spaces())
         assert model.loss == LOSS_LOGISTIC
 
-    def test_learns_the_corpus(self, corpus, bundle):
-        train, dev, labels = corpus
-        model = train_feature_fusion(train, labels, bundle,
+    def test_learns_the_corpus(self, corpus, rows, bundle):
+        _, dev, labels = corpus
+        _, train_rows, dev_rows, y = rows
+        model = train_feature_fusion(train_rows, y, bundle,
                                      TrainConfig(c_grid=(1.0,)))
-        z = model.margins(bundle.matrix(dev, SPACE_ORDER))
+        z = model.margins(bundle.matrix(dev_rows, SPACE_ORDER))
         hits = sum(margin_label(m) == labels[l.id]
                    for m, l in zip(z.tolist(), dev))
         assert hits / len(dev) >= 0.8
 
-    def test_grid_needs_dev_set(self, corpus, bundle):
-        train, _, labels = corpus
+    def test_grid_needs_dev_set(self, rows, bundle):
+        _, train_rows, _, y = rows
         with pytest.raises(ValidationError):
-            train_feature_fusion(train, labels, bundle,
+            train_feature_fusion(train_rows, y, bundle,
                                  TrainConfig(c_grid=(0.5, 2.0)))
 
     def test_grid_tie_takes_smallest_c(self):
         leads, labels = make_corpus(60, seed=11, flip=0.0)
-        train, dev = leads[:40], leads[40:]
-        bundle = build_feature_bundle(train, labels, MRC_LEXICON)
-        model = train_feature_fusion(train, labels, bundle,
+        table, train, dev, y = table_rows(leads, labels, leads[:40],
+                                          leads[40:])
+        bundle = build_feature_bundle(train, y, MRC_LEXICON, table=table)
+        model = train_feature_fusion(train, y, bundle,
                                      TrainConfig(c_grid=(0.25, 1.0, 4.0)),
-                                     dev_leads=dev)
+                                     dev_rows=dev)
         assert model.l2_c == 0.25
 
-    def test_dev_overlap_is_a_leak(self, corpus, bundle):
-        train, dev, labels = corpus
+    def test_dev_overlap_is_a_leak(self, rows, bundle):
+        _, train, dev, y = rows
         with pytest.raises(DataLeakError):
-            train_feature_fusion(train, labels, bundle,
+            train_feature_fusion(train, y, bundle,
                                  TrainConfig(c_grid=(0.5, 2.0)),
-                                 dev_leads=dev + train[:1])
+                                 dev_rows=np.concatenate([dev, train[:1]]))
 
 
 @pytest.fixture(scope="module")
-def fusion(corpus, bundle):
-    train, dev, labels = corpus
-    return train_decision_fusion(train, dev, labels, bundle)
+def fusion(rows, bundle):
+    _, train, dev, y = rows
+    return train_decision_fusion(train, dev, y, bundle)
 
 
 class TestDecisionFusion:
@@ -337,14 +355,33 @@ class TestDecisionFusion:
             assert (clf.predict_label(lead) == CONTENT_DENSE) == (
                 clf.margins([lead])[0] >= 0.0)
 
-    def test_overlap_is_a_leak(self, corpus, bundle):
-        train, dev, labels = corpus
+    def test_overlap_is_a_leak(self, rows, bundle):
+        _, train, dev, y = rows
         with pytest.raises(DataLeakError):
-            train_decision_fusion(train, dev + train[:2], labels, bundle)
+            train_decision_fusion(train, np.concatenate([dev, train[:2]]), y,
+                                  bundle)
 
-    def test_deterministic_bitwise(self, corpus, bundle, fusion):
-        train, dev, labels = corpus
-        again = train_decision_fusion(train, dev, labels, bundle)
+    def test_first_layer_needs_development_margins(self, rows, bundle,
+                                                   fusion):
+        """A given first layer is stacked from the development margins its
+        training kept; one trained without those rows has none."""
+        _, train, dev, y = rows
+        one_c = TrainConfig(c_grid=(1.0,))
+        with_dev = {name: learn.train_single(train, y, bundle, name, one_c,
+                                             dev) for name in SPACE_ORDER}
+        stacked = train_decision_fusion(train, dev, y, bundle, one_c,
+                                        first_layer=with_dev)
+        assert all(stacked.first_layer[name] is with_dev[name]
+                   for name in SPACE_ORDER)
+        without = {name: learn.train_single(train, y, bundle, name, one_c)
+                   for name in SPACE_ORDER}
+        with pytest.raises(ValidationError, match="development margins"):
+            train_decision_fusion(train, dev, y, bundle, one_c,
+                                  first_layer=without)
+
+    def test_deterministic_bitwise(self, rows, bundle, fusion):
+        _, train, dev, y = rows
+        again = train_decision_fusion(train, dev, y, bundle)
         assert np.array_equal(again.second_layer.weights,
                               fusion.second_layer.weights)
         assert again.second_layer.platt == fusion.second_layer.platt
@@ -352,12 +389,12 @@ class TestDecisionFusion:
             assert np.array_equal(again.first_layer[name].weights,
                                   fusion.first_layer[name].weights)
 
-    def test_zero_second_layer_ties_to_dense(self, corpus, bundle, fusion):
+    def test_zero_second_layer_ties_to_dense(self, rows, bundle, fusion):
         flat = LinearModel(weights=np.zeros(3), bias=0.0, space_name="META",
                            loss=LOSS_HINGE, l2_c=1.0, platt=(1.0, 0.0))
         tied = FusionModel(first_layer=dict(fusion.first_layer),
                            second_layer=flat)
-        z = tied.score(bundle, corpus[1][:1])
+        z = tied.score(bundle, rows[2][:1])
         assert z.tolist() == [0.0]
         assert tied.proba_from_margins(z).tolist() == [0.5]
         assert margin_label(0.0) == CONTENT_DENSE
@@ -370,10 +407,10 @@ class TestDecisionFusion:
 
 
 class TestLeadClassifier:
-    def test_mode_model_mismatch(self, corpus, bundle):
-        train, dev, labels = corpus
-        fusion = train_decision_fusion(train, dev, labels, bundle)
-        linear = train_feature_fusion(train, labels, bundle,
+    def test_mode_model_mismatch(self, rows, bundle):
+        _, train, dev, y = rows
+        fusion = train_decision_fusion(train, dev, y, bundle)
+        linear = train_feature_fusion(train, y, bundle,
                                       TrainConfig(c_grid=(1.0,)))
         with pytest.raises(ValidationError):
             LeadClassifier(mode=MODE_DECISION_FUSION, bundle=bundle,
@@ -384,14 +421,15 @@ class TestLeadClassifier:
         with pytest.raises(ValidationError):
             LeadClassifier(mode="bogus", bundle=bundle, model=linear)
 
-    def test_single_space_mode(self, corpus, bundle):
+    def test_single_space_mode(self, corpus, rows, bundle):
         train, dev, labels = corpus
-        model = train_linear(bundle.matrix(train, [SPACE_MI]),
+        model = train_linear(bundle.matrix(rows[1], [SPACE_MI]),
                              [labels[l.id] for l in train], SPACE_MI,
                              LOSS_LOGISTIC, c=1.0)
         clf = LeadClassifier(mode=MODE_MI, bundle=bundle, model=model)
         for lead in dev[:6]:
-            [m] = model.margins(bundle.matrix([lead], [SPACE_MI])).tolist()
+            [m] = model.margins(bundle.matrix(bundle.table.rows([lead]),
+                                              [SPACE_MI])).tolist()
             assert clf.margins([lead]).tolist() == [m]
             assert clf.predict_label(lead) == margin_label(m)
 
@@ -434,21 +472,22 @@ class TestBatchScoring:
             if mode == MODE_DECISION_FUSION:
                 first = model.first_layer
                 probs = [[first[name].proba_from_margins(first[name].margins(
-                              bundle.matrix([l], [name])))[0]
+                              lead_matrix(bundle, [l], [name])))[0]
                           for name in SPACE_ORDER] for l in leads]
                 assert z.tolist() == [model.second_layer.margins(pack_csr(
                     np.zeros(3, dtype=np.int64), np.arange(3), np.array(p),
                     1, 3))[0] for p in probs]
                 continue
             names = MODE_SPACES[mode]
-            assert z.tolist() == [model.margins(bundle.matrix([l], names))[0]
-                                  for l in leads]
+            assert z.tolist() == [
+                model.margins(lead_matrix(bundle, [l], names))[0]
+                for l in leads]
 
 
 class TestSerialization:
-    def test_feature_fusion_round_trip(self, corpus, bundle, tmp_path):
-        train, dev, labels = corpus
-        model = train_feature_fusion(train, labels, bundle,
+    def test_feature_fusion_round_trip(self, corpus, rows, bundle, tmp_path):
+        _, dev, _ = corpus
+        model = train_feature_fusion(rows[1], rows[3], bundle,
                                      TrainConfig(c_grid=(1.0,)))
         clf = LeadClassifier(mode=MODE_FEATURE_FUSION, bundle=bundle,
                              model=model)
@@ -462,9 +501,9 @@ class TestSerialization:
             assert loaded.predict_proba(lead) == clf.predict_proba(lead)
             assert loaded.predict_label(lead) == clf.predict_label(lead)
 
-    def test_decision_fusion_round_trip(self, corpus, bundle, tmp_path):
-        train, dev, labels = corpus
-        fusion = train_decision_fusion(train, dev, labels, bundle)
+    def test_decision_fusion_round_trip(self, corpus, rows, bundle, tmp_path):
+        train, dev, _ = corpus
+        fusion = train_decision_fusion(rows[1], rows[2], rows[3], bundle)
         clf = LeadClassifier(mode=MODE_DECISION_FUSION, bundle=bundle,
                              model=fusion)
         path = tmp_path / "fusion.json"

@@ -8,7 +8,6 @@ import pytest
 
 from contentdense.corpus import save_corpus
 from contentdense.errors import ValidationError
-from contentdense.features import select_mi_vocabulary
 from contentdense.labeling import (
     CONTENT_DENSE,
     NON_CONTENT_DENSE,
@@ -23,6 +22,7 @@ from contentdense.synthetic import (
     PROFILES,
     generate_corpus,
 )
+from test_features import select_mi
 
 ONE_C = TrainConfig(c_grid=(1.0,))
 
@@ -149,8 +149,8 @@ class TestPlantedSignals:
             assert label == standard.true_labels[lead_id]
 
     def test_mi_selection_finds_the_planted_markers(self, standard):
-        entries = select_mi_vocabulary(standard.leads, standard.true_labels,
-                                       top_k=20)[1]
+        entries = select_mi(standard.leads, standard.true_labels,
+                            top_k=20)[1]
         for entry in entries:
             if entry.label == CONTENT_DENSE:
                 assert entry.word in standard.dense_markers
