@@ -81,7 +81,7 @@ from .learn import (
     MODES,
     TrainConfig,
     accuracy,
-    label_to_y,
+    label_vector,
     load_classifier,
     margin_label,
     save_classifier,
@@ -264,13 +264,16 @@ def cmd_train(args) -> None:
             f"only {len(labeled)} labeled leads; need at least 2"
         )
 
+    # Rows of a table over ``labeled`` are positions in it.
+    table = FeatureTable(labeled)
+    y = label_vector(table, mapping)
     order = np.random.default_rng(args.seed).permutation(len(labeled))
-    train_leads, dev_leads = split_train_dev([labeled[i] for i in order])
+    train_rows, dev_rows = split_train_dev(order)
 
     mode = _internal_mode(args.mode)
     config = TrainConfig(c_grid=tuple(args.c_grid), seed=args.seed)
-    classifier = train_modes([mode], train_leads, dev_leads, mapping, lexicon,
-                             FeatureTable(labeled), config)[mode]
+    classifier = train_modes([mode], train_rows, dev_rows, y, lexicon, table,
+                             config)[mode]
     model = classifier.model
     if mode == MODE_DECISION_FUSION:
         chosen = ", ".join(
@@ -285,12 +288,11 @@ def cmd_train(args) -> None:
     out = _out_dir(args)
     _write_atomic(out / "model.json", lambda p: save_classifier(classifier, p))
 
-    dev_accuracy = accuracy(dev_margins,
-                            label_to_y([mapping[l.id] for l in dev_leads]))
+    dev_accuracy = accuracy(dev_margins, y[dev_rows])
     print(f"labeled {len(labeled)} of {len(leads)} leads "
           f"({n_skipped} skipped: missing or short summary)")
-    print(f"trained {args.mode} on {len(train_leads)} leads "
-          f"({len(dev_leads)} dev); {chosen}")
+    print(f"trained {args.mode} on {len(train_rows)} leads "
+          f"({len(dev_rows)} dev); {chosen}")
     print(f"dev accuracy {dev_accuracy:.4f} -> {out / 'model.json'}")
 
 
@@ -309,20 +311,20 @@ def cmd_predict(args) -> None:
           f"-> {out / 'predictions.tsv'}")
 
 
-def _length_baseline_by_folds(labeled: Sequence[AnnotatedLead],
-                              mapping: dict[str, str], seed: int) -> float:
-    """Mean article-length baseline accuracy over the 10-fold protocol."""
-    by_id = {lead.id: lead for lead in labeled}
-    plan = make_folds([lead.id for lead in labeled], k=10, seed=seed)
-    accs = []
+def _length_baseline_by_folds(table: FeatureTable, y: np.ndarray,
+                              seed: int) -> tuple[float, float]:
+    """Mean and pooled article-length baseline accuracy over the 10-fold
+    protocol; make_folds deals the table's rows as it deals their ids."""
+    plan = make_folds(range(len(table.leads)), k=10, seed=seed)
+    accs, n_correct = [], 0
     for t in range(plan.n_folds):
         test_fold, train_folds, dev_folds = plan.roles(t)
-        train_ids = [i for f in train_folds + dev_folds for i in plan.folds[f]]
-        test_ids = list(plan.folds[test_fold])
+        test_rows = np.array(plan.folds[test_fold])
         accs.append(baseline_article_length(
-            [by_id[i] for i in train_ids], [by_id[i] for i in test_ids], mapping,
-        ))
-    return fsum(accs) / len(accs)
+            np.concatenate([plan.folds[f] for f in train_folds + dev_folds]),
+            test_rows, y, table))
+        n_correct += round(accs[-1] * len(test_rows))
+    return fsum(accs) / len(accs), n_correct / len(table.leads)
 
 
 def cmd_evaluate(args) -> None:
@@ -368,11 +370,12 @@ def cmd_evaluate(args) -> None:
                            f"overall={result.overall_accuracy:.4f}")
 
     dense_fraction = baseline_always_dense(mapping[lead.id] for lead in labeled)
-    length_acc = _length_baseline_by_folds(labeled, mapping, args.seed)
+    length_acc, length_pooled = _length_baseline_by_folds(
+        table, label_vector(table, mapping), args.seed)
     summary_lines.append(f"baseline_always_dense\t{dense_fraction:.6f}\t"
                          f"{dense_fraction:.6f}\n")
     summary_lines.append(f"baseline_article_length\t{length_acc:.6f}\t"
-                         f"{length_acc:.6f}\n")
+                         f"{length_pooled:.6f}\n")
 
     _write_atomic(out / "folds.tsv", "".join(fold_lines))
     _write_atomic(out / "accuracy_by_confidence.tsv", "".join(conf_lines))

@@ -18,7 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,19 +29,16 @@ from .corpus import (
     lead_from_record,
     lead_to_record,
 )
-from .errors import (
-    ContentDenseError,
-    DataLeakError,
-    ValidationError,
-)
+from .errors import ContentDenseError, ValidationError
+from .features import FeatureTable
 from .kernels import CsrMatrix, pack_csr
 from .labeling import CONTENT_DENSE
 from .learn import (
     LOSS_LOGISTIC,
     LinearModel,
+    _check_disjoint,
+    _train_on_csr,
     accuracy,
-    label_to_y,
-    train_linear,
 )
 
 PREF_SYSTEM = "system"
@@ -176,44 +173,40 @@ class LengthScaler:
         z = (count - self.low) / (self.high - self.low)
         return min(1.0, max(0.0, z))
 
-    def matrix(self, leads: Sequence[AnnotatedLead]) -> CsrMatrix:
-        """One column of scaled article lengths, a row per lead; zero values
-        are left out."""
-        values = np.array([self.transform(l.article_word_count) for l in leads])
+    def matrix(self, counts: np.ndarray) -> CsrMatrix:
+        """One column of scaled article lengths, a row per count; zero
+        values are left out."""
+        values = np.array([self.transform(c) for c in counts.tolist()])
         rows = np.flatnonzero(values)
         return pack_csr(rows, np.zeros(len(rows), dtype=np.int64),
-                        values[rows], len(leads), 1)
+                        values[rows], len(counts), 1)
 
 
-def train_length_model(train_leads: Sequence[AnnotatedLead],
-                       labels: Mapping[str, str],
+def train_length_model(rows: np.ndarray, y: np.ndarray, table: FeatureTable,
                        ) -> tuple[LinearModel, LengthScaler]:
-    """One-feature logistic model over scaled article length, at c = 1."""
-    if not train_leads:
+    """One-feature logistic model over scaled article length, at c = 1,
+    trained on rows ``rows`` of ``table`` with classes ``y`` (+1/-1)."""
+    if not len(rows):
         raise ValidationError("no training leads")
-    counts = [float(l.article_word_count) for l in train_leads]
-    scaler = LengthScaler(low=min(counts), high=max(counts))
-    y = [labels[l.id] for l in train_leads]
-    model = train_linear(scaler.matrix(train_leads), y, "LENGTH",
-                         LOSS_LOGISTIC, 1.0)
+    table.check_labelled(rows, y)
+    counts = table.article_words[rows]
+    scaler = LengthScaler(low=float(counts.min()), high=float(counts.max()))
+    model = _train_on_csr(scaler.matrix(counts), y[rows], "LENGTH",
+                          LOSS_LOGISTIC, 1.0)
     return model, scaler
 
 
-def baseline_article_length(train_leads: Sequence[AnnotatedLead],
-                            test_leads: Sequence[AnnotatedLead],
-                            labels: Mapping[str, str]) -> float:
-    """Test accuracy of the article-length logistic baseline."""
-    if not test_leads:
+def baseline_article_length(train_rows: np.ndarray, test_rows: np.ndarray,
+                            y: np.ndarray, table: FeatureTable) -> float:
+    """Test accuracy of the article-length logistic baseline, trained on
+    rows ``train_rows`` of ``table`` and tested on ``test_rows``."""
+    if not len(test_rows):
         raise ValidationError("no test leads")
-    overlap = {l.id for l in train_leads} & {l.id for l in test_leads}
-    if overlap:
-        raise DataLeakError(
-            f"training and test sets share {len(overlap)} lead(s), "
-            f"e.g. {sorted(overlap)[0]!r}"
-        )
-    model, scaler = train_length_model(train_leads, labels)
-    return accuracy(model.margins(scaler.matrix(test_leads)),
-                    label_to_y([labels[l.id] for l in test_leads]))
+    _check_disjoint(table, train_rows, test_rows, "test")
+    table.check_labelled(test_rows, y)
+    model, scaler = train_length_model(train_rows, y, table)
+    test_X = scaler.matrix(table.article_words[test_rows])
+    return accuracy(model.margins(test_X), y[test_rows])
 
 
 def binomial_superiority_check(successes: int, n: int, p0: float) -> float:

@@ -137,31 +137,30 @@ class CrossValidationResult:
         return sum(f.n_correct for f in self.folds) / total
 
 
-def split_train_dev(items: Sequence) -> tuple[list, list]:
-    """The 5:4 training/development split of an ordered sequence: the
-    first floor(5n/9) items (at least one) train, the rest are for
-    development. Two or more items leave both parts non-empty."""
+def split_train_dev(items: Sequence) -> tuple[Sequence, Sequence]:
+    """The 5:4 training/development split of an ordered sequence, as two
+    slices of it: the first floor(5n/9) items (at least one) train, the
+    rest are for development. Two or more items leave both non-empty."""
     n_train = max(1, (5 * len(items)) // 9)
-    return list(items[:n_train]), list(items[n_train:])
+    return items[:n_train], items[n_train:]
 
 
 def train_modes(modes: Sequence[str],
-                train_leads: Sequence[AnnotatedLead],
-                dev_leads: Sequence[AnnotatedLead],
-                labels: Mapping[str, str],
+                train_rows: np.ndarray,
+                dev_rows: np.ndarray,
+                y: np.ndarray,
                 lexicon: Iterable[str] | None,
                 table: FeatureTable,
                 config: TrainConfig,
                 top_k: int = 500) -> dict[str, LeadClassifier]:
-    """A classifier per mode, trained on one split. All share one bundle
-    of the spaces the modes need, built from ``train_leads``; each
-    per-space model is trained once, for its single-space mode and the
-    decision-fusion first layer alike. ``dev_leads`` picks c and trains
-    the second layer; without decision fusion and with a one-value c
-    grid it may be empty. A ValidationError names the first lead that
-    ``table`` lacks or ``labels`` does not label, before anything trains."""
-    train_rows, dev_rows = table.rows(train_leads), table.rows(dev_leads)
-    y = label_vector(table, labels)
+    """A classifier per mode, trained on rows of ``table`` with classes
+    ``y`` (``label_vector``). All share one bundle of the spaces the modes
+    need, built from ``train_rows``; each per-space model is trained once,
+    for its single-space mode and the decision-fusion first layer alike.
+    ``dev_rows`` pick c and train the second layer; without decision
+    fusion and with a one-value c grid they may be empty. A
+    ValidationError names the first lead ``y`` leaves unlabelled, before
+    anything trains."""
     table.check_labelled(np.concatenate([train_rows, dev_rows]), y)
     bundle = build_feature_bundle(
         train_rows, y, lexicon,
@@ -192,13 +191,14 @@ def _plan_folds(modes: str | Sequence[str], leads: Sequence[AnnotatedLead],
                 labels: Mapping[str, str], lexicon: Iterable[str] | None,
                 k: int, seed: int, fold_subset: Sequence[int] | None,
                 table: FeatureTable | None):
-    """(mode list, fold plan, folds to run in increasing order, leads by
-    id, lexicon, table), after checking the modes, the labels, every fold
-    index and that ``table`` (a new one over ``leads`` when None) holds
-    every lead, so that a bad argument fails before anything trains. The
-    table has counted what the modes need, for forked fold workers to
-    inherit. When a mode needs the MRC space, the returned lexicon is
-    that space, built once for every fold."""
+    """(mode list, fold plan, folds to run in increasing order, each
+    fold's rows in ``table``, ``label_vector(table, labels)``, lexicon,
+    table), after checking the modes, the labels, every fold index and
+    that ``table`` (a new one over ``leads`` when None) holds every lead,
+    so that a bad argument fails before anything trains. The table has
+    counted what the modes need, for forked fold workers to inherit. When
+    a mode needs the MRC space, the returned lexicon is that space, built
+    once for every fold."""
     mode_list = [modes] if isinstance(modes, str) else list(modes)
     for mode in mode_list:
         if mode not in MODES:
@@ -218,7 +218,11 @@ def _plan_folds(modes: str | Sequence[str], leads: Sequence[AnnotatedLead],
         plan.roles(t)
     if table is None:
         table = FeatureTable(leads)
-    table.rows(leads)  # raises for a lead the table lacks
+    rows = table.rows(leads)  # raises for a lead the table lacks
+    # make_folds deals positions 0..n-1 as it deals the ids at them
+    fold_rows = [rows[list(fold)]
+                 for fold in make_folds(range(len(leads)), k, seed).folds]
+    y = label_vector(table, labels)
     spaces = {s for m in mode_list for s in MODE_SPACES[m]}
     if spaces - {SPACE_PR}:
         table.words
@@ -227,7 +231,7 @@ def _plan_folds(modes: str | Sequence[str], leads: Sequence[AnnotatedLead],
     if (lexicon is not None and not isinstance(lexicon, FeatureSpace)
             and SPACE_MRC in spaces):
         lexicon = mrc_space(lexicon)
-    return mode_list, plan, fold_iter, {l.id: l for l in leads}, lexicon, table
+    return mode_list, plan, fold_iter, fold_rows, y, lexicon, table
 
 
 def _usable_cpus() -> int:
@@ -324,20 +328,19 @@ def cross_validate(leads: Sequence[AnnotatedLead],
     Training failures carry the fold index in their message.
     """
     config = config or TrainConfig()
-    mode_list, plan, fold_iter, by_id, lexicon, table = _plan_folds(
+    mode_list, plan, fold_iter, fold_rows, y, lexicon, table = _plan_folds(
         modes, leads, labels, lexicon, k, seed, fold_subset, table)
 
     def test_scores(t: int) -> dict[str, tuple[list[float], list[float]]]:
         """Each mode's margins and probabilities on test fold t."""
         _, first, second = plan.roles(t)
-        train_leads = [by_id[i] for f in first for i in plan.folds[f]]
-        dev_leads = [by_id[i] for f in second for i in plan.folds[f]]
-        test_rows = table.rows([by_id[i] for i in plan.folds[t]])
-        classifiers = train_modes(mode_list, train_leads, dev_leads, labels,
+        train_rows = np.concatenate([fold_rows[f] for f in first])
+        dev_rows = np.concatenate([fold_rows[f] for f in second])
+        classifiers = train_modes(mode_list, train_rows, dev_rows, y,
                                   lexicon, table, config, top_k)
         scores = {}
         for mode, clf in classifiers.items():
-            z = clf.model.score(clf.bundle, test_rows)
+            z = clf.model.score(clf.bundle, fold_rows[t])
             scores[mode] = (z.tolist(), clf.proba_from_margins(z).tolist())
         return scores
 
@@ -399,9 +402,8 @@ def learning_curve(leads: Sequence[AnnotatedLead],
     the module notes).
     """
     config = config or TrainConfig()
-    mode_list, plan, fold_iter, by_id, lexicon, table = _plan_folds(
+    mode_list, plan, fold_iter, fold_rows, y, lexicon, table = _plan_folds(
         modes, leads, labels, lexicon, k, seed, fold_subset, table)
-    y = label_vector(table, labels)
     pool_min = min(len(leads) - len(plan.folds[t]) for t in fold_iter)
     usable = [s for s in curve_sizes(sizes) if s <= pool_min] or [pool_min]
     by_split: dict[bool, list[str]] = {}  # needs development data -> modes
@@ -411,19 +413,17 @@ def learning_curve(leads: Sequence[AnnotatedLead],
 
     def size_accuracies(t: int) -> dict[str, list[float]]:
         """Each mode's test-fold accuracy at each usable size, fold t."""
-        pool = [i for f in range(k) if f != t for i in plan.folds[f]]
-        rng = np.random.default_rng([seed, t])
-        pool = [pool[j] for j in rng.permutation(len(pool))]
-        test_rows = table.rows([by_id[i] for i in plan.folds[t]])
+        pool = np.concatenate([fold_rows[f] for f in range(k) if f != t])
+        pool = pool[np.random.default_rng([seed, t]).permutation(len(pool))]
+        test_rows = fold_rows[t]
         accs: dict[str, list[float]] = {m: [] for m in mode_list}
         for size in usable:
-            prefix = [by_id[i] for i in pool[:size]]
+            prefix = pool[:size]
             for needs_dev, group in by_split.items():
-                train_leads, dev_leads = (split_train_dev(prefix)
-                                          if needs_dev else (prefix, []))
-                classifiers = train_modes(group, train_leads, dev_leads,
-                                          labels, lexicon, table, config,
-                                          top_k)
+                train_rows, dev_rows = (split_train_dev(prefix) if needs_dev
+                                        else (prefix, prefix[:0]))
+                classifiers = train_modes(group, train_rows, dev_rows, y,
+                                          lexicon, table, config, top_k)
                 for mode, clf in classifiers.items():
                     accs[mode].append(accuracy(
                         clf.model.score(clf.bundle, test_rows), y[test_rows]))

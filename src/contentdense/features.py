@@ -212,6 +212,8 @@ class FeatureTable:
         self.leads = list(leads)
         self._row_of = {id(lead): r for r, lead in enumerate(self.leads)}
         self.n_tokens = np.array([lead.n_tokens for lead in self.leads])
+        self.article_words = np.array(
+            [lead.article_word_count for lead in self.leads])
 
     def rows(self, leads: Sequence[AnnotatedLead]) -> np.ndarray:
         """Each lead's row, found by identity; ValidationError naming the

@@ -269,13 +269,14 @@ def _grid_search(train_X: CsrMatrix, train_y: np.ndarray,
     return best_model
 
 
-def _check_disjoint(bundle: FeatureBundle, train_rows: np.ndarray,
-                    dev_rows: np.ndarray) -> None:
-    overlap = np.intersect1d(train_rows, dev_rows)
+def _check_disjoint(table: FeatureTable, train_rows: np.ndarray,
+                    other_rows: np.ndarray, name: str) -> None:
+    """DataLeakError when the training and the ``name`` rows share a lead."""
+    overlap = np.intersect1d(train_rows, other_rows)
     if len(overlap):
-        first = min(bundle.table.leads[r].id for r in overlap.tolist())
+        first = min(table.leads[r].id for r in overlap.tolist())
         raise DataLeakError(
-            f"training and development sets share {len(overlap)} lead(s), "
+            f"training and {name} sets share {len(overlap)} lead(s), "
             f"e.g. {first!r}"
         )
 
@@ -300,7 +301,7 @@ def train_single(train_rows: np.ndarray,
     train_X = bundle.matrix(train_rows, names)
     dev_X = dev_y = None
     if dev_rows is not None and len(dev_rows):
-        _check_disjoint(bundle, train_rows, dev_rows)
+        _check_disjoint(bundle.table, train_rows, dev_rows, "development")
         dev_X, dev_y = bundle.matrix(dev_rows, names), y[dev_rows]
     return _grid_search(train_X, y[train_rows], dev_X, dev_y, space_name,
                         LOSS_LOGISTIC, config)
@@ -428,7 +429,7 @@ def train_decision_fusion(train_rows: np.ndarray,
     config = config or TrainConfig()
     if not len(train_rows) or not len(dev_rows):
         raise ValidationError("both training and development sets are required")
-    _check_disjoint(bundle, train_rows, dev_rows)
+    _check_disjoint(bundle.table, train_rows, dev_rows, "development")
     if first_layer is None:
         first_layer = {name: train_single(train_rows, y, bundle, name,
                                           config, dev_rows)

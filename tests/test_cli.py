@@ -303,6 +303,18 @@ class TestEvaluate:
         dense_frac = float(rows[2].split("\t")[1])
         assert dense_frac == 0.5
 
+    def test_article_length_row_pools_unequal_folds(self, workspace,
+                                                    tmp_path):
+        """Heuristic labels label 36 of the 120 leads, so the folds hold 4
+        or 3: the baseline's overall_accuracy pools its 14 correct test
+        leads of 36, as a mode's does, and differs from the fold mean."""
+        assert main(["evaluate", "--corpus", workspace["corpus"],
+                     "--lexicon", workspace["lexicon"], "--mode", "mrc",
+                     "--c-grid", "1", "--seed", "0",
+                     "--out", str(tmp_path)]) == 0
+        rows = read(tmp_path / "summary.tsv").splitlines()
+        assert rows[-1] == "baseline_article_length\t0.391667\t0.388889"
+
     def test_confidence_table_covers_percentiles(self, report):
         rows = read(report / "accuracy_by_confidence.tsv").splitlines()
         pcts = [r.split("\t")[1] for r in rows[1:]]
@@ -494,12 +506,13 @@ class TestFoldWorkers:
         fold_of = {plan.folds[(t + 1) % 10][0]: t for t in range(10)}
         train_modes = evaluation.train_modes
 
-        def failing(modes, train_leads, *args):
-            t = fold_of[train_leads[0].id]
+        def failing(modes, train_rows, dev_rows, y, lexicon, table, *args):
+            t = fold_of[table.leads[train_rows[0]].id]
             if t in (3, 6):
                 time.sleep(0.5 if t == 3 else 0.0)
                 raise SingleClassError(f"planted in fold {t}")
-            return train_modes(modes, train_leads, *args)
+            return train_modes(modes, train_rows, dev_rows, y, lexicon, table,
+                               *args)
 
         monkeypatch.setattr(evaluation, "train_modes", failing)
         argv = ["evaluate", "--corpus", workspace["corpus"],

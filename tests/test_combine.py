@@ -238,6 +238,14 @@ def length_corpus(counts_and_labels, prefix):
     return leads, labels
 
 
+def length_baseline(train, test, labels):
+    """baseline_article_length on the rows of ``train`` and ``test`` in a
+    table over both."""
+    table = FeatureTable(train + test)
+    return baseline_article_length(table.rows(train), table.rows(test),
+                                   label_vector(table, labels), table)
+
+
 class TestBaselineArticleLength:
     def test_separable_lengths(self):
         train, train_labels = length_corpus(
@@ -247,7 +255,7 @@ class TestBaselineArticleLength:
             [(2800, CONTENT_DENSE), (3500, CONTENT_DENSE),
              (250, NON_CONTENT_DENSE), (420, NON_CONTENT_DENSE)], "te")
         labels = {**train_labels, **test_labels}
-        assert baseline_article_length(train, test, labels) == 1.0
+        assert length_baseline(train, test, labels) == 1.0
 
     def test_constant_lengths_fall_to_tie_rule(self):
         train, train_labels = length_corpus(
@@ -257,20 +265,36 @@ class TestBaselineArticleLength:
             [(1000, CONTENT_DENSE)] * 3 + [(1000, NON_CONTENT_DENSE)] * 3,
             "te")
         labels = {**train_labels, **test_labels}
-        assert baseline_article_length(train, test, labels) == 0.5
+        assert length_baseline(train, test, labels) == 0.5
 
     def test_anti_correlated_weight_is_negative(self):
         train, labels = length_corpus(
             [(300 + i, CONTENT_DENSE) for i in range(10)]
             + [(4000 + i, NON_CONTENT_DENSE) for i in range(10)], "tr")
-        model, _ = train_length_model(train, labels)
+        table = FeatureTable(train)
+        model, _ = train_length_model(np.arange(len(train)),
+                                      label_vector(table, labels), table)
         assert model.weights[0] < 0
 
     def test_overlap_is_a_leak(self):
         train, labels = length_corpus(
             [(500, CONTENT_DENSE), (900, NON_CONTENT_DENSE)] * 2, "tr")
+        table = FeatureTable(train)
+        rows = np.arange(len(train))
         with pytest.raises(DataLeakError):
-            baseline_article_length(train, train[:1], labels)
+            baseline_article_length(rows, rows[:1], label_vector(table, labels),
+                                    table)
+
+    def test_unlabelled_lead_is_named(self):
+        train, labels = length_corpus(
+            [(500, CONTENT_DENSE), (900, NON_CONTENT_DENSE)] * 2, "tr")
+        test, _ = length_corpus([(700, CONTENT_DENSE)], "te")
+        with pytest.raises(ValidationError, match="^lead te000 has no label$"):
+            length_baseline(train, test, labels)
+        del labels["tr001"]
+        test_labels = {"te000": CONTENT_DENSE}
+        with pytest.raises(ValidationError, match="^lead tr001 has no label$"):
+            length_baseline(train, test, {**labels, **test_labels})
 
 
 def binom_tail_oracle(successes, n, p0):

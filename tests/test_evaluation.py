@@ -43,6 +43,7 @@ from contentdense.learn import (
     MODE_PR,
     MODES,
     TrainConfig,
+    label_vector,
 )
 from test_learn import MRC_LEXICON, make_corpus
 
@@ -182,9 +183,11 @@ class TestCrossValidate:
                        config=ONE_C, seed=2, fold_subset=[0])
         assert sorted(calls) == sorted(SPACE_ORDER)
         calls.clear()
-        train, dev = split_train_dev(leads)
+        table = FeatureTable(leads)
+        train, dev = split_train_dev(np.arange(len(leads)))
         models = train_modes([MODE_MRC, MODE_DECISION_FUSION], train, dev,
-                             labels, MRC_LEXICON, FeatureTable(leads), ONE_C)
+                             label_vector(table, labels), MRC_LEXICON, table,
+                             ONE_C)
         assert sorted(calls) == sorted(SPACE_ORDER)
         assert (models[MODE_MRC].model
                 is models[MODE_DECISION_FUSION].model.first_layer[SPACE_MRC])
@@ -277,23 +280,21 @@ class TestTableMustHoldTheLeads:
         assert calls == []
 
     def test_train_modes_names_the_first_missing_lead(self, monkeypatch):
+        """train_modes takes rows, which a table cannot lack; the lead it
+        names is the first that ``y`` leaves unlabelled."""
         calls = []
         monkeypatch.setattr(evaluation, "build_feature_bundle",
                             lambda *args, **kwargs: calls.append(args))
         leads, labels = make_corpus(60, seed=6)
-        train, dev = split_train_dev(leads)
-        for table, missing in ((FeatureTable(train[:5] + dev), train[5]),
-                               (FeatureTable(train), dev[0])):
-            with pytest.raises(ValidationError,
-                               match=f"does not hold lead '{missing.id}'$"):
-                train_modes([MODE_MI], train, dev, labels, MRC_LEXICON,
-                            table, ONE_C)
+        table = FeatureTable(leads)
+        train, dev = split_train_dev(np.arange(len(leads)))
         unlabeled = {i: label for i, label in labels.items()
-                     if i != dev[3].id}
+                     if i != leads[dev[3]].id}
         with pytest.raises(ValidationError,
-                           match=f"^lead {dev[3].id} has no label$"):
-            train_modes([MODE_MRC], train, dev, unlabeled, MRC_LEXICON,
-                        FeatureTable(leads), ONE_C)
+                           match=f"^lead {leads[dev[3]].id} has no label$"):
+            train_modes([MODE_MRC], train, dev,
+                        label_vector(table, unlabeled), MRC_LEXICON, table,
+                        ONE_C)
         assert calls == []
 
     def test_wider_table_gives_the_same_results(self, monkeypatch):
@@ -330,13 +331,43 @@ class TestTableMustHoldTheLeads:
         assert all(curves[m] for m in modes)
 
 
+class TestOneLabelVector:
+    """A split is rows of one table and one label vector: one call of
+    cross_validate or learning_curve, over several folds and sizes, makes
+    the vector once and looks the leads up in the table once."""
+
+    @pytest.mark.parametrize("run,extra", [(cross_validate, {}),
+                                           (learning_curve,
+                                            {"sizes": [18, 36]})])
+    def test_made_once_per_call(self, monkeypatch, run, extra):
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 1)
+        calls = Counter()
+        make_y, rows = evaluation.label_vector, FeatureTable.rows
+
+        def counting_y(*args):
+            calls["label_vector"] += 1
+            return make_y(*args)
+
+        def counting_rows(self, leads):
+            calls["rows"] += 1
+            return rows(self, leads)
+
+        monkeypatch.setattr(evaluation, "label_vector", counting_y)
+        monkeypatch.setattr(FeatureTable, "rows", counting_rows)
+        leads, labels = make_corpus(60, seed=5, flip=0.1)
+        run(leads, labels, [MODE_MRC, MODE_DECISION_FUSION],
+            lexicon=MRC_LEXICON, config=ONE_C, seed=2, fold_subset=[0, 3, 7],
+            **extra)
+        assert calls == {"label_vector": 1, "rows": 1}
+
+
 class TestSplitTrainDev:
     @pytest.mark.parametrize("n,n_train", [(2, 1), (3, 1), (9, 5), (10, 5),
                                            (18, 10), (376, 208)])
     def test_five_to_four(self, n, n_train):
         train, dev = split_train_dev(range(n))
-        assert train == list(range(n_train))
-        assert dev == list(range(n_train, n))
+        assert list(train) == list(range(n_train))
+        assert list(dev) == list(range(n_train, n))
 
 
 class TestMapFolds:

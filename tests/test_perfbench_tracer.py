@@ -17,7 +17,12 @@ from contentdense.corpus import AnnotatedLead, Sentence, load_corpus, save_corpu
 from contentdense.evaluation import train_modes
 from contentdense.features import FeatureTable
 from contentdense.kernels import LOSS_LOGISTIC, pack_csr
-from contentdense.learn import MODE_DECISION_FUSION, TrainConfig, train_linear
+from contentdense.learn import (
+    MODE_DECISION_FUSION,
+    TrainConfig,
+    label_vector,
+    train_linear,
+)
 from contentdense.synthetic import generate_corpus
 from test_learn import MRC_LEXICON, make_corpus
 
@@ -75,8 +80,10 @@ def test_decision_fusion_reaches_the_train_platt_and_margin_sites():
     run = tracer.Tracer("guard")
     run.install()
     try:
-        clf = train_modes([MODE_DECISION_FUSION], train, dev, labels,
-                          MRC_LEXICON, FeatureTable(leads),
+        table = FeatureTable(leads)
+        clf = train_modes([MODE_DECISION_FUSION], table.rows(train),
+                          table.rows(dev), label_vector(table, labels),
+                          MRC_LEXICON, table,
                           TrainConfig(c_grid=(1.0,)))[MODE_DECISION_FUSION]
         n_trained = len(run.spans)
         clf.margins(test)
