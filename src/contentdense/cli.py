@@ -348,7 +348,6 @@ def cmd_evaluate(args) -> None:
     results = cross_validate(labeled, mapping, modes, lexicon=lexicon,
                              k=10, seed=args.seed, config=config, table=table)
 
-    out = _out_dir(args)
     fold_lines = ["mode\tfold\tn_test\tn_correct\taccuracy\n"]
     conf_lines = ["mode\tpercent\tn_used\tn_correct\taccuracy\n"]
     summary_lines = ["mode\tmean_accuracy\toverall_accuracy\n"]
@@ -377,9 +376,9 @@ def cmd_evaluate(args) -> None:
     summary_lines.append(f"baseline_article_length\t{length_acc:.6f}\t"
                          f"{length_pooled:.6f}\n")
 
-    _write_atomic(out / "folds.tsv", "".join(fold_lines))
-    _write_atomic(out / "accuracy_by_confidence.tsv", "".join(conf_lines))
-
+    # Written once the curve has run: a failed run writes no file.
+    reports = {"folds.tsv": "".join(fold_lines),
+               "accuracy_by_confidence.tsv": "".join(conf_lines)}
     if sizes is not None:
         curves = learning_curve(labeled, mapping, modes, lexicon, sizes,
                                 k=10, seed=args.seed, config=config,
@@ -387,9 +386,11 @@ def cmd_evaluate(args) -> None:
         size_lines = ["mode\tn_train\tmean_accuracy\n"] + [
             f"{mode}\t{point.n_train}\t{point.mean_accuracy:.6f}\n"
             for mode in modes for point in curves[mode]]
-        _write_atomic(out / "accuracy_by_size.tsv", "".join(size_lines))
-
-    _write_atomic(out / "summary.tsv", "".join(summary_lines))
+        reports["accuracy_by_size.tsv"] = "".join(size_lines)
+    reports["summary.tsv"] = "".join(summary_lines)
+    out = _out_dir(args)
+    for name, text in reports.items():
+        _write_atomic(out / name, text)
 
     print(f"evaluated {len(labeled)} labeled leads "
           f"({n_unlabeled} unlabeled, {n_skipped} unscored)")

@@ -37,8 +37,8 @@ from .learn import (
     LOSS_LOGISTIC,
     LinearModel,
     _check_disjoint,
-    _train_on_csr,
     accuracy,
+    train_linear,
 )
 
 PREF_SYSTEM = "system"
@@ -167,16 +167,14 @@ class LengthScaler:
     low: float
     high: float
 
-    def transform(self, count: float) -> float:
-        if self.high == self.low:
-            return 0.0
-        z = (count - self.low) / (self.high - self.low)
-        return min(1.0, max(0.0, z))
-
     def matrix(self, counts: np.ndarray) -> CsrMatrix:
         """One column of scaled article lengths, a row per count; zero
         values are left out."""
-        values = np.array([self.transform(c) for c in counts.tolist()])
+        if self.high == self.low:
+            values = np.zeros(len(counts))
+        else:
+            values = np.clip((counts - self.low) / (self.high - self.low),
+                             0.0, 1.0)
         rows = np.flatnonzero(values)
         return pack_csr(rows, np.zeros(len(rows), dtype=np.int64),
                         values[rows], len(counts), 1)
@@ -191,8 +189,8 @@ def train_length_model(rows: np.ndarray, y: np.ndarray, table: FeatureTable,
     table.check_labelled(rows, y)
     counts = table.article_words[rows]
     scaler = LengthScaler(low=float(counts.min()), high=float(counts.max()))
-    model = _train_on_csr(scaler.matrix(counts), y[rows], "LENGTH",
-                          LOSS_LOGISTIC, 1.0)
+    model = train_linear(scaler.matrix(counts), y[rows], "LENGTH",
+                         LOSS_LOGISTIC, 1.0)
     return model, scaler
 
 

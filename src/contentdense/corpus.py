@@ -23,6 +23,7 @@ so callers must compare them by value.
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 import re
@@ -430,8 +431,12 @@ _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """(line number, line with its line end) for each line of a UTF-8 file.
     Lines end at "\\n", "\\r\\n" or a bare "\\r" and are decoded one at a
-    time; a line that is not UTF-8 raises CorpusFormatError naming it."""
+    time; a line that is not UTF-8, or a byte-order mark opening line 1,
+    raises CorpusFormatError naming the line."""
     with Path(path).open("rb") as fh:
+        if fh.peek(len(codecs.BOM_UTF8)).startswith(codecs.BOM_UTF8):
+            raise CorpusFormatError(
+                "line 1: starts with a UTF-8 byte-order mark (U+FEFF)")
         lines = (raw for chunk in fh for raw in chunk.splitlines(keepends=True))
         for lineno, raw in enumerate(lines, start=1):
             try:

@@ -204,13 +204,24 @@ def margin_label(z: float) -> str:
     return CONTENT_DENSE if z >= 0.0 else NON_CONTENT_DENSE
 
 
-def _train_on_csr(X: CsrMatrix, y: np.ndarray, space_name: str, loss: str,
-                  c: float) -> LinearModel:
+def train_linear(X: CsrMatrix, y: np.ndarray, space_name: str, loss: str,
+                 c: float) -> LinearModel:
+    """Fit one linear model at a fixed c to the rows of ``X``, ``y`` giving
+    each row's class (+1/-1, as label_to_y and label_vector make it).
+
+    Minimizes 0.5*||w||^2 + c*sum(loss_i) from a zero start to within TOL
+    of a stationary point (gradient infinity norm). The bias is not
+    regularized. Deterministic. Every fit in the package goes through here.
+    """
+    n, d = X.n_rows, X.n_cols
+    if n != len(y):
+        raise ValidationError(f"{n} rows for {len(y)} labels")
     if not 0 < c < math.inf:
         raise ValidationError("c must be positive and finite")
-    n, d = X.n_rows, X.n_cols
     if n < 2:
         raise ValidationError("need at least two training examples")
+    if not np.isin(y, (1.0, -1.0)).all():
+        raise ValidationError("y must hold only +1 and -1 (label_to_y)")
     if len(np.unique(y)) < 2:
         raise SingleClassError("training labels cover a single class")
 
@@ -229,19 +240,6 @@ def _train_on_csr(X: CsrMatrix, y: np.ndarray, space_name: str, loss: str,
                        l2_c=c)
 
 
-def train_linear(X: CsrMatrix, y: Sequence[str], space_name: str, loss: str,
-                 c: float) -> LinearModel:
-    """Fit one linear model at a fixed c to the rows of ``X``.
-
-    Minimizes 0.5*||w||^2 + c*sum(loss_i) from a zero start to within TOL
-    of a stationary point (gradient infinity norm). The bias is not
-    regularized. Deterministic.
-    """
-    if X.n_rows != len(y):
-        raise ValidationError(f"{X.n_rows} rows for {len(y)} labels")
-    return _train_on_csr(X, label_to_y(y), space_name, loss, c)
-
-
 def _grid_search(train_X: CsrMatrix, train_y: np.ndarray,
                  dev_X: CsrMatrix | None, dev_y: np.ndarray | None,
                  space_name: str, loss: str,
@@ -257,11 +255,11 @@ def _grid_search(train_X: CsrMatrix, train_y: np.ndarray,
             raise ValidationError(
                 "grid search over several c values needs a development set"
             )
-        return _train_on_csr(train_X, train_y, space_name, loss, grid[0])
+        return train_linear(train_X, train_y, space_name, loss, grid[0])
     best_model = None
     best_acc = -1.0
     for c in grid:
-        model = _train_on_csr(train_X, train_y, space_name, loss, c)
+        model = train_linear(train_X, train_y, space_name, loss, c)
         model.dev_margins = model.margins(dev_X)
         acc = accuracy(model.dev_margins, dev_y)
         if acc > best_acc:
@@ -382,27 +380,23 @@ def _platt_from_cv(dev_X: CsrMatrix, dev_y: np.ndarray, space_name: str,
 
     The development set is split PLATT_FOLDS ways; each part's margins
     come from a model trained on the other parts, so no margin is scored
-    by a model that saw its lead. Falls back to in-sample margins when a
-    split would leave a single-class training part.
+    by a model that saw its lead. Falls back to in-sample margins, before
+    fitting any part, when the fold has fewer than 2*PLATT_FOLDS rows or
+    a split would leave a single-class training part.
     """
     n = dev_X.n_rows
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
+    order = np.random.default_rng(seed).permutation(n)
     parts = [order[i::PLATT_FOLDS] for i in range(PLATT_FOLDS)]
+    rests = [np.setdiff1d(order, part) for part in parts]
+    if n < 2 * PLATT_FOLDS or any(len(np.unique(dev_y[rest])) < 2
+                                  for rest in rests):
+        model = train_linear(dev_X, dev_y, space_name, loss, c)
+        return fit_platt_sigmoid(model.margins(dev_X), dev_y)
     margin_out = np.zeros(n)
-    ok = n >= 2 * PLATT_FOLDS
-    if ok:
-        for part in parts:
-            rest = np.setdiff1d(order, part)
-            if len(np.unique(dev_y[rest])) < 2:
-                ok = False
-                break
-            sub = csr_take(dev_X, rest)
-            model = _train_on_csr(sub, dev_y[rest], space_name, loss, c)
-            margin_out[part] = model.margins(csr_take(dev_X, part))
-    if not ok:
-        model = _train_on_csr(dev_X, dev_y, space_name, loss, c)
-        margin_out = model.margins(dev_X)
+    for part, rest in zip(parts, rests):
+        model = train_linear(csr_take(dev_X, rest), dev_y[rest], space_name,
+                             loss, c)
+        margin_out[part] = model.margins(csr_take(dev_X, part))
     return fit_platt_sigmoid(margin_out, dev_y)
 
 

@@ -347,6 +347,19 @@ class TestEvaluate:
         assert code == 4
         assert "line 1" in capsys.readouterr().err
 
+    def test_failed_run_writes_no_file(self, workspace, tmp_path):
+        """A curve that fails (a 2-lead training set of one class) leaves
+        the reports of an earlier run in the same directory as they were."""
+        args = ["evaluate", "--corpus", workspace["corpus"],
+                "--lexicon", workspace["lexicon"], "--mode", "mrc",
+                "--c-grid", "1", "--out", str(tmp_path)]
+        assert main(args + ["--seed", "1"]) == 0
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        code, err = run_quietly(args + ["--seed", "2", "--sizes", "2"])
+        assert code == 10
+        assert "training labels cover a single class" in err
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
     def test_size_below_two_fails_before_training(self, workspace, tmp_path,
                                                   monkeypatch, capsys):
         monkeypatch.setattr(cli, "cross_validate", None)  # never reached
@@ -831,6 +844,22 @@ class TestHostileCorpora:
                                  "--out", str(tmp_path / "out")])
         assert code == 4
         assert "line 2" in err
+
+    @pytest.mark.parametrize("role", ["corpus", "labels", "lexicon"])
+    def test_byte_order_mark_exits_4(self, workspace, tmp_path, role):
+        """A BOM would otherwise become part of the first id or word."""
+        files = {name: workspace[name]
+                 for name in ("corpus", "labels", "lexicon")}
+        marked = tmp_path / Path(files[role]).name
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(files[role]).read_bytes())
+        files[role] = str(marked)
+        code, err = run_quietly(["evaluate", "--corpus", files["corpus"],
+                                 "--lexicon", files["lexicon"],
+                                 "--labels", files["labels"], "--mode", "mrc",
+                                 "--c-grid", "1", "--out",
+                                 str(tmp_path / "out")])
+        assert code == 4
+        assert "line 1: starts with a UTF-8 byte-order mark" in err
 
     def test_label_file_that_is_not_utf8_exits_4(self, workspace, tmp_path):
         labels = tmp_path / "labels.tsv"

@@ -9,6 +9,7 @@ from contentdense.combine import (
     PREF_SYSTEM,
     PREF_TIE,
     CutoffRow,
+    LengthScaler,
     SummaryPair,
     baseline_always_dense,
     baseline_article_length,
@@ -295,6 +296,23 @@ class TestBaselineArticleLength:
         test_labels = {"te000": CONTENT_DENSE}
         with pytest.raises(ValidationError, match="^lead tr001 has no label$"):
             length_baseline(train, test, {**labels, **test_labels})
+
+
+class TestLengthScaler:
+    @pytest.mark.parametrize("low, high", [(300.0, 4000.0), (1000.0, 1000.0)])
+    def test_matrix_matches_the_per_count_formula(self, low, high):
+        """Bit for bit min(1, max(0, (count - low) / (high - low))) count by
+        count, or 0 for a degenerate range; zero values are not stored."""
+        counts = np.array([0, 299, 300, 301, 1000, 1234, 3999, 4000, 4001,
+                           10**6])
+        expected = [0.0 if high == low
+                    else min(1.0, max(0.0, (c - low) / (high - low)))
+                    for c in counts.tolist()]
+        X = LengthScaler(low=low, high=high).matrix(counts)
+        assert (X.n_rows, X.n_cols) == (len(counts), 1)
+        assert X.rows.tolist() == [r for r, v in enumerate(expected) if v]
+        assert X.indices.tolist() == [0] * len(X.data)
+        assert X.data.tolist() == [v for v in expected if v]
 
 
 def binom_tail_oracle(successes, n, p0):

@@ -167,14 +167,14 @@ class TestTrainLinear:
     def test_separable_single_feature(self):
         X = toy_matrix(*[1.0] * 10, *[None] * 10)
         y = [CONTENT_DENSE] * 10 + [NON_CONTENT_DENSE] * 10
-        model = train_linear(X, y, "TOY", LOSS_LOGISTIC, c=4.0)
+        model = train_linear(X, label_to_y(y), "TOY", LOSS_LOGISTIC, c=4.0)
         assert model.weights[0] > 0
         assert [margin_label(z) for z in model.margins(X).tolist()] == y
 
     def test_identical_points_opposite_labels(self):
         X = toy_matrix(1.0, 1.0)
         y = [CONTENT_DENSE, NON_CONTENT_DENSE]
-        model = train_linear(X, y, "TOY", LOSS_LOGISTIC, c=1.0)
+        model = train_linear(X, label_to_y(y), "TOY", LOSS_LOGISTIC, c=1.0)
         assert abs(model.weights[0]) < 1e-4
         assert abs(model.bias) < 1e-4
         value, _, _ = objective_and_grad(
@@ -186,8 +186,8 @@ class TestTrainLinear:
     def test_reaches_stationary_point(self, corpus, rows, bundle, loss):
         train, _, labels = corpus
         X = bundle.matrix(rows[1], [SPACE_MI])
-        model = train_linear(X, [labels[l.id] for l in train], SPACE_MI, loss,
-                             c=1.0)
+        model = train_linear(X, label_to_y([labels[l.id] for l in train]),
+                             SPACE_MI, loss, c=1.0)
         y = np.array([1.0 if labels[l.id] == CONTENT_DENSE else -1.0
                       for l in train])
         _, grad_w, grad_b = objective_and_grad(
@@ -196,20 +196,30 @@ class TestTrainLinear:
 
     def test_mismatched_lengths(self):
         with pytest.raises(ValidationError):
-            train_linear(toy_matrix(1.0), [CONTENT_DENSE, NON_CONTENT_DENSE],
+            train_linear(toy_matrix(1.0),
+                         label_to_y([CONTENT_DENSE, NON_CONTENT_DENSE]),
                          "TOY", LOSS_LOGISTIC, c=1.0)
 
     def test_wrong_space(self):
         model = train_linear(toy_matrix(1.0, None),
-                             [CONTENT_DENSE, NON_CONTENT_DENSE], "TOY",
-                             LOSS_LOGISTIC, c=1.0)
+                             label_to_y([CONTENT_DENSE, NON_CONTENT_DENSE]),
+                             "TOY", LOSS_LOGISTIC, c=1.0)
         with pytest.raises(ValidationError):
             model.margins(toy_matrix(1.0, None, n_cols=2))
 
     def test_single_class(self):
         with pytest.raises(SingleClassError):
-            train_linear(toy_matrix(1.0, None), [CONTENT_DENSE, CONTENT_DENSE],
+            train_linear(toy_matrix(1.0, None),
+                         label_to_y([CONTENT_DENSE, CONTENT_DENSE]),
                          "TOY", LOSS_LOGISTIC, c=1.0)
+
+    def test_y_must_hold_classes(self):
+        """Label strings and the 0 that label_vector gives an unlabelled
+        row are not classes."""
+        X = toy_matrix(1.0, None)
+        for y in ([CONTENT_DENSE, NON_CONTENT_DENSE], np.array([1.0, 0.0])):
+            with pytest.raises(ValidationError, match="only \\+1 and -1"):
+                train_linear(X, y, "TOY", LOSS_LOGISTIC, c=1.0)
 
     @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
     def test_c_must_be_positive_and_finite(self, c):
@@ -217,8 +227,8 @@ class TestTrainLinear:
             TrainConfig(c_grid=(1.0, c))
         with pytest.raises(ValidationError):
             train_linear(toy_matrix(1.0, None),
-                         [CONTENT_DENSE, NON_CONTENT_DENSE], "TOY",
-                         LOSS_LOGISTIC, c=c)
+                         label_to_y([CONTENT_DENSE, NON_CONTENT_DENSE]),
+                         "TOY", LOSS_LOGISTIC, c=c)
 
     @pytest.mark.filterwarnings("error")  # numpy's overflow warning too
     def test_nan_margin_is_a_numeric_error(self):
@@ -241,7 +251,7 @@ class TestTrainLinear:
     def test_deterministic_bitwise(self, corpus, rows, bundle):
         train, _, labels = corpus
         X = bundle.matrix(rows[1], [SPACE_PR])
-        y = [labels[l.id] for l in train]
+        y = label_to_y([labels[l.id] for l in train])
         a = train_linear(X, y, SPACE_PR, LOSS_LOGISTIC, c=2.0)
         b = train_linear(X, y, SPACE_PR, LOSS_LOGISTIC, c=2.0)
         assert np.array_equal(a.weights, b.weights)
@@ -389,6 +399,24 @@ class TestDecisionFusion:
             assert np.array_equal(again.first_layer[name].weights,
                                   fusion.first_layer[name].weights)
 
+    def test_platt_split_falls_back_before_fitting(self, monkeypatch):
+        """When the last part's training rows would be single-class, the
+        calibration fits the in-sample model alone, not the parts before."""
+        seed = 3
+        order = np.random.default_rng(seed).permutation(6)
+        dev_y = np.full(6, -1.0)
+        dev_y[order[learn.PLATT_FOLDS - 1]] = 1.0  # the last part's only +1
+        fitted = []
+
+        def counting_fit(X, *args):
+            fitted.append(X.n_rows)
+            return train_linear(X, *args)
+
+        monkeypatch.setattr(learn, "train_linear", counting_fit)
+        learn._platt_from_cv(toy_matrix(*np.linspace(0.5, 3.0, 6)), dev_y,
+                             "META", LOSS_HINGE, 1.0, seed)
+        assert fitted == [6]
+
     def test_zero_second_layer_ties_to_dense(self, rows, bundle, fusion):
         flat = LinearModel(weights=np.zeros(3), bias=0.0, space_name="META",
                            loss=LOSS_HINGE, l2_c=1.0, platt=(1.0, 0.0))
@@ -424,8 +452,8 @@ class TestLeadClassifier:
     def test_single_space_mode(self, corpus, rows, bundle):
         train, dev, labels = corpus
         model = train_linear(bundle.matrix(rows[1], [SPACE_MI]),
-                             [labels[l.id] for l in train], SPACE_MI,
-                             LOSS_LOGISTIC, c=1.0)
+                             label_to_y([labels[l.id] for l in train]),
+                             SPACE_MI, LOSS_LOGISTIC, c=1.0)
         clf = LeadClassifier(mode=MODE_MI, bundle=bundle, model=model)
         for lead in dev[:6]:
             [m] = model.margins(bundle.matrix(bundle.table.rows([lead]),

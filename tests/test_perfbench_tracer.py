@@ -20,6 +20,7 @@ from contentdense.kernels import LOSS_LOGISTIC, pack_csr
 from contentdense.learn import (
     MODE_DECISION_FUSION,
     TrainConfig,
+    label_to_y,
     label_vector,
     train_linear,
 )
@@ -64,7 +65,7 @@ def test_a_fit_reaches_the_solver_and_objective_sites():
     run = tracer.Tracer("guard")
     run.install()
     try:
-        train_linear(X, labels, "MRC", LOSS_LOGISTIC, 1.0)
+        train_linear(X, label_to_y(labels), "MRC", LOSS_LOGISTIC, 1.0)
     finally:
         run.uninstall()
     metrics = run.metrics(wall_s=0.0)
