@@ -181,7 +181,8 @@ def _percentiles_arg(text: str) -> tuple[float, float]:
 
 
 def _load_labels_tsv(path: str) -> dict[str, str]:
-    """Read a UTF-8 lead_id<TAB>label table written by generate or label."""
+    """Read a UTF-8 lead_id<TAB>label table written by generate or label;
+    a bad row raises an error naming the file and the line."""
     mapping: dict[str, str] = {}
     for lineno, line in text_lines(path):
         line = line.rstrip("\r\n")
@@ -190,13 +191,15 @@ def _load_labels_tsv(path: str) -> dict[str, str]:
         parts = line.split("\t")
         if len(parts) != 2:
             raise CorpusFormatError(
-                f"line {lineno}: expected 'lead_id<TAB>label'"
+                f"{path}: line {lineno}: expected 'lead_id<TAB>label'"
             )
         lead_id, label = parts
         if label not in LABELS:
-            raise CorpusFormatError(f"line {lineno}: unknown label {label!r}")
+            raise CorpusFormatError(
+                f"{path}: line {lineno}: unknown label {label!r}")
         if lead_id in mapping:
-            raise DuplicateIdError(f"line {lineno}: duplicate lead id {lead_id!r}")
+            raise DuplicateIdError(
+                f"{path}: line {lineno}: duplicate lead id {lead_id!r}")
         mapping[lead_id] = label
     if not mapping:
         raise CorpusFormatError(f"{path}: no label rows")
@@ -389,6 +392,8 @@ def cmd_evaluate(args) -> None:
         reports["accuracy_by_size.tsv"] = "".join(size_lines)
     reports["summary.tsv"] = "".join(summary_lines)
     out = _out_dir(args)
+    if sizes is None:  # an earlier run's curve is not this run's
+        (out / "accuracy_by_size.tsv").unlink(missing_ok=True)
     for name, text in reports.items():
         _write_atomic(out / name, text)
 

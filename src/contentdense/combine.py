@@ -256,13 +256,14 @@ def pair_from_record(rec) -> SummaryPair:
 
 
 def load_pairs(path: str | Path) -> list[SummaryPair]:
-    """Load a JSON-lines pair file, naming the line of any bad record."""
+    """Load a JSON-lines pair file, naming the file and line of any bad
+    record."""
     pairs = []
     for lineno, rec in json_lines(path):
         try:
             pairs.append(pair_from_record(rec))
         except ContentDenseError as e:
-            raise type(e)(f"line {lineno}: {e}") from e
+            raise type(e)(f"{path}: line {lineno}: {e}") from e
     return pairs
 
 

@@ -27,8 +27,7 @@ import codecs
 import json
 import math
 import re
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
@@ -51,9 +50,11 @@ class WordPosTuple(NamedTuple):
     pos: str
 
 
-# A token is "(", ")", an atom, or a whole preterminal "(TAG word)"; the
-# scan tries the preterminal first, so a well-formed one is always one token.
-_TOKEN = re.compile(r"\(\s*[^\s()]+\s+[^\s()]+\s*\)|[()]|[^\s()]+")
+# A token is "(", ")" or an atom: the pieces that str.split() leaves once
+# every parenthesis is padded with spaces, since \s and str.split() both
+# take whitespace to be what str.isspace() accepts. parse_ptb_tree splits;
+# the pattern only finds the offset of a token it reports.
+_TOKEN = re.compile(r"[()]|[^\s()]+")
 _new_tuple = tuple.__new__
 
 
@@ -123,12 +124,25 @@ class InternTable(dict):
 # _WORDS, POS tags, node labels and domains in _TAGS. _FOLDED maps a token or
 # lemma to its folded word, _PAIRS an unfolded (word, POS) pair to its
 # WordPosTuple, and _RULES a flat (lhs, *rhs) label tuple to its
-# ProductionRule.
-_WORDS = InternTable(str)
-_TAGS = InternTable(str)
-_FOLDED = InternTable(lambda word: _WORDS[word.lower()])
-_PAIRS = InternTable(
-    lambda pair: _new_tuple(WordPosTuple, (_FOLDED[pair[0]], _TAGS[pair[1]])))
+# ProductionRule. The tables make values only from strings and _PAIRS only
+# from pairs of them; any other key raises TypeError, so a lookup also
+# checks a decoded JSON value's type (_entries).
+def _text(value) -> str:
+    if value.__class__ is not str:
+        raise TypeError(f"not a string: {value!r}")
+    return value
+
+
+def _word_pos(pair: tuple) -> WordPosTuple:
+    if len(pair) != 2:
+        raise TypeError(f"not a (word, POS) pair: {pair!r}")
+    return _new_tuple(WordPosTuple, (_FOLDED[pair[0]], _TAGS[pair[1]]))
+
+
+_WORDS = InternTable(_text)
+_TAGS = InternTable(_text)
+_FOLDED = InternTable(lambda word: _WORDS[_text(word).lower()])
+_PAIRS = InternTable(_word_pos)
 _RULES = InternTable(
     lambda labels: ProductionRule(_TAGS[labels[0]], intern_tags(labels[1:])))
 
@@ -157,12 +171,14 @@ def parse_ptb_tree(bracketed: str) -> Parse:
 
     Labels are whitespace-delimited (any Unicode whitespace); a node is
     either ``(LABEL word)`` or ``(LABEL subtree...)``, nested to any depth.
-    One scan over the tokens checks the tree and reads its canonical text,
-    leaf count and rules (Parse). Raises ParseError (with the byte offset
-    of the problem) on empty input, unbalanced parentheses, or trailing
-    content.
+    The input is split into tokens by padding every parenthesis with spaces
+    and splitting on whitespace; one walk over the tokens checks the tree
+    and reads its leaf count and rules, and the canonical text is the
+    tokens joined by single spaces with none after "(" or before ")"
+    (Parse). Raises ParseError (with the byte offset of the problem) on
+    empty input, unbalanced parentheses, or trailing content.
     """
-    tokens = _TOKEN.findall(bracketed)
+    tokens = bracketed.replace("(", " ( ").replace(")", " ) ").split()
     n = len(tokens)
 
     def fail(message: str, k: int):
@@ -174,55 +190,46 @@ def parse_ptb_tree(bracketed: str) -> Parse:
 
     if not n:
         raise ParseError("empty parse string", offset=0)
-    if tokens[0][0] != "(":
+    if tokens[0] != "(":
         fail(f"expected '(' but found {tokens[0]!r}", 0)
     nodes: list[list[str]] = []  # [label, child labels...] per internal node
     path: list[list[str]] = []  # the open nodes, innermost last
-    parts: list[str] = []  # the canonical text; each node's opens with " ("
     n_leaves = 0
-    i = 0  # tokens[i] opens the next node: "(" or a whole preterminal
+    i = 0  # tokens[i] is the "(" that opens the next node
     try:
         while True:
-            tok = tokens[i]
-            if tok == "(":
-                label = tokens[i + 1]
-                if label[0] in "()":
-                    fail("missing node label", i + 1)
-                tok = tokens[i + 2]
-                if tok[0] == "(":
-                    if path:
-                        path[-1].append(label)
-                    path.append([label])
-                    nodes.append(path[-1])
-                    parts.append(" (" + label)
-                    i += 2
-                    continue
-                if tok == ")":
-                    fail(f"node {label!r} has no children and no word", i + 2)
-                # "(TAG word)" would have been one token, so this is no ")".
-                found = tokens[i + 3]
-                fail(f"expected ')' after leaf word but found "
-                     f"{'(' if found[0] == '(' else found!r}", i + 3)
-            label, word = tok[1:-1].split()
+            label = tokens[i + 1]
+            if label in "()":
+                fail("missing node label", i + 1)
             if path:
                 path[-1].append(label)
-            parts.append(f" ({label} {word})")
+            word = tokens[i + 2]
+            if word == "(":
+                path.append([label])
+                nodes.append(path[-1])
+                i += 2
+                continue
+            if word == ")":
+                fail(f"node {label!r} has no children and no word", i + 2)
+            if tokens[i + 3] != ")":
+                fail(f"expected ')' after leaf word but found "
+                     f"{tokens[i + 3]!r}", i + 3)
             n_leaves += 1
-            i += 1
+            i += 4
             # Close every open node whose ")" follows.
             while path:
                 tok = tokens[i]
-                if tok[0] == "(":
+                if tok == "(":
                     break
                 if tok != ")":
                     fail(f"expected '(' or ')' but found {tok!r}", i)
                 path.pop()
-                parts.append(")")
                 i += 1
             else:
                 if i != n:
                     fail("trailing content after tree", i)
-                return Parse("".join(parts)[1:], n_leaves,
+                text = " ".join(tokens).replace("( ", "(").replace(" )", ")")
+                return Parse(text, n_leaves,
                              tuple([_RULES[tuple(node)] for node in nodes]))
     except IndexError:
         fail("unbalanced parentheses: input ends inside a node", n)
@@ -280,6 +287,8 @@ class AnnotatedLead:
     sentences: tuple[Sentence, ...]
     summary: tuple[WordPosTuple, ...] | None = None
     article_word_count: int = 0
+    # The number of tokens over all sentences, set from them.
+    n_tokens: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.id:
@@ -296,15 +305,13 @@ class AnnotatedLead:
                     raise ValidationError(f"lead {self.id}: summary tuple with empty word")
         if self.article_word_count < 0:
             raise ValidationError(f"lead {self.id}: negative article_word_count")
-        if self.article_word_count < self.n_tokens:
+        n_tokens = sum([len(s.tokens) for s in self.sentences])
+        if self.article_word_count < n_tokens:
             raise ValidationError(
                 f"lead {self.id}: article_word_count {self.article_word_count} "
-                f"smaller than lead token count {self.n_tokens}"
+                f"smaller than lead token count {n_tokens}"
             )
-
-    @cached_property
-    def n_tokens(self) -> int:
-        return sum(len(s.tokens) for s in self.sentences)
+        object.__setattr__(self, "n_tokens", n_tokens)
 
     @property
     def words(self) -> tuple[str, ...]:
@@ -383,13 +390,32 @@ def json_field(rec, name: str, kind, items=None, optional: bool = False,
                             f"{expected}, not {found}{at}")
 
 
+def _entries(rec, name: str, table: InternTable, items=str,
+             optional: bool = False, where: str = "record"):
+    """``json_field(rec, name, list, items, optional, where)`` with each
+    entry replaced by its shared value in ``table``. A well-formed field is
+    checked and interned in one pass, since the table rejects a mistyped
+    key (_text); anything else goes to json_field, which names the fault."""
+    value = rec.get(name) if rec.__class__ is dict else None
+    if value.__class__ is not list or (
+            items is not str and not {list}.issuperset(map(type, value))):
+        # json_field raises, or gives None for an absent optional field.
+        return json_field(rec, name, list, items, optional, where)
+    try:
+        return tuple(map(table.__getitem__,
+                         value if items is str else map(tuple, value)))
+    except TypeError:
+        json_field(rec, name, list, items, optional, where)
+        raise
+
+
 def _sentence_from_record(rec, where: str) -> Sentence:
     parse = json_field(rec, "parse", str, optional=True, where=where)
-    lemmas = json_field(rec, "lemmas", list, str, optional=True, where=where)
+    lemmas = _entries(rec, "lemmas", _WORDS, optional=True, where=where)
     return Sentence(
-        tokens=intern_words(json_field(rec, "tokens", list, str, where=where)),
-        pos=intern_tags(json_field(rec, "pos", list, str, where=where)),
-        lemmas=None if lemmas is None else intern_words(lemmas),
+        tokens=_entries(rec, "tokens", _WORDS, where=where),
+        pos=_entries(rec, "pos", _TAGS, where=where),
+        lemmas=lemmas,
         parse=None if parse is None else parse_ptb_tree(parse),
     )
 
@@ -411,7 +437,7 @@ def lead_to_record(lead: AnnotatedLead) -> dict:
 def lead_from_record(rec) -> AnnotatedLead:
     """Build a lead from its JSON object; CorpusFormatError (json_field)
     names a missing or mistyped field and the sentence that holds it."""
-    summary = json_field(rec, "summary", list, (str, str), optional=True)
+    summary = _entries(rec, "summary", _PAIRS, (str, str), optional=True)
     sentences = enumerate(json_field(rec, "sentences", list, dict))
     return AnnotatedLead(
         id=json_field(rec, "id", str),
@@ -419,7 +445,7 @@ def lead_from_record(rec) -> AnnotatedLead:
         lead_text=json_field(rec, "lead_text", str),
         sentences=tuple(_sentence_from_record(s, f"sentence {k}")
                         for k, s in sentences),
-        summary=None if summary is None else intern_pairs(map(tuple, summary)),
+        summary=summary,
         article_word_count=json_field(rec, "article_word_count", int),
     )
 
@@ -432,24 +458,25 @@ def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """(line number, line with its line end) for each line of a UTF-8 file.
     Lines end at "\\n", "\\r\\n" or a bare "\\r" and are decoded one at a
     time; a line that is not UTF-8, or a byte-order mark opening line 1,
-    raises CorpusFormatError naming the line."""
+    raises CorpusFormatError naming the file and the line."""
     with Path(path).open("rb") as fh:
         if fh.peek(len(codecs.BOM_UTF8)).startswith(codecs.BOM_UTF8):
             raise CorpusFormatError(
-                "line 1: starts with a UTF-8 byte-order mark (U+FEFF)")
+                f"{path}: line 1: starts with a UTF-8 byte-order mark (U+FEFF)")
         lines = (raw for chunk in fh for raw in chunk.splitlines(keepends=True))
         for lineno, raw in enumerate(lines, start=1):
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as e:
-                raise CorpusFormatError(f"line {lineno}: not UTF-8: {e}") from e
+                raise CorpusFormatError(
+                    f"{path}: line {lineno}: not UTF-8: {e}") from e
             yield lineno, line
 
 
 def json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
     """(line number, parsed value) for each non-blank line of a JSON-lines
     file (``text_lines``). A line that is not JSON, or holds an escaped lone
-    surrogate, raises CorpusFormatError naming it."""
+    surrogate, raises CorpusFormatError naming the file and the line."""
     for lineno, line in text_lines(path):
         if not line.strip():
             continue
@@ -458,7 +485,8 @@ def json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
             if _SURROGATE_ESCAPE.search(line):
                 json.dumps(value, ensure_ascii=False).encode("utf-8")
         except (ValueError, RecursionError) as e:
-            raise CorpusFormatError(f"line {lineno}: invalid JSON: {e}") from e
+            raise CorpusFormatError(
+                f"{path}: line {lineno}: invalid JSON: {e}") from e
         yield lineno, value
 
 
@@ -466,7 +494,8 @@ def load_corpus(path: str | Path) -> list[AnnotatedLead]:
     """Load a JSON-lines corpus. Deterministic and order-preserving.
 
     Raises CorpusFormatError / ValidationError / ParseError naming the
-    offending line number; DuplicateIdError when two records share an id.
+    file and the offending line number; DuplicateIdError when two records
+    share an id.
     """
     leads: list[AnnotatedLead] = []
     seen: set[str] = set()
@@ -474,9 +503,10 @@ def load_corpus(path: str | Path) -> list[AnnotatedLead]:
         try:
             lead = lead_from_record(rec)
         except (CorpusFormatError, ValidationError, ParseError) as e:
-            raise type(e)(f"line {lineno}: {e}") from e
+            raise type(e)(f"{path}: line {lineno}: {e}") from e
         if lead.id in seen:
-            raise DuplicateIdError(f"line {lineno}: duplicate lead id {lead.id!r}")
+            raise DuplicateIdError(
+                f"{path}: line {lineno}: duplicate lead id {lead.id!r}")
         seen.add(lead.id)
         leads.append(lead)
     return leads

@@ -360,6 +360,21 @@ class TestEvaluate:
         assert "training labels cover a single class" in err
         assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
 
+    def test_run_without_sizes_removes_an_earlier_curve(self, workspace,
+                                                        tmp_path):
+        """A run without --sizes leaves its reports only, as in an empty
+        directory, not beside an earlier run's learning curve."""
+        args = ["evaluate", "--corpus", workspace["corpus"],
+                "--lexicon", workspace["lexicon"], "--mode", "mrc",
+                "--c-grid", "1", "--out"]
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert main(args + [str(reused), "--seed", "1", "--sizes", "40"]) == 0
+        assert (reused / "accuracy_by_size.tsv").exists()
+        assert main(args + [str(reused), "--seed", "4"]) == 0
+        assert main(args + [str(fresh), "--seed", "4"]) == 0
+        assert ({f.name: f.read_bytes() for f in reused.iterdir()}
+                == {f.name: f.read_bytes() for f in fresh.iterdir()})
+
     def test_size_below_two_fails_before_training(self, workspace, tmp_path,
                                                   monkeypatch, capsys):
         monkeypatch.setattr(cli, "cross_validate", None)  # never reached
@@ -880,6 +895,45 @@ class TestHostileCorpora:
                                  "--out", str(tmp_path / "out")])
         assert code == 4
         assert "line 3" in err
+
+    # (file, damage to its bytes, the message after "<path>: ")
+    @pytest.mark.parametrize("role, damage, message", [
+        ("labels", lambda data: b"\xef\xbb\xbf" + data,
+         "line 1: starts with a UTF-8 byte-order mark (U+FEFF)"),
+        ("lexicon", lambda data: b"stone\nr\xffver\n",
+         "line 2: not UTF-8: "),
+        ("corpus", lambda data: b"{" + data,
+         "line 1: invalid JSON: "),
+        ("corpus", lambda data: data.replace(b'"domain":', b'"realm":', 1),
+         "line 1: record missing field 'domain'"),
+        ("labels", lambda data: data.replace(b"content_dense", b"dense", 1),
+         "line 1: unknown label 'dense'"),
+        ("pairs", lambda data: data.replace(b'"human_preference":"system"',
+                                            b'"human_preference":3', 1),
+         "line 1: field 'human_preference' of record must be a JSON "
+         "string, not integer"),
+    ], ids=["text_lines", "load_lexicon", "json_lines", "load_corpus",
+            "labels_tsv", "load_pairs"])
+    def test_error_names_its_file_once(self, workspace, pairs_path,
+                                       model_path, tmp_path, role, damage,
+                                       message):
+        files = {name: workspace[name]
+                 for name in ("corpus", "labels", "lexicon")}
+        files["pairs"] = pairs_path
+        bad = tmp_path / Path(files[role]).name
+        bad.write_bytes(damage(Path(files[role]).read_bytes()))
+        files[role] = str(bad)
+        if role == "pairs":
+            argv = ["combine", "--pairs", files["pairs"],
+                    "--model", str(model_path)]
+        else:
+            argv = ["evaluate", "--corpus", files["corpus"],
+                    "--lexicon", files["lexicon"], "--labels", files["labels"],
+                    "--mode", "mrc", "--c-grid", "1"]
+        code, err = run_quietly(argv + ["--out", str(tmp_path / "out")])
+        assert code == 4
+        assert err.startswith(f"error: {bad}: {message}")
+        assert err.count(str(bad)) == 1
 
 
 JSON_VALUES = st.recursive(

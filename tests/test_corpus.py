@@ -114,6 +114,32 @@ class TestParsePtbTree:
             parse_ptb_tree(text)
         assert err.value.offset == len(text[:10].encode("utf-8"))
 
+    # (input, message, the input before the fault): one case per message,
+    # each with a multibyte character (名 or U+3000) before the fault.
+    @pytest.mark.parametrize("text, message, before", [
+        ("\u3000", "empty parse string", ""),
+        ("\u3000名 (NN x)", "expected '(' but found '名'", "\u3000"),
+        ("(S (NN 名) ( (VB x)))", "missing node label", "(S (NN 名) ( "),
+        ("(S (NN 名) (VP))", "node 'VP' has no children and no word",
+         "(S (NN 名) (VP"),
+        ("(S (NN 名) (VB x y))", "expected ')' after leaf word but found 'y'",
+         "(S (NN 名) (VB x "),
+        ("(S (NN 名) (VB x (NN y)))",
+         "expected ')' after leaf word but found '('", "(S (NN 名) (VB x "),
+        ("(S (NN 名) x)", "expected '(' or ')' but found 'x'", "(S (NN 名) "),
+        ("(NN 名) x", "trailing content after tree", "(NN 名) "),
+        ("(S (NN 名)", "unbalanced parentheses: input ends inside a node",
+         "(S (NN 名)"),
+    ], ids=["empty", "no-open", "no-label", "no-children", "leaf-word",
+            "leaf-open", "child", "trailing", "unbalanced"])
+    def test_every_message_and_byte_offset(self, text, message, before):
+        assert text.startswith(before)
+        offset = len(before.encode("utf-8"))
+        with pytest.raises(ParseError) as err:
+            parse_ptb_tree(text)
+        assert str(err.value) == f"{message} (at offset {offset})"
+        assert err.value.offset == offset
+
     def test_bare_word_rejected(self):
         with pytest.raises(ParseError):
             parse_ptb_tree("cat")
