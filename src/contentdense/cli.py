@@ -206,17 +206,31 @@ def _load_labels_tsv(path: str) -> dict[str, str]:
     return mapping
 
 
-def _heuristic_labels(leads: Sequence[AnnotatedLead], low: float, high: float,
-                      min_summary_words: int) -> tuple[dict[str, str], int]:
-    """Score summaries and percentile-label the tails; returns (mapping, n_skipped)."""
-    scores, skipped = score_leads(leads, min_summary_words)
-    mapping = labels_to_mapping(percentile_label(scores, low, high))
-    return mapping, len(skipped)
+def _nonempty_corpus(path: str) -> list[AnnotatedLead]:
+    leads = load_corpus(path)
+    if not leads:
+        raise ValidationError(f"{path}: corpus is empty")
+    return leads
 
 
-def _labeled_subset(leads: Sequence[AnnotatedLead],
-                    mapping: dict[str, str]) -> list[AnnotatedLead]:
-    return [lead for lead in leads if lead.id in mapping]
+def _labelled_table(args, labels_path: str | None = None) -> tuple:
+    """What train and evaluate start from. Loads ``--corpus`` and
+    ``--lexicon``, labels the leads (from ``labels_path``, else by summary
+    overlap and ``--percentiles``) and counts the labelled ones, in corpus
+    order, into one table. Returns (lexicon, leads loaded, leads left
+    unscored, label mapping, table, y); ``table.leads`` are the labelled
+    leads and ``y`` their ±1 labels by table row."""
+    leads = load_corpus(args.corpus)
+    lexicon = load_lexicon(args.lexicon)
+    if labels_path is not None:
+        mapping, n_skipped = _load_labels_tsv(labels_path), 0
+    else:
+        scores, skipped = score_leads(leads, args.min_summary_words)
+        mapping = labels_to_mapping(percentile_label(scores, *args.percentiles))
+        n_skipped = len(skipped)
+    table = FeatureTable([lead for lead in leads if lead.id in mapping])
+    return lexicon, len(leads), n_skipped, mapping, table, label_vector(
+        table, mapping)
 
 
 def cmd_generate(args) -> None:
@@ -235,12 +249,9 @@ def cmd_generate(args) -> None:
 
 
 def cmd_label(args) -> None:
-    leads = load_corpus(args.corpus)
-    if not leads:
-        raise ValidationError(f"{args.corpus}: corpus is empty")
+    leads = _nonempty_corpus(args.corpus)
     scores, skipped = score_leads(leads, args.min_summary_words)
-    low, high = args.percentiles
-    labels = percentile_label(scores, low, high)
+    labels = percentile_label(scores, *args.percentiles)
     out = _out_dir(args)
     _write_atomic(out / "scores.tsv", "".join(
         f"{s.lead_id}\t{s.score:.6f}\n" for s in scores
@@ -256,21 +267,13 @@ def cmd_label(args) -> None:
 
 
 def cmd_train(args) -> None:
-    leads = load_corpus(args.corpus)
-    lexicon = load_lexicon(args.lexicon)
-    low, high = args.percentiles
-    mapping, n_skipped = _heuristic_labels(leads, low, high,
-                                           args.min_summary_words)
-    labeled = _labeled_subset(leads, mapping)
-    if len(labeled) < 2:
+    lexicon, n_leads, n_skipped, _, table, y = _labelled_table(args)
+    n_labelled = len(table.leads)
+    if n_labelled < 2:
         raise ValidationError(
-            f"only {len(labeled)} labeled leads; need at least 2"
+            f"only {n_labelled} labeled leads; need at least 2"
         )
-
-    # Rows of a table over ``labeled`` are positions in it.
-    table = FeatureTable(labeled)
-    y = label_vector(table, mapping)
-    order = np.random.default_rng(args.seed).permutation(len(labeled))
+    order = np.random.default_rng(args.seed).permutation(n_labelled)
     train_rows, dev_rows = split_train_dev(order)
 
     mode = _internal_mode(args.mode)
@@ -292,7 +295,7 @@ def cmd_train(args) -> None:
     _write_atomic(out / "model.json", lambda p: save_classifier(classifier, p))
 
     dev_accuracy = accuracy(dev_margins, y[dev_rows])
-    print(f"labeled {len(labeled)} of {len(leads)} leads "
+    print(f"labeled {n_labelled} of {n_leads} leads "
           f"({n_skipped} skipped: missing or short summary)")
     print(f"trained {args.mode} on {len(train_rows)} leads "
           f"({len(dev_rows)} dev); {chosen}")
@@ -301,9 +304,7 @@ def cmd_train(args) -> None:
 
 def cmd_predict(args) -> None:
     classifier = load_classifier(args.model)
-    leads = load_corpus(args.corpus)
-    if not leads:
-        raise ValidationError(f"{args.corpus}: corpus is empty")
+    leads = _nonempty_corpus(args.corpus)
     out = _out_dir(args)
     z = classifier.margins(leads)
     lines = [f"{lead.id}\t{p:.6f}\t{margin_label(m)}\n"
@@ -331,22 +332,12 @@ def _length_baseline_by_folds(table: FeatureTable, y: np.ndarray,
 
 
 def cmd_evaluate(args) -> None:
-    leads = load_corpus(args.corpus)
-    lexicon = load_lexicon(args.lexicon)
-    low, high = args.percentiles
-    if args.labels is not None:
-        mapping = _load_labels_tsv(args.labels)
-        n_skipped = 0
-    else:
-        mapping, n_skipped = _heuristic_labels(leads, low, high,
-                                               args.min_summary_words)
-    labeled = _labeled_subset(leads, mapping)
-    n_unlabeled = len(leads) - len(labeled)
-    cli_modes = _CLI_MODES if args.mode == "all" else (args.mode,)
-    modes = [_internal_mode(m) for m in cli_modes]
+    lexicon, n_leads, n_skipped, mapping, table, y = _labelled_table(
+        args, args.labels)
+    labeled = table.leads
+    modes = list(MODES) if args.mode == "all" else [_internal_mode(args.mode)]
     config = TrainConfig(c_grid=tuple(args.c_grid), seed=args.seed)
     sizes = None if args.sizes is None else curve_sizes(args.sizes)
-    table = FeatureTable(labeled)  # shared by the folds and the curve
 
     results = cross_validate(labeled, mapping, modes, lexicon=lexicon,
                              k=10, seed=args.seed, config=config, table=table)
@@ -372,8 +363,7 @@ def cmd_evaluate(args) -> None:
                            f"overall={result.overall_accuracy:.4f}")
 
     dense_fraction = baseline_always_dense(mapping[lead.id] for lead in labeled)
-    length_acc, length_pooled = _length_baseline_by_folds(
-        table, label_vector(table, mapping), args.seed)
+    length_acc, length_pooled = _length_baseline_by_folds(table, y, args.seed)
     summary_lines.append(f"baseline_always_dense\t{dense_fraction:.6f}\t"
                          f"{dense_fraction:.6f}\n")
     summary_lines.append(f"baseline_article_length\t{length_acc:.6f}\t"
@@ -398,7 +388,7 @@ def cmd_evaluate(args) -> None:
         _write_atomic(out / name, text)
 
     print(f"evaluated {len(labeled)} labeled leads "
-          f"({n_unlabeled} unlabeled, {n_skipped} unscored)")
+          f"({n_leads - len(labeled)} unlabeled, {n_skipped} unscored)")
     for row in stdout_rows:
         print(row)
     print(f"baseline always-dense {dense_fraction:.4f}, "
@@ -435,67 +425,67 @@ def build_parser() -> argparse.ArgumentParser:
         description="Content-density detection for news leads.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Options of several subcommands, each declared once. A parent parser
+    # would put them ahead of a subcommand's own options, and the usage
+    # line every usage error prints shows them in the order added.
+    shared = {
+        "--corpus": dict(required=True),
+        "--lexicon": dict(
+            default=default_lexicon_path(),
+            help="word-list file (default: bundled concrete-word list)"),
+        "--seed": dict(type=int, default=0),
+        "--c-grid": dict(type=_floats_arg, default=DEFAULT_C_GRID,
+                         metavar="C1,C2,..."),
+        "--percentiles": dict(type=_percentiles_arg, default=(20.0, 80.0),
+                              metavar="LOW,HIGH"),
+        "--min-summary-words": dict(type=int, default=MIN_SUMMARY_WORDS),
+        "--model": dict(required=True),
+        "--out": dict(required=True),
+    }
+
+    def add_shared(p, *flags, **changes):
+        for flag in flags:
+            p.add_argument(flag, **{**shared[flag], **changes})
 
     p = sub.add_parser("generate", help="write a synthetic corpus")
     p.add_argument("--n", type=int, default=1000, help="number of leads")
     p.add_argument("--profile", choices=sorted(PROFILES), default="standard")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="output directory")
+    add_shared(p, "--seed")
+    add_shared(p, "--out", help="output directory")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("label", help="heuristic density scores and labels")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--percentiles", type=_percentiles_arg, default=(20.0, 80.0),
-                   metavar="LOW,HIGH")
-    p.add_argument("--min-summary-words", type=int, default=MIN_SUMMARY_WORDS)
-    p.add_argument("--out", required=True)
+    add_shared(p, "--corpus", "--percentiles", "--min-summary-words", "--out")
     p.set_defaults(func=cmd_label)
 
     p = sub.add_parser("train", help="fit a classifier and save it")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--lexicon", default=default_lexicon_path(),
-                   help="word-list file (default: bundled concrete-word list)")
+    add_shared(p, "--corpus", "--lexicon")
     p.add_argument("--mode", choices=_CLI_MODES, default="decision-fusion")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--c-grid", type=_floats_arg, default=DEFAULT_C_GRID,
-                   metavar="C1,C2,...")
-    p.add_argument("--percentiles", type=_percentiles_arg, default=(20.0, 80.0),
-                   metavar="LOW,HIGH")
-    p.add_argument("--min-summary-words", type=int, default=MIN_SUMMARY_WORDS)
-    p.add_argument("--out", required=True)
+    add_shared(p, "--seed", "--c-grid", "--percentiles",
+               "--min-summary-words", "--out")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="score a corpus with a saved model")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
+    add_shared(p, "--corpus", "--model", "--out")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="10-fold cross-validation report")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--lexicon", default=default_lexicon_path(),
-                   help="word-list file (default: bundled concrete-word list)")
-    p.add_argument("--labels", default=None,
+    add_shared(p, "--corpus", "--lexicon")
+    p.add_argument("--labels",
                    help="lead_id<TAB>label file; omitted = heuristic labels")
     p.add_argument("--mode", choices=_CLI_MODES + ("all",), default="all")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--c-grid", type=_floats_arg, default=DEFAULT_C_GRID,
-                   metavar="C1,C2,...")
-    p.add_argument("--percentiles", type=_percentiles_arg, default=(20.0, 80.0),
-                   metavar="LOW,HIGH")
-    p.add_argument("--min-summary-words", type=int, default=MIN_SUMMARY_WORDS)
-    p.add_argument("--sizes", type=_ints_arg, default=None,
-                   metavar="N1,N2,...",
+    add_shared(p, "--seed", "--c-grid", "--percentiles", "--min-summary-words")
+    p.add_argument("--sizes", type=_ints_arg, metavar="N1,N2,...",
                    help="training-set sizes for the learning curve")
-    p.add_argument("--out", required=True)
+    add_shared(p, "--out")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("combine", help="summary-combination cutoff sweep")
     p.add_argument("--pairs", required=True)
-    p.add_argument("--model", required=True)
+    add_shared(p, "--model")
     p.add_argument("--cutoffs", type=_floats_arg, default=DEFAULT_CUTOFFS,
                    metavar="T1,T2,...")
-    p.add_argument("--out", required=True)
+    add_shared(p, "--out")
     p.set_defaults(func=cmd_combine)
 
     return parser

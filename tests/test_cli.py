@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import contextlib
 import dataclasses
 import functools
@@ -791,6 +792,97 @@ class TestExitCodes:
         assert _exit_code(SingleClassError("x")) == 10
         assert _exit_code(NumericError("x")) == 12
         assert _exit_code(ContentDenseError("x")) == 1
+
+
+MODE_CHOICES = ("mrc", "mi", "pr", "feature-fusion", "decision-fusion")
+C_GRID = (0.03125, 0.125, 0.5, 2.0, 8.0, 32.0)
+LEXICON_HELP = "word-list file (default: bundled concrete-word list)"
+
+
+def option_tables() -> dict:
+    """command -> (its help, its function, {flags: (dest, default, type,
+    choices, metavar, required, help)}) as build_parser declares them."""
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    helps = {action.dest: action.help for action in sub._choices_actions}
+    return {
+        command: (helps[command], parser.get_default("func"), {
+            tuple(a.option_strings): (
+                a.dest, a.default, a.type,
+                None if a.choices is None else tuple(a.choices),
+                a.metavar, a.required, a.help)
+            for a in parser._actions if not isinstance(a, argparse._HelpAction)
+        })
+        for command, parser in sub.choices.items()
+    }
+
+
+class TestOptionTables:
+    """Each subcommand's options, whatever order the parser declares them
+    in: flags, dest, default, type, choices, metavar, required and help."""
+
+    def test_every_option_is_declared_as_documented(self):
+        lexicon = cli.default_lexicon_path()
+        floats, percentiles = cli._floats_arg, cli._percentiles_arg
+        common = {
+            ("--seed",): ("seed", 0, int, None, None, False, None),
+            ("--c-grid",): ("c_grid", C_GRID, floats, None, "C1,C2,...",
+                            False, None),
+            ("--percentiles",): ("percentiles", (20.0, 80.0), percentiles,
+                                 None, "LOW,HIGH", False, None),
+            ("--min-summary-words",): ("min_summary_words", 25, int, None,
+                                       None, False, None),
+            ("--lexicon",): ("lexicon", lexicon, None, None, None, False,
+                             LEXICON_HELP),
+            ("--corpus",): ("corpus", None, None, None, None, True, None),
+            ("--model",): ("model", None, None, None, None, True, None),
+            ("--out",): ("out", None, None, None, None, True, None),
+        }
+
+        def shared(*flags):
+            return {(flag,): common[(flag,)] for flag in flags}
+
+        assert option_tables() == {
+            "generate": ("write a synthetic corpus", cli.cmd_generate, {
+                ("--n",): ("n", 1000, int, None, None, False,
+                           "number of leads"),
+                ("--profile",): ("profile", "standard", None,
+                                 ("separable", "standard", "zero"), None,
+                                 False, None),
+                **shared("--seed"),
+                ("--out",): ("out", None, None, None, None, True,
+                             "output directory"),
+            }),
+            "label": ("heuristic density scores and labels", cli.cmd_label,
+                      shared("--corpus", "--percentiles",
+                             "--min-summary-words", "--out")),
+            "train": ("fit a classifier and save it", cli.cmd_train, {
+                **shared("--corpus", "--lexicon", "--seed", "--c-grid",
+                         "--percentiles", "--min-summary-words", "--out"),
+                ("--mode",): ("mode", "decision-fusion", None, MODE_CHOICES,
+                              None, False, None),
+            }),
+            "predict": ("score a corpus with a saved model", cli.cmd_predict,
+                        shared("--corpus", "--model", "--out")),
+            "evaluate": ("10-fold cross-validation report", cli.cmd_evaluate, {
+                **shared("--corpus", "--lexicon", "--seed", "--c-grid",
+                         "--percentiles", "--min-summary-words", "--out"),
+                ("--labels",): (
+                    "labels", None, None, None, None, False,
+                    "lead_id<TAB>label file; omitted = heuristic labels"),
+                ("--mode",): ("mode", "all", None, MODE_CHOICES + ("all",),
+                              None, False, None),
+                ("--sizes",): ("sizes", None, cli._ints_arg, None,
+                               "N1,N2,...", False,
+                               "training-set sizes for the learning curve"),
+            }),
+            "combine": ("summary-combination cutoff sweep", cli.cmd_combine, {
+                **shared("--model", "--out"),
+                ("--pairs",): ("pairs", None, None, None, None, True, None),
+                ("--cutoffs",): ("cutoffs", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5),
+                                 floats, None, "T1,T2,...", False, None),
+            }),
+        }
 
 
 # Every code of README's exit table; 1 means an unexpected error.
