@@ -29,7 +29,7 @@ from .corpus import (
     lead_from_record,
     lead_to_record,
 )
-from .errors import ContentDenseError, ValidationError
+from .errors import ContentDenseError, ValidationError, prefixed
 from .features import FeatureTable
 from .kernels import CsrMatrix, pack_csr
 from .labeling import CONTENT_DENSE
@@ -251,7 +251,7 @@ def pair_from_record(rec) -> SummaryPair:
         try:
             fields.append(lead_from_record(summary))
         except ContentDenseError as e:
-            raise type(e)(f"{key}: {e}") from e
+            raise prefixed(e, key)
     return SummaryPair(*fields, json_field(rec, "human_preference", str))
 
 
@@ -263,7 +263,7 @@ def load_pairs(path: str | Path) -> list[SummaryPair]:
         try:
             pairs.append(pair_from_record(rec))
         except ContentDenseError as e:
-            raise type(e)(f"{path}: line {lineno}: {e}") from e
+            raise prefixed(e, f"{path}: line {lineno}")
     return pairs
 
 

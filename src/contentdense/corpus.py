@@ -38,6 +38,7 @@ from .errors import (
     DuplicateIdError,
     ParseError,
     ValidationError,
+    prefixed,
 )
 
 DOMAINS = ("business", "science", "sports", "politics", "general")
@@ -410,14 +411,17 @@ def _entries(rec, name: str, table: InternTable, items=str,
 
 
 def _sentence_from_record(rec, where: str) -> Sentence:
+    """A field error names ``where`` in its own words; a parse or
+    ``Sentence`` error gets it as a prefix."""
     parse = json_field(rec, "parse", str, optional=True, where=where)
     lemmas = _entries(rec, "lemmas", _WORDS, optional=True, where=where)
-    return Sentence(
-        tokens=_entries(rec, "tokens", _WORDS, where=where),
-        pos=_entries(rec, "pos", _TAGS, where=where),
-        lemmas=lemmas,
-        parse=None if parse is None else parse_ptb_tree(parse),
-    )
+    tokens = _entries(rec, "tokens", _WORDS, where=where)
+    pos = _entries(rec, "pos", _TAGS, where=where)
+    try:
+        return Sentence(tokens, pos, lemmas,
+                        None if parse is None else parse_ptb_tree(parse))
+    except (ParseError, ValidationError) as e:
+        raise prefixed(e, where)
 
 
 def lead_to_record(lead: AnnotatedLead) -> dict:
@@ -503,7 +507,7 @@ def load_corpus(path: str | Path) -> list[AnnotatedLead]:
         try:
             lead = lead_from_record(rec)
         except (CorpusFormatError, ValidationError, ParseError) as e:
-            raise type(e)(f"{path}: line {lineno}: {e}") from e
+            raise prefixed(e, f"{path}: line {lineno}")
         if lead.id in seen:
             raise DuplicateIdError(
                 f"{path}: line {lineno}: duplicate lead id {lead.id!r}")

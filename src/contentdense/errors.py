@@ -12,6 +12,14 @@ class ContentDenseError(Exception):
     """Base class for all errors raised by this package."""
 
 
+def prefixed(err: ContentDenseError, where: str) -> ContentDenseError:
+    """``err``, its message now starting with ``where: ``. It keeps its type
+    and attributes (a ParseError's ``offset``), so a caller that knows
+    where the error arose can say so: ``raise prefixed(e, where)``."""
+    err.args = (f"{where}: {err}",)
+    return err
+
+
 class ParseError(ContentDenseError):
     """A bracketed parse string is malformed.
 

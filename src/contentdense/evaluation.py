@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import AnnotatedLead
-from .errors import ContentDenseError, NumericError, ValidationError
+from .errors import ContentDenseError, NumericError, ValidationError, prefixed
 from .features import (
     SPACE_MRC,
     SPACE_ORDER,
@@ -281,7 +281,7 @@ def _map_folds(work: Callable[[int], object],
             try:
                 results.append(outcome())
             except ContentDenseError as e:
-                raise type(e)(f"fold {t}: {e}") from e
+                raise prefixed(e, f"fold {t}")
         return results
     finally:
         if pool is not None:

@@ -650,6 +650,54 @@ def decoded_values(leads):
     return words, tags, labels, rules, pairs
 
 
+# fault -> (edit of a record's second sentence, error type, message after
+# the record's place, ParseError offset)
+SENTENCE_FAULTS = {
+    "parse": (lambda s: s.update(parse="(S (NN y)"), ParseError,
+              "sentence 1: unbalanced parentheses: input ends inside a node "
+              "(at offset 9)", 9),
+    "leaf-count": (lambda s: s.update(parse="(NN x)"), ValidationError,
+                   "sentence 1: parse has 1 leaves for 2 tokens", None),
+    "field": (lambda s: s.update(tokens=5), CorpusFormatError,
+              "field 'tokens' of sentence 1 must be a JSON array of strings, "
+              "not integer", None),
+}
+
+
+class TestSentenceErrors:
+    """An error in one sentence names the file, the line and the sentence,
+    once, through either loader; a ParseError keeps its offset."""
+
+    def bad_record(self, fault):
+        rec = json.loads(json.dumps(SAMPLE_RECORDS[0]))
+        rec["sentences"].append({"tokens": ["Dogs", "ran"],
+                                 "pos": ["NNS", "VBD"]})
+        SENTENCE_FAULTS[fault][0](rec["sentences"][1])
+        return rec
+
+    def check(self, load, path, fault, where):
+        _, kind, message, offset = SENTENCE_FAULTS[fault]
+        with pytest.raises(kind) as err:
+            load(path)
+        assert type(err.value) is kind
+        assert str(err.value) == f"{path}: line 1: {where}{message}"
+        assert getattr(err.value, "offset", None) == offset
+
+    @pytest.mark.parametrize("fault", SENTENCE_FAULTS)
+    def test_corpus_loader(self, tmp_path, fault):
+        p = tmp_path / "c.jsonl"
+        write_lines(p, [self.bad_record(fault)])
+        self.check(load_corpus, p, fault, "")
+
+    @pytest.mark.parametrize("fault", SENTENCE_FAULTS)
+    def test_pair_loader(self, tmp_path, fault):
+        p = tmp_path / "p.jsonl"
+        write_lines(p, [{"article_id": "x", "lead_summary": SAMPLE_RECORDS[1],
+                         "system_summary": self.bad_record(fault),
+                         "human_preference": PREF_SYSTEM}])
+        self.check(load_pairs, p, fault, "system_summary: ")
+
+
 def corpus_file(path, n):
     """A seed-7 synthetic corpus of ``n`` leads, then SAMPLE_RECORDS (mixed
     case, lemmas, a sentence without a parse)."""
