@@ -136,7 +136,8 @@ def margins(X: CsrMatrix, w: np.ndarray, b: float) -> np.ndarray:
 
 def objective_and_grad(w: np.ndarray, b: float, X: CsrMatrix, y: np.ndarray,
                        c: float, loss: str):
-    """Objective value and (grad_w, grad_b) at (w, b)."""
+    """Objective value and (grad_w, grad_b) at (w, b). ``w . w`` is summed
+    in one fixed order, not by BLAS (see ``optimize``)."""
     if loss not in LOSSES:
         raise ValidationError(f"unknown loss {loss!r}")
     z = margins(X, w, b)
@@ -151,7 +152,7 @@ def objective_and_grad(w: np.ndarray, b: float, X: CsrMatrix, y: np.ndarray,
     grad_w = w + c * np.bincount(
         X.indices, weights=X.data * np.repeat(gz, X.row_lengths),
         minlength=X.n_cols)
-    value = 0.5 * float(w.dot(w)) + c * loss_sum
+    value = 0.5 * float(np.add.reduce(w * w)) + c * loss_sum
     if not math.isfinite(value):
         raise NumericError("objective evaluated to a non-finite value")
     return value, grad_w, c * float(gz.sum())

@@ -6,11 +6,12 @@ randomness, no data-dependent thread scheduling. L-BFGS with the two-loop
 recursion and Armijo backtracking satisfies both; every run from the same
 start point takes the same steps.
 
-Inner products of 1-D arrays are ``float(a.dot(b))``: ``a.dot`` calls the
-same BLAS ddot as ``a @ b``, so it gives the same bits, at about half the
-per-call overhead, and an iteration makes about 25 of them. A Euclidean norm is
-``math.sqrt(v.dot(v))``, which is how ``np.linalg.norm`` computes the norm
-of a real vector.
+Inner products of 1-D arrays are ``_dot(a, b)``, which sums the products
+with ``np.add.reduce`` in one fixed order. BLAS ddot (``a.dot(b)``,
+``a @ b``) would not do: OpenBLAS picks its ddot kernel for the CPU it runs
+on, the kernels add in different orders, and the last bits of every fit,
+and so the model files, would then depend on the machine. A Euclidean norm
+is ``math.sqrt(_dot(v, v))``.
 
 ``fit_platt_sigmoid`` fits the two-parameter calibration p = sigmoid(a*m + b)
 mapping decision margins to probabilities, with the smoothed targets
@@ -31,6 +32,10 @@ from .errors import NumericError, ValidationError
 HISTORY = 10  # correction pairs the two-loop recursion keeps
 ARMIJO_C1 = 1e-4  # sufficient-decrease constant of the line search
 MAX_BACKTRACKS = 60  # step halvings before a line search gives up
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.add.reduce(a * b))
 
 
 @dataclass
@@ -66,17 +71,16 @@ def minimize_lbfgs(fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
         alphas = []
         for s, yv, rho in zip(reversed(s_hist), reversed(y_hist),
                               reversed(rho_hist)):
-            a = rho * float(s.dot(q))
+            a = rho * _dot(s, q)
             alphas.append(a)
             q -= a * yv
         if y_hist:
             y_last = y_hist[-1]
-            gamma = (float(s_hist[-1].dot(y_last))
-                     / float(y_last.dot(y_last)))
+            gamma = _dot(s_hist[-1], y_last) / _dot(y_last, y_last)
             q *= gamma
         for (s, yv, rho), a in zip(zip(s_hist, y_hist, rho_hist),
                                    reversed(alphas)):
-            beta = rho * float(yv.dot(q))
+            beta = rho * _dot(yv, q)
             q += (a - beta) * s
         return -q
 
@@ -85,10 +89,10 @@ def minimize_lbfgs(fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
         if np.abs(g).max() <= tol:
             return MinimizeResult(x, f, g, iterations - 1, True)
         d = direction(g)
-        gd = float(g.dot(d))
+        gd = _dot(g, d)
         if gd >= 0.0:
             d = -g
-            gd = float(g.dot(d))
+            gd = _dot(g, d)
         alpha = 1.0
         accepted = False
         for _ in range(MAX_BACKTRACKS):
@@ -102,8 +106,8 @@ def minimize_lbfgs(fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
             return MinimizeResult(x, f, g, iterations, False)
         s = x_new - x
         yv = g_new - g
-        sy = float(s.dot(yv))
-        if sy > 1e-12 * math.sqrt(s.dot(s)) * math.sqrt(yv.dot(yv)):
+        sy = _dot(s, yv)
+        if sy > 1e-12 * math.sqrt(_dot(s, s)) * math.sqrt(_dot(yv, yv)):
             s_hist.append(s)
             y_hist.append(yv)
             rho_hist.append(1.0 / sy)
@@ -156,13 +160,13 @@ def fit_platt_sigmoid(margins: np.ndarray, y: np.ndarray,
         u = a * m + b
         p = 1.0 / (1.0 + np.exp(-np.clip(u, -500, 500)))
         r = p - t
-        grad_a = float(r @ m)
+        grad_a = _dot(r, m)
         grad_b = float(r.sum())
         if max(abs(grad_a), abs(grad_b)) <= tol:
             break
         h = p * (1.0 - p)
-        haa = float(h @ (m * m)) + 1e-12
-        hab = float(h @ m)
+        haa = _dot(h, m * m) + 1e-12
+        hab = _dot(h, m)
         hbb = float(h.sum()) + 1e-12
         det = haa * hbb - hab * hab
         if det <= 0.0:

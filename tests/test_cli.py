@@ -400,12 +400,12 @@ def pinned_corpus(tmp_path_factory):
 # sha256 of model.json from `train --mode <key>` on the pinned corpus.
 MODEL_DIGESTS = {
     "mrc": "2f39103aa1a4fb94b202296c7c772730bd328d3a3d296233ba252e22368dece1",
-    "mi": "4a9f49cf7e85e8432c2e221d23e28022c43a381a5fcd3b8b04022a276b2a9345",
-    "pr": "c266edd815944c677d70fc3928fd8edf320a9598d84be727c5356bbc7100eb77",
+    "mi": "ef8ae987f4c16494af399ea70d86886b50d79e45d2ea80bfc71e040a447a1b4e",
+    "pr": "6224d80a6b73cafaaae579c1cd5e4b6b60af2c5919efb8de4b300aedcb20c844",
     "feature-fusion":
-        "bfb80cb1e0609c101e7c0fab086cb8954c25a9f71edab68cc24d0606172cb44d",
+        "d1fbc8ce0df4ff233823ddb3b086b676f56d310c4654003dd8da702fcb5d7114",
     "decision-fusion":
-        "c6070e392b68a3fb83623c064a3c925cb4155df40f99138e70ff16d876702dbe",
+        "7ffa6dbfd8772e08122275d4f83d47bc261032943d14178105840cac15b50765",
 }
 
 
@@ -616,6 +616,44 @@ class TestDevelopmentMatrices:
         dev = Counter(names for rows, names in calls if rows == dev_rows)
         assert dev == {("MRC",): 1, ("MI",): 1, ("PR",): 1,
                        ("MRC", "MI", "PR"): 1}
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_blocks() -> list[tuple[str, list[str]]]:
+    """(the prose before it, its lines) for each fenced block of README."""
+    parts = read(README).split("```")
+    return [(parts[k - 1], parts[k].strip("\n").splitlines())
+            for k in range(1, len(parts), 2)]
+
+
+def test_readme_walkthrough(tmp_path, monkeypatch):
+    """Runs README's walkthrough in a fresh directory and checks every line
+    each command prints, and the accuracy_by_confidence.tsv rows it shows,
+    against README itself. The `combine` block is left out: README does not
+    say how to make the `pairs.jsonl` it reads."""
+    monkeypatch.chdir(tmp_path)
+    blocks = readme_blocks()
+    commands = [lines for _, lines in blocks
+                if lines and lines[0].startswith("$ contentdense ")]
+    ran = []
+    for command, *expected in commands:
+        argv = command.split()[2:]
+        if argv[0] == "combine":
+            continue
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv) == 0, command
+        assert stdout.getvalue().splitlines() == expected, command
+        ran.append(argv[0])
+    assert ran == ["generate", "label", "train", "predict", "evaluate"]
+
+    [shown] = [lines for prose, lines in blocks
+               if prose.rstrip().endswith("(`report/accuracy_by_confidence.tsv`):")]
+    rows = [line.split("\t") for line in
+            read(tmp_path / "report" / "accuracy_by_confidence.tsv").splitlines()]
+    assert shown and all(line.split() in rows for line in shown)
 
 
 class TestCombine:

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import contentdense
+from contentdense.cli import main
 from contentdense.optimize import MinimizeResult, fit_platt_sigmoid, minimize_lbfgs
 
 
@@ -102,3 +108,29 @@ class TestFitPlattSigmoid:
         grid = np.linspace(-3, 3, 50)
         p = 1.0 / (1.0 + np.exp(-(a * grid + b)))
         assert np.all(np.diff(p) > 0)
+
+
+def test_model_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    """OpenBLAS picks its kernels for the CPU it runs on, and they add in
+    different orders. Two processes told to use two different x86 kernels
+    (both run on any CPU with AVX2; elsewhere the variable is ignored)
+    write the same decision-fusion model: L-BFGS, the objective and the
+    Platt fit take their inner products outside BLAS."""
+    assert main(["generate", "--n", "120", "--seed", "3",
+                 "--out", str(tmp_path / "gen")]) == 0
+    package_root = str(Path(contentdense.__file__).resolve().parent.parent)
+    models = []
+    for coretype in ("Prescott", "Haswell"):
+        env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [package_root, env.get("PYTHONPATH")]))
+        out = tmp_path / coretype
+        proc = subprocess.run(
+            [sys.executable, "-m", "contentdense", "train",
+             "--corpus", str(tmp_path / "gen" / "corpus.jsonl"),
+             "--lexicon", str(tmp_path / "gen" / "lexicon.txt"),
+             "--c-grid", "0.5,8", "--out", str(out)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        models.append((out / "model.json").read_bytes())
+    assert models[0] == models[1]
