@@ -33,7 +33,6 @@ from .combine import (
     sweep_cutoffs,
 )
 from .corpus import (
-    AnnotatedLead,
     default_lexicon_path,
     load_corpus,
     load_lexicon,
@@ -206,13 +205,6 @@ def _load_labels_tsv(path: str) -> dict[str, str]:
     return mapping
 
 
-def _nonempty_corpus(path: str) -> list[AnnotatedLead]:
-    leads = load_corpus(path)
-    if not leads:
-        raise ValidationError(f"{path}: corpus is empty")
-    return leads
-
-
 def _labelled_table(args, labels_path: str | None = None) -> tuple:
     """What train and evaluate start from. Loads ``--corpus`` and
     ``--lexicon``, labels the leads (from ``labels_path``, else by summary
@@ -249,7 +241,9 @@ def cmd_generate(args) -> None:
 
 
 def cmd_label(args) -> None:
-    leads = _nonempty_corpus(args.corpus)
+    leads = load_corpus(args.corpus)
+    if not leads:
+        raise ValidationError(f"{args.corpus}: corpus is empty")
     scores, skipped = score_leads(leads, args.min_summary_words)
     labels = percentile_label(scores, *args.percentiles)
     out = _out_dir(args)
@@ -304,7 +298,9 @@ def cmd_train(args) -> None:
 
 def cmd_predict(args) -> None:
     classifier = load_classifier(args.model)
-    leads = _nonempty_corpus(args.corpus)
+    leads = load_corpus(args.corpus)
+    if not leads:
+        raise ValidationError(f"{args.corpus}: corpus is empty")
     out = _out_dir(args)
     z = classifier.margins(leads)
     lines = [f"{lead.id}\t{p:.6f}\t{margin_label(m)}\n"
