@@ -267,11 +267,11 @@ def cmd_train(args) -> None:
         raise ValidationError(
             f"only {n_labelled} labeled leads; need at least 2"
         )
+    config = TrainConfig(c_grid=tuple(args.c_grid), seed=args.seed)
     order = np.random.default_rng(args.seed).permutation(n_labelled)
     train_rows, dev_rows = split_train_dev(order)
 
     mode = _internal_mode(args.mode)
-    config = TrainConfig(c_grid=tuple(args.c_grid), seed=args.seed)
     classifier = train_modes([mode], train_rows, dev_rows, y, lexicon, table,
                              config)[mode]
     model = classifier.model

@@ -306,6 +306,10 @@ class AnnotatedLead:
                     raise ValidationError(f"lead {self.id}: summary tuple with empty word")
         if self.article_word_count < 0:
             raise ValidationError(f"lead {self.id}: negative article_word_count")
+        if self.article_word_count >= 2 ** 63:
+            raise ValidationError(
+                f"lead {self.id}: article_word_count {self.article_word_count} "
+                f"above 2**63 - 1")
         n_tokens = sum([len(s.tokens) for s in self.sentences])
         if self.article_word_count < n_tokens:
             raise ValidationError(

@@ -93,6 +93,9 @@ def make_folds(ids: Sequence[str], k: int = 10, seed: int = 0) -> FoldPlan:
         raise ValidationError("need at least two folds")
     if len(ids) < k:
         raise ValidationError(f"{len(ids)} ids cannot fill {k} folds")
+    if seed < 0:
+        raise ValidationError(
+            f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(ids))
     folds: list[list[str]] = [[] for _ in range(k)]

@@ -40,6 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericError, ValidationError
+from .optimize import _dot
 
 LOSS_LOGISTIC = "logistic"
 LOSS_HINGE = "hinge"
@@ -136,8 +137,8 @@ def margins(X: CsrMatrix, w: np.ndarray, b: float) -> np.ndarray:
 
 def objective_and_grad(w: np.ndarray, b: float, X: CsrMatrix, y: np.ndarray,
                        c: float, loss: str):
-    """Objective value and (grad_w, grad_b) at (w, b). ``w . w`` is summed
-    in one fixed order, not by BLAS (see ``optimize``)."""
+    """Objective value and (grad_w, grad_b) at (w, b). ``w . w`` is
+    ``optimize._dot``, summed in one fixed order, not by BLAS."""
     if loss not in LOSSES:
         raise ValidationError(f"unknown loss {loss!r}")
     z = margins(X, w, b)
@@ -152,7 +153,7 @@ def objective_and_grad(w: np.ndarray, b: float, X: CsrMatrix, y: np.ndarray,
     grad_w = w + c * np.bincount(
         X.indices, weights=X.data * np.repeat(gz, X.row_lengths),
         minlength=X.n_cols)
-    value = 0.5 * float(np.add.reduce(w * w)) + c * loss_sum
+    value = 0.5 * _dot(w, w) + c * loss_sum
     if not math.isfinite(value):
         raise NumericError("objective evaluated to a non-finite value")
     return value, grad_w, c * float(gz.sum())

@@ -91,6 +91,9 @@ class TrainConfig:
             raise ValidationError("c_grid is empty")
         if not all(0 < c < math.inf for c in self.c_grid):
             raise ValidationError("c_grid values must be positive and finite")
+        if self.seed < 0:
+            raise ValidationError(
+                f"seed must be a non-negative integer, got {self.seed}")
 
     @property
     def sorted_c_grid(self) -> tuple[float, ...]:

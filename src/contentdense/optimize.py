@@ -6,6 +6,12 @@ randomness, no data-dependent thread scheduling. L-BFGS with the two-loop
 recursion and Armijo backtracking satisfies both; every run from the same
 start point takes the same steps.
 
+The history is one ``deque`` of the newest ``HISTORY`` curvature pairs,
+oldest first, each the tuple ``(s, y, rho, gamma)``: the step, the change
+in gradient, rho = 1/s.y and gamma = s.y/y.y, all taken once, when the
+pair is accepted (Liu & Nocedal, Math. Programming 1989). The two-loop
+recursion uses each pair's rho and scales by the newest pair's gamma.
+
 Inner products of 1-D arrays are ``_dot(a, b)``, which sums the products
 with ``np.add.reduce`` in one fixed order. BLAS ddot (``a.dot(b)``,
 ``a @ b``) would not do: OpenBLAS picks its ddot kernel for the CPU it runs
@@ -22,6 +28,7 @@ Newton iteration on the cross-entropy objective.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,59 +69,41 @@ def minimize_lbfgs(fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
     if not (math.isfinite(f) and np.all(np.isfinite(g))):
         raise NumericError("objective is non-finite at the start point")
 
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    rho_hist: list[float] = []
-
-    def direction(grad: np.ndarray) -> np.ndarray:
-        q = grad.copy()
-        alphas = []
-        for s, yv, rho in zip(reversed(s_hist), reversed(y_hist),
-                              reversed(rho_hist)):
-            a = rho * _dot(s, q)
-            alphas.append(a)
-            q -= a * yv
-        if y_hist:
-            y_last = y_hist[-1]
-            gamma = _dot(s_hist[-1], y_last) / _dot(y_last, y_last)
-            q *= gamma
-        for (s, yv, rho), a in zip(zip(s_hist, y_hist, rho_hist),
-                                   reversed(alphas)):
-            beta = rho * _dot(yv, q)
-            q += (a - beta) * s
-        return -q
-
+    pairs: deque[tuple[np.ndarray, np.ndarray, float, float]] = deque(
+        maxlen=HISTORY)
     iterations = 0
     for iterations in range(1, max_iters + 1):
         if np.abs(g).max() <= tol:
             return MinimizeResult(x, f, g, iterations - 1, True)
-        d = direction(g)
+        q = g.copy()  # the two-loop recursion: d = -H g
+        alphas = []
+        for s, yv, rho, _ in reversed(pairs):
+            a = rho * _dot(s, q)
+            alphas.append(a)
+            q -= a * yv
+        if pairs:
+            q *= pairs[-1][3]  # the newest pair's gamma
+        for (s, yv, rho, _), a in zip(pairs, reversed(alphas)):
+            q += (a - rho * _dot(yv, q)) * s
+        d = -q
         gd = _dot(g, d)
         if gd >= 0.0:
             d = -g
             gd = _dot(g, d)
         alpha = 1.0
-        accepted = False
         for _ in range(MAX_BACKTRACKS):
             x_new = x + alpha * d
             f_new, g_new = fun(x_new)
             if math.isfinite(f_new) and f_new <= f + ARMIJO_C1 * alpha * gd:
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
+        else:
             return MinimizeResult(x, f, g, iterations, False)
         s = x_new - x
         yv = g_new - g
-        sy = _dot(s, yv)
-        if sy > 1e-12 * math.sqrt(_dot(s, s)) * math.sqrt(_dot(yv, yv)):
-            s_hist.append(s)
-            y_hist.append(yv)
-            rho_hist.append(1.0 / sy)
-            if len(s_hist) > HISTORY:
-                s_hist.pop(0)
-                y_hist.pop(0)
-                rho_hist.pop(0)
+        sy, yy = _dot(s, yv), _dot(yv, yv)
+        if sy > 1e-12 * math.sqrt(_dot(s, s)) * math.sqrt(yy):
+            pairs.append((s, yv, 1.0 / sy, sy / yy))
         x, f, g = x_new, f_new, g_new
 
     converged = bool(np.abs(g).max() <= tol)

@@ -119,6 +119,9 @@ def generate_corpus(n: int, profile: str = PROFILE_STANDARD,
         raise ValidationError(
             f"unknown profile {profile!r}; choose from {sorted(PROFILES)}"
         )
+    if seed < 0:
+        raise ValidationError(
+            f"seed must be a non-negative integer, got {seed}")
     p_signal = PROFILES[profile]
     rng = np.random.default_rng(seed)
     leads = []

@@ -791,6 +791,36 @@ class TestExitCodes:
         assert "expected finite numbers" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--n", "10", "--seed", "-1"],
+        ["train", "--seed", "-1"],
+        ["evaluate", "--seed", "-3", "--mode", "mrc", "--c-grid", "1"],
+    ], ids=["generate", "train", "evaluate"])
+    def test_negative_seed_exits_6(self, workspace, tmp_path, argv):
+        if argv[0] != "generate":
+            argv = [*argv, "--corpus", workspace["corpus"]]
+        seed = argv[argv.index("--seed") + 1]
+        code, err = run_quietly([*argv, "--out", str(tmp_path / "out")])
+        assert code == 6
+        assert err == f"error: seed must be a non-negative integer, got {seed}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_article_word_count_beyond_int64_exits_6(self, workspace,
+                                                     tmp_path):
+        lines = read(workspace["corpus"]).splitlines()
+        rec = json.loads(lines[5])
+        rec["article_word_count"] = 10 ** 20
+        lines[5] = json.dumps(rec)
+        bad = tmp_path / "big.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, err = run_quietly(["evaluate", "--corpus", str(bad),
+                                 "--labels", workspace["labels"],
+                                 "--mode", "mrc", "--c-grid", "1",
+                                 "--out", str(tmp_path / "out")])
+        assert code == 6
+        assert err == (f"error: {bad}: line 6: lead {rec['id']}: "
+                       f"article_word_count {10 ** 20} above 2**63 - 1\n")
+
     def test_overflowing_margins_exit_12(self, workspace, tmp_path,
                                          fusion_model_path):
         """Count features times weights of +-1e308 overflow to +inf and

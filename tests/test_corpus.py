@@ -440,6 +440,9 @@ class TestAnnotatedLead:
             make_lead(domain="weather")
         with pytest.raises(ValidationError):
             make_lead(article_word_count=2)
+        with pytest.raises(ValidationError, match="above 2\\*\\*63 - 1"):
+            make_lead(article_word_count=2 ** 63)
+        assert make_lead(article_word_count=2 ** 63 - 1)  # int64's largest
 
     def test_caches(self):
         lead = make_lead(n_extra=1)
@@ -520,6 +523,24 @@ class TestLoadCorpus:
         write_lines(p, [bad])
         with pytest.raises(ValidationError, match="line 1"):
             load_corpus(p)
+
+    def test_article_word_count_beyond_int64(self, tmp_path):
+        """A count numpy cannot hold as int64 would make the table's
+        lengths an object array."""
+        big = dict(SAMPLE_RECORDS[1], article_word_count=10 ** 20)
+        p = tmp_path / "c.jsonl"
+        write_lines(p, [SAMPLE_RECORDS[0], big])
+        with pytest.raises(ValidationError) as err:
+            load_corpus(p)
+        assert str(err.value) == (f"{p}: line 2: lead a2: article_word_count "
+                                  f"{10 ** 20} above 2**63 - 1")
+        write_lines(p, [{"article_id": "x", "lead_summary": big,
+                         "system_summary": SAMPLE_RECORDS[0],
+                         "human_preference": PREF_SYSTEM}])
+        with pytest.raises(ValidationError) as err:
+            load_pairs(p)
+        assert str(err.value).startswith(
+            f"{p}: line 1: lead_summary: lead a2: article_word_count")
 
     def test_missing_field(self, tmp_path):
         bad = {k: v for k, v in SAMPLE_RECORDS[0].items() if k != "domain"}

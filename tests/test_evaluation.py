@@ -68,6 +68,10 @@ class TestMakeFolds:
         with pytest.raises(ValidationError):
             make_folds(["a", "b"], k=10, seed=0)
 
+    def test_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed .* got -1"):
+            make_folds([f"x{i}" for i in range(20)], k=10, seed=-1)
+
     def test_duplicate_ids(self):
         with pytest.raises(ValidationError):
             make_folds(["a", "b", "a"] + [f"x{i}" for i in range(10)],

@@ -221,6 +221,10 @@ class TestTrainLinear:
             with pytest.raises(ValidationError, match="only \\+1 and -1"):
                 train_linear(X, y, "TOY", LOSS_LOGISTIC, c=1.0)
 
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(ValidationError, match="seed .* got -1"):
+            TrainConfig(seed=-1)
+
     @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
     def test_c_must_be_positive_and_finite(self, c):
         with pytest.raises(ValidationError):

@@ -8,8 +8,14 @@ import numpy as np
 import pytest
 
 import contentdense
+from contentdense import optimize
 from contentdense.cli import main
-from contentdense.optimize import MinimizeResult, fit_platt_sigmoid, minimize_lbfgs
+from contentdense.optimize import (
+    HISTORY,
+    MinimizeResult,
+    fit_platt_sigmoid,
+    minimize_lbfgs,
+)
 
 
 def quadratic(center, scales):
@@ -67,6 +73,30 @@ class TestMinimizeLbfgs:
         res2 = minimize_lbfgs(fun, np.ones(4), tol=1e-10)
         assert np.array_equal(res1.x, res2.x)
         assert res1.value == res2.value
+
+    def test_each_inner_product_is_taken_once(self, monkeypatch):
+        """Each iteration takes g.d, s.y, s.s and y.y, and one product per
+        stored pair in each loop of the two-loop recursion; gamma reuses
+        the newest pair's s.y and y.y. On a convex quadratic every pair
+        passes the curvature check and every direction descends, so no
+        other product is taken."""
+        rng = np.random.default_rng(2)
+        scales = 10.0 ** rng.uniform(-3, 3, size=12)
+        center = rng.normal(size=12)
+
+        def fun(x):  # no BLAS, so the step count is the same on any CPU
+            d = x - center
+            return 0.5 * float(np.add.reduce(scales * d * d)), scales * d
+
+        calls = []
+        dot = optimize._dot
+        monkeypatch.setattr(optimize, "_dot",
+                            lambda a, b: calls.append(1) or dot(a, b))
+        res = minimize_lbfgs(fun, np.zeros(12), max_iters=500, tol=1e-8)
+        assert res.converged
+        assert res.iterations == 409  # far more than HISTORY: it fills
+        assert len(calls) == sum(4 + 2 * min(k, HISTORY)
+                                 for k in range(res.iterations)) == 9706
 
     def test_result_type(self):
         res = minimize_lbfgs(quadratic([0.0], [1.0]), np.zeros(1))

@@ -82,6 +82,10 @@ class TestGeneration:
         with pytest.raises(ValidationError, match="profile"):
             generate_corpus(10, "weird")
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed .* got -1"):
+            generate_corpus(10, seed=-1)
+
     def test_profiles_table(self):
         assert PROFILES == {"standard": 0.7, "separable": 1.0, "zero": 0.5}
 
