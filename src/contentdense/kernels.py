@@ -1,15 +1,16 @@
-"""Objective/gradient kernels over CSR feature matrices.
+"""Objective, gradient and Hessian-vector kernels over CSR feature matrices.
 
 Training a linear model means evaluating
 
     f(w, b) = 0.5 * w.w  +  c * sum_i loss(y_i * (x_i.w + b))
 
-and its gradient many times per fit, across grid search, cross-validation
-folds, and learning-curve points. These evaluations are the package's hot
-path. They are vectorized numpy: the margin is a gather of ``w`` at the
-stored column indices followed by an ``np.bincount`` sum per row, and the
-weight gradient is an ``np.bincount`` scatter back onto the columns. Both
-are bitwise deterministic run to run.
+its gradient and its Hessian's products with vectors many times per fit,
+across grid search, cross-validation folds, and learning-curve points.
+These evaluations are the package's hot path. They are vectorized numpy:
+the margin is a gather of ``w`` at the stored column indices followed by
+an ``np.bincount`` sum per row, and the weight gradient is an
+``np.bincount`` scatter back onto the columns; a Hessian-vector product
+is one of each. Both are bitwise deterministic run to run.
 
 ``np.bincount`` adds its weights into their bins one after another, in the
 order given. In CSR order a row's terms go into the same bin back to back,
@@ -135,6 +136,12 @@ def margins(X: CsrMatrix, w: np.ndarray, b: float) -> np.ndarray:
     return np.bincount(rows, weights=data * w[indices], minlength=X.n_rows) + b
 
 
+def _column_sums(X: CsrMatrix, r: np.ndarray) -> np.ndarray:
+    """X^T r: each column's sum over its rows, in increasing row order."""
+    return np.bincount(X.indices, weights=X.data * np.repeat(r, X.row_lengths),
+                       minlength=X.n_cols)
+
+
 def objective_and_grad(w: np.ndarray, b: float, X: CsrMatrix, y: np.ndarray,
                        c: float, loss: str):
     """Objective value and (grad_w, grad_b) at (w, b). ``w . w`` is
@@ -150,10 +157,36 @@ def objective_and_grad(w: np.ndarray, b: float, X: CsrMatrix, y: np.ndarray,
         slack = np.maximum(0.0, 1.0 - y * z)
         loss_sum = float((slack * slack).sum())
         gz = -2.0 * y * slack
-    grad_w = w + c * np.bincount(
-        X.indices, weights=X.data * np.repeat(gz, X.row_lengths),
-        minlength=X.n_cols)
+    grad_w = w + c * _column_sums(X, gz)
     value = 0.5 * _dot(w, w) + c * loss_sum
     if not math.isfinite(value):
         raise NumericError("objective evaluated to a non-finite value")
     return value, grad_w, c * float(gz.sum())
+
+
+def hessian_product(w: np.ndarray, b: float, X: CsrMatrix, y: np.ndarray,
+                    c: float, loss: str):
+    """The objective's Hessian at (w, b), as the function v -> H v of v =
+    (v_w, v_b) stacked into n_cols + 1 values, as H v comes back.
+
+    With D the loss's second derivative per row, H = diag(1, ..., 1, 0) +
+    c [X 1]^T D [X 1]: the bias is not regularized. D is
+    sigmoid(m)(1 - sigmoid(m)) for the logistic loss. The squared hinge's
+    second derivative jumps at the kink; D is 2 on the rows with
+    y(x.w + b) < 1 and 0 elsewhere (the generalized Hessian). Each product
+    is one ``margins`` pass and one column sum.
+    """
+    if loss not in LOSSES:
+        raise ValidationError(f"unknown loss {loss!r}")
+    z = margins(X, w, b)
+    if loss == LOSS_LOGISTIC:
+        t = np.tanh(0.5 * z)
+        cd = c * 0.25 * (1.0 - t * t)
+    else:
+        cd = np.where(y * z < 1.0, 2.0 * c, 0.0)
+
+    def product(v: np.ndarray) -> np.ndarray:
+        u = cd * margins(X, v[:-1], v[-1])
+        return np.append(v[:-1] + _column_sums(X, u), u.sum())
+
+    return product

@@ -1,10 +1,10 @@
 """Linear classifiers and the two fusion architectures.
 
 Training minimizes 0.5*||w||^2 + c * sum(loss) with an unregularized bias
-via deterministic L-BFGS (zero start, no randomness), so identical data
-and config give bitwise-identical weights. Class encoding is
-content_dense = +1; a lead is predicted content_dense when its decision
-margin is >= 0 (exact ties go to content_dense).
+by deterministic trust-region Newton-CG (TRON; zero start, no
+randomness), so identical data and config give bitwise-identical weights.
+Class encoding is content_dense = +1; a lead is predicted content_dense
+when its decision margin is >= 0 (exact ties go to content_dense).
 
 Feature-level fusion trains one logistic model on the concatenation of all
 feature spaces. Decision-level fusion is a two-layer stack: three logistic
@@ -51,12 +51,16 @@ from .kernels import (
     CsrMatrix,
     build_csr,  # unused here; kept for perfbench's tracer until ROADMAP item 8
     csr_take,
+    hessian_product,
     margins,
     objective_and_grad,
     pack_csr,
 )
 from .labeling import CONTENT_DENSE, NON_CONTENT_DENSE
-from .optimize import fit_platt_sigmoid, minimize_lbfgs
+from .optimize import (
+    fit_platt_sigmoid,
+    minimize_tron as minimize_lbfgs,  # named for perfbench's tracer until ROADMAP item 8
+)
 
 MODE_MRC = "mrc"
 MODE_MI = "mi"
@@ -76,7 +80,7 @@ SCORE_BLOCK = 1024  # leads per scoring pass; bounds feature-matrix memory
 
 DEFAULT_C_GRID = (2.0 ** -5, 2.0 ** -3, 2.0 ** -1, 2.0, 2.0 ** 3, 2.0 ** 5)
 
-MAX_ITERS = 300  # L-BFGS iterations per fit
+MAX_ITERS = 300  # trust-region Newton steps per fit
 TOL = 1e-6  # gradient infinity norm at which a fit has converged
 PLATT_FOLDS = 3  # internal split of the development fold for calibration
 
@@ -212,9 +216,11 @@ def train_linear(X: CsrMatrix, y: np.ndarray, space_name: str, loss: str,
     """Fit one linear model at a fixed c to the rows of ``X``, ``y`` giving
     each row's class (+1/-1, as label_to_y and label_vector make it).
 
-    Minimizes 0.5*||w||^2 + c*sum(loss_i) from a zero start to within TOL
-    of a stationary point (gradient infinity norm). The bias is not
-    regularized. Deterministic. Every fit in the package goes through here.
+    Minimizes 0.5*||w||^2 + c*sum(loss_i) by TRON from a zero start to
+    within TOL of a stationary point (gradient infinity norm), or until the
+    trust region collapses at float resolution with the gradient reduced
+    (optimize.minimize_tron). The bias is not regularized. Deterministic.
+    Every fit in the package goes through here.
     """
     n, d = X.n_rows, X.n_cols
     if n != len(y):
@@ -234,7 +240,11 @@ def train_linear(X: CsrMatrix, y: np.ndarray, space_name: str, loss: str,
         value, grad_w, grad_b = objective_and_grad(w, b, X, y, c, loss)
         return value, np.concatenate([grad_w, [grad_b]])
 
-    res = minimize_lbfgs(fun, np.zeros(d + 1), max_iters=MAX_ITERS, tol=TOL)
+    def hess(packed: np.ndarray):
+        return hessian_product(packed[:d], packed[d], X, y, c, loss)
+
+    res = minimize_lbfgs(fun, hess, np.zeros(d + 1), max_iters=MAX_ITERS,
+                         tol=TOL)
     w = res.x[:d]
     b = float(res.x[d])
     if not (np.all(np.isfinite(w)) and math.isfinite(b)):

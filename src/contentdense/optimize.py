@@ -1,16 +1,14 @@
 """Deterministic convex minimization and sigmoid calibration fitting.
 
 The trainer needs a minimizer that (a) reaches a small gradient norm on
-smooth convex objectives quickly and (b) is bit-for-bit reproducible: no
-randomness, no data-dependent thread scheduling. L-BFGS with the two-loop
-recursion and Armijo backtracking satisfies both; every run from the same
-start point takes the same steps.
-
-The history is one ``deque`` of the newest ``HISTORY`` curvature pairs,
-oldest first, each the tuple ``(s, y, rho, gamma)``: the step, the change
-in gradient, rho = 1/s.y and gamma = s.y/y.y, all taken once, when the
-pair is accepted (Liu & Nocedal, Math. Programming 1989). The two-loop
-recursion uses each pair's rho and scales by the newest pair's gamma.
+smooth convex objectives in few iterations and (b) is bit-for-bit
+reproducible: no randomness, no data-dependent thread scheduling.
+``minimize_tron`` is the trust-region Newton method of LIBLINEAR (Lin,
+Weng & Keerthi, JMLR 2008; Fan et al., JMLR 2008): each iteration solves
+the Newton system inside a trust region by Steihaug's conjugate gradient,
+which needs only Hessian-vector products, and grows or shrinks the region
+by how well the quadratic model predicted the decrease. Every run from
+the same start point takes the same steps.
 
 Inner products of 1-D arrays are ``_dot(a, b)``, which sums the products
 with ``np.add.reduce`` in one fixed order. BLAS ddot (``a.dot(b)``,
@@ -28,7 +26,6 @@ Newton iteration on the cross-entropy objective.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,13 +33,25 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 
-HISTORY = 10  # correction pairs the two-loop recursion keeps
-ARMIJO_C1 = 1e-4  # sufficient-decrease constant of the line search
-MAX_BACKTRACKS = 60  # step halvings before a line search gives up
+# LIBLINEAR's trust-region constants: a step is taken when the actual
+# decrease is above ETA[0] of the predicted one, and ETA[1] and ETA[2]
+# split the rest into shrink, keep and grow; SIGMA bound the new radius.
+ETA = (1e-4, 0.25, 0.75)
+SIGMA = (0.25, 0.5, 4.0)
+CG_TOL = 0.1  # CG stops once the residual is this share of the gradient
+# A region has collapsed when the actual and predicted decreases are both
+# within this share of f: float64 resolves no smaller step. A collapsed
+# fit has converged when its gradient fell by STALL_DECREASE.
+STALL_RESOLUTION = 1e-12
+STALL_DECREASE = 1e-6
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.add.reduce(a * b))
+
+
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(_dot(v, v))
 
 
 @dataclass
@@ -54,60 +63,96 @@ class MinimizeResult:
     converged: bool
 
 
-def minimize_lbfgs(fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
-                   x0: np.ndarray,
-                   max_iters: int = 200,
-                   tol: float = 1e-6) -> MinimizeResult:
-    """Minimize a smooth function given by ``fun(x) -> (value, gradient)``.
+def _steihaug_cg(hv: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
+                 radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Approximate minimizer s of g.s + s.Hs/2 within ||s|| <= radius, and
+    the residual r = -g - Hs. Conjugate gradient from s = 0 stops when the
+    residual is CG_TOL of ||g||, or at the boundary when a step leaves the
+    region or meets a direction of no positive curvature."""
+    s = np.zeros_like(g)
+    r = -g
+    d = r.copy()
+    rr = _dot(r, r)
+    tol = CG_TOL * math.sqrt(rr)
+    for _ in range(len(g)):
+        if math.sqrt(rr) <= tol:
+            break
+        hd = hv(d)
+        dhd = _dot(d, hd)
+        if dhd > 0.0:
+            alpha = rr / dhd
+            s_next = s + alpha * d
+            if _norm(s_next) <= radius:
+                s = s_next
+                r = r - alpha * hd
+                rr, rr_old = _dot(r, r), rr
+                d = r + (rr / rr_old) * d
+                continue
+        # To the boundary: the root alpha >= 0 of ||s + alpha d|| = radius.
+        sd, ss, dd = _dot(s, d), _dot(s, s), _dot(d, d)
+        room = max(radius * radius - ss, 0.0)
+        root = math.sqrt(sd * sd + dd * room)
+        alpha = room / (sd + root) if sd >= 0.0 else (root - sd) / dd
+        return s + alpha * d, r - alpha * hd
+    return s, r
 
-    Runs L-BFGS with Armijo backtracking until the gradient infinity norm
-    drops to ``tol`` or ``max_iters`` iterations pass. The objective value
-    never increases from one accepted iterate to the next.
+
+def minimize_tron(fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
+                  hess: Callable[[np.ndarray],
+                                 Callable[[np.ndarray], np.ndarray]],
+                  x0: np.ndarray,
+                  max_iters: int = 200,
+                  tol: float = 1e-6) -> MinimizeResult:
+    """Minimize a smooth convex function given by ``fun(x) -> (value,
+    gradient)``, with ``hess(x)`` the function v -> (Hessian at x) v.
+
+    Runs trust-region Newton-CG until the gradient infinity norm drops to
+    ``tol``, the trust region collapses (see STALL_RESOLUTION) or
+    ``max_iters`` iterations pass; a collapsed run has converged when its
+    gradient 2-norm fell to STALL_DECREASE of the starting one. The
+    objective value never increases from one accepted iterate to the
+    next. ``iterations`` counts every trust-region step, taken or not.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     f, g = fun(x)
     if not (math.isfinite(f) and np.all(np.isfinite(g))):
         raise NumericError("objective is non-finite at the start point")
-
-    pairs: deque[tuple[np.ndarray, np.ndarray, float, float]] = deque(
-        maxlen=HISTORY)
+    gnorm0 = radius = _norm(g)
+    hv = hess(x)
     iterations = 0
     for iterations in range(1, max_iters + 1):
         if np.abs(g).max() <= tol:
             return MinimizeResult(x, f, g, iterations - 1, True)
-        q = g.copy()  # the two-loop recursion: d = -H g
-        alphas = []
-        for s, yv, rho, _ in reversed(pairs):
-            a = rho * _dot(s, q)
-            alphas.append(a)
-            q -= a * yv
-        if pairs:
-            q *= pairs[-1][3]  # the newest pair's gamma
-        for (s, yv, rho, _), a in zip(pairs, reversed(alphas)):
-            q += (a - rho * _dot(yv, q)) * s
-        d = -q
-        gd = _dot(g, d)
-        if gd >= 0.0:
-            d = -g
-            gd = _dot(g, d)
-        alpha = 1.0
-        for _ in range(MAX_BACKTRACKS):
-            x_new = x + alpha * d
-            f_new, g_new = fun(x_new)
-            if math.isfinite(f_new) and f_new <= f + ARMIJO_C1 * alpha * gd:
-                break
-            alpha *= 0.5
+        s, r = _steihaug_cg(hv, g, radius)
+        gs = _dot(g, s)
+        predicted = -0.5 * (gs - _dot(s, r))
+        x_new = x + s
+        f_new, g_new = fun(x_new)
+        actual = f - f_new if math.isfinite(f_new) else -math.inf
+        snorm = _norm(s)
+        if iterations == 1:
+            radius = min(radius, snorm)
+        curv = f_new - f - gs
+        alpha = max(SIGMA[0], -0.5 * gs / curv) if curv > 0.0 else SIGMA[2]
+        if actual < ETA[0] * predicted:
+            radius = min(max(alpha, SIGMA[0]) * snorm, SIGMA[1] * radius)
+        elif actual < ETA[1] * predicted:
+            radius = max(SIGMA[0] * radius, min(alpha * snorm,
+                                                SIGMA[1] * radius))
+        elif actual < ETA[2] * predicted:
+            radius = max(SIGMA[0] * radius, min(alpha * snorm,
+                                                SIGMA[2] * radius))
         else:
-            return MinimizeResult(x, f, g, iterations, False)
-        s = x_new - x
-        yv = g_new - g
-        sy, yy = _dot(s, yv), _dot(yv, yv)
-        if sy > 1e-12 * math.sqrt(_dot(s, s)) * math.sqrt(yy):
-            pairs.append((s, yv, 1.0 / sy, sy / yy))
-        x, f, g = x_new, f_new, g_new
-
-    converged = bool(np.abs(g).max() <= tol)
-    return MinimizeResult(x, f, g, iterations, converged)
+            radius = max(radius, min(alpha * snorm, SIGMA[2] * radius))
+        if actual > ETA[0] * predicted:
+            x, f, g = x_new, f_new, g_new
+            hv = hess(x)
+        if (abs(actual) <= STALL_RESOLUTION * abs(f)
+                and abs(predicted) <= STALL_RESOLUTION * abs(f)):
+            converged = (np.abs(g).max() <= tol
+                         or _norm(g) <= STALL_DECREASE * gnorm0)
+            return MinimizeResult(x, f, g, iterations, bool(converged))
+    return MinimizeResult(x, f, g, iterations, bool(np.abs(g).max() <= tol))
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:

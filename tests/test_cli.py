@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contentdense import cli, evaluation
+from contentdense import cli, evaluation, learn
 from contentdense.cli import _EXIT_CODES, _exit_code, main
 from contentdense.combine import (
     PREF_LEAD,
@@ -399,13 +399,13 @@ def pinned_corpus(tmp_path_factory):
 
 # sha256 of model.json from `train --mode <key>` on the pinned corpus.
 MODEL_DIGESTS = {
-    "mrc": "2f39103aa1a4fb94b202296c7c772730bd328d3a3d296233ba252e22368dece1",
-    "mi": "ef8ae987f4c16494af399ea70d86886b50d79e45d2ea80bfc71e040a447a1b4e",
-    "pr": "6224d80a6b73cafaaae579c1cd5e4b6b60af2c5919efb8de4b300aedcb20c844",
+    "mrc": "a2b91e46da664df0c36cbf6765b7e80a549270d62f6305df456aea21b6189a0f",
+    "mi": "53cfb13eaa65df23c6db39e09e11a6996727803dacb4c9d7ae67dfa27742549a",
+    "pr": "e5488e6dc1ea02ae46f5826e47a21ab2ee586889939da6a5783b788c1cdd29bc",
     "feature-fusion":
-        "d1fbc8ce0df4ff233823ddb3b086b676f56d310c4654003dd8da702fcb5d7114",
+        "1e21337f4bd8faa3f3543cc95fc6cc44879adbfcab9fb82b29ec476a9e32ca4e",
     "decision-fusion":
-        "7ffa6dbfd8772e08122275d4f83d47bc261032943d14178105840cac15b50765",
+        "30580ca0c38cd9f4e5e3dd9127b9c493ba967cea4ddcfe74c4c8ffc2a253e4cf",
 }
 
 
@@ -490,6 +490,35 @@ class TestPinnedOutputs:
             "feature_fusion\t300\t0.640000\n"
             "decision_fusion\t100\t0.705000\n"
             "decision_fusion\t300\t0.707500\n")
+
+
+def test_every_evaluate_fit_converges(pinned_corpus, monkeypatch):
+    """Every fit of an `evaluate --mode all` with a learning curve, in one
+    process so that fold fits are seen too, reports converged: the
+    per-space, fusion and baseline fits (logistic) and decision fusion's
+    second layer and its calibration fits (squared hinge)."""
+    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 1)
+    results, losses = [], set()
+    solver, hessian = learn.minimize_lbfgs, learn.hessian_product
+
+    def fit(*args, **kwargs):
+        results.append(solver(*args, **kwargs))
+        return results[-1]
+
+    def hessian_at(*args):
+        losses.add(args[-1])
+        return hessian(*args)
+
+    monkeypatch.setattr(learn, "minimize_lbfgs", fit)
+    monkeypatch.setattr(learn, "hessian_product", hessian_at)
+    gen = pinned_corpus / "gen"
+    assert main(["evaluate", "--corpus", str(gen / "corpus.jsonl"),
+                 "--labels", str(gen / "labels.tsv"), "--mode", "all",
+                 "--sizes", "100,300", "--seed", "0",
+                 "--out", str(pinned_corpus / "evaluate-converged")]) == 0
+    assert losses == {"logistic", "hinge"}
+    unconverged = [k for k, res in enumerate(results) if not res.converged]
+    assert results and not unconverged, (len(results), unconverged)
 
 
 class TestFoldWorkers:
@@ -1009,6 +1038,19 @@ class TestHostileCorpora:
                                  "--out", str(tmp_path / "out")])
         assert code == 4
         assert f"line 1: field {field!r}" in err
+
+    def test_unknown_domain_exits_6(self, tmp_path):
+        """A domain outside corpus.DOMAINS (FORMAT.md) is invalid data."""
+        rec = lead_to_record(generate_corpus(2, seed=0).leads[0])
+        rec["domain"] = "weather"
+        corpus = tmp_path / "bad.jsonl"
+        corpus.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+        code, err = run_quietly(["label", "--corpus", str(corpus),
+                                 "--out", str(tmp_path / "out")])
+        assert code == 6
+        assert err.endswith(
+            "bad.jsonl: line 1: unknown domain 'weather'; expected one of "
+            "business, science, sports, politics, general\n")
 
     @pytest.mark.parametrize("bad_id", [b"syn\xff1", b"syn\\ud8001"])
     def test_text_that_is_not_utf8_exits_4(self, tmp_path, bad_id):

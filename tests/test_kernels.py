@@ -9,6 +9,7 @@ from contentdense.kernels import (
     LOSS_HINGE,
     LOSS_LOGISTIC,
     build_csr,
+    hessian_product,
     margins,
     objective_and_grad,
     pack_csr,
@@ -108,6 +109,78 @@ class TestObjective:
             fp, _, _ = objective_and_grad(w, b + h, X, y, c, loss)
             fm, _, _ = objective_and_grad(w, b - h, X, y, c, loss)
             assert grad_b == pytest.approx((fp - fm) / (2 * h), abs=1e-5)
+
+
+def reference_hessian(X, y, w, b, c, loss):
+    """Dense oracle of the objective's Hessian in (w, b): the identity on
+    w, nothing on the bias, plus c [X 1]^T D [X 1] with D the loss's
+    second derivative per row (for the squared hinge, 2 on rows with
+    margin below 1)."""
+    A = np.column_stack([dense_of(X), np.ones(X.n_rows)])
+    z = A @ np.append(w, b)
+    if loss == LOSS_LOGISTIC:
+        p = 1.0 / (1.0 + np.exp(-z))
+        D = p * (1.0 - p)
+    else:
+        D = np.where(y * z < 1.0, 2.0, 0.0)
+    H = c * (A.T * D) @ A
+    H[:-1, :-1] += np.eye(X.n_cols)
+    return H
+
+
+def criterion_4_problems(rng, count):
+    """`count` problems drawn as acceptance criterion 4 draws them: 4 to 24
+    rows, 3 to 8 columns, positive values, a random point and c."""
+    for _ in range(count):
+        n_rows = int(rng.integers(4, 25))
+        n_cols = int(rng.integers(3, 9))
+        rows, cols = [], []
+        for i in range(n_rows):
+            picked = rng.choice(n_cols, size=int(rng.integers(1, n_cols + 1)),
+                                replace=False)
+            rows += [i] * len(picked)
+            cols += picked.tolist()
+        X = pack_csr(np.array(rows), np.array(cols),
+                     rng.uniform(0.05, 2.0, size=len(rows)), n_rows, n_cols)
+        y = np.where(rng.random(n_rows) < 0.5, -1.0, 1.0)
+        w = rng.normal(0.0, 0.8, size=n_cols)
+        yield X, y, w, float(rng.normal()), float(rng.uniform(0.1, 4.0))
+
+
+@pytest.mark.parametrize("loss", [LOSS_LOGISTIC, LOSS_HINGE])
+class TestHessianProduct:
+    def test_matches_dense_oracle(self, loss):
+        rng = np.random.default_rng(43)
+        for X, y, w, b, c in criterion_4_problems(rng, 20):
+            v = rng.normal(size=X.n_cols + 1)
+            product = hessian_product(w, b, X, y, c, loss)(v)
+            expected = reference_hessian(X, y, w, b, c, loss) @ v
+            np.testing.assert_allclose(product, expected, rtol=1e-12,
+                                       atol=1e-12)
+
+    def test_matches_central_differences_of_the_gradient(self, loss):
+        """(grad(x + h v) - grad(x - h v)) / 2h at h=1e-5. The squared
+        hinge's second derivative jumps at margin 1, so it is checked only
+        where every margin stays clear of 1 over the difference."""
+        rng = np.random.default_rng(41)
+        h = 1e-5
+        checked = 0
+        for X, y, w, b, c in criterion_4_problems(rng, 20):
+            v = rng.normal(size=X.n_cols + 1)
+            if loss == LOSS_HINGE:
+                m = y * margins(X, w, b)
+                reach = h * np.abs(margins(X, v[:-1], v[-1]))
+                if np.any(np.abs(1.0 - m) <= 100 * reach):
+                    continue
+            _, gp_w, gp_b = objective_and_grad(w + h * v[:-1], b + h * v[-1],
+                                               X, y, c, loss)
+            _, gm_w, gm_b = objective_and_grad(w - h * v[:-1], b - h * v[-1],
+                                               X, y, c, loss)
+            numeric = (np.append(gp_w, gp_b) - np.append(gm_w, gm_b)) / (2 * h)
+            product = hessian_product(w, b, X, y, c, loss)(v)
+            np.testing.assert_allclose(product, numeric, rtol=1e-5, atol=1e-5)
+            checked += 1
+        assert checked >= 15
 
 
 def test_zero_weights_balanced_logistic_loss_is_ln2():
