@@ -51,7 +51,6 @@ from .kernels import (
     CsrMatrix,
     build_csr,  # unused here; kept for perfbench's tracer until ROADMAP item 8
     csr_take,
-    hessian_product,
     margins,
     objective_and_grad,
     pack_csr,
@@ -80,8 +79,6 @@ SCORE_BLOCK = 1024  # leads per scoring pass; bounds feature-matrix memory
 
 DEFAULT_C_GRID = (2.0 ** -5, 2.0 ** -3, 2.0 ** -1, 2.0, 2.0 ** 3, 2.0 ** 5)
 
-MAX_ITERS = 300  # trust-region Newton steps per fit
-TOL = 1e-6  # gradient infinity norm at which a fit has converged
 PLATT_FOLDS = 3  # internal split of the development fold for calibration
 
 
@@ -217,9 +214,10 @@ def train_linear(X: CsrMatrix, y: np.ndarray, space_name: str, loss: str,
     each row's class (+1/-1, as label_to_y and label_vector make it).
 
     Minimizes 0.5*||w||^2 + c*sum(loss_i) by TRON from a zero start to
-    within TOL of a stationary point (gradient infinity norm), or until the
-    trust region collapses at float resolution with the gradient reduced
-    (optimize.minimize_tron). The bias is not regularized. Deterministic.
+    within optimize.TOL of a stationary point (gradient infinity norm), or
+    until the trust region collapses at float resolution with the gradient
+    reduced (optimize.minimize_tron). The bias is not regularized.
+    Deterministic.
     Every fit in the package goes through here.
     """
     n, d = X.n_rows, X.n_cols
@@ -235,16 +233,11 @@ def train_linear(X: CsrMatrix, y: np.ndarray, space_name: str, loss: str,
         raise SingleClassError("training labels cover a single class")
 
     def fun(packed: np.ndarray):
-        w = packed[:d]
-        b = packed[d]
-        value, grad_w, grad_b = objective_and_grad(w, b, X, y, c, loss)
-        return value, np.concatenate([grad_w, [grad_b]])
+        value, grad_w, grad_b, hessian = objective_and_grad(
+            packed[:d], packed[d], X, y, c, loss)
+        return value, np.concatenate([grad_w, [grad_b]]), hessian
 
-    def hess(packed: np.ndarray):
-        return hessian_product(packed[:d], packed[d], X, y, c, loss)
-
-    res = minimize_lbfgs(fun, hess, np.zeros(d + 1), max_iters=MAX_ITERS,
-                         tol=TOL)
+    res = minimize_lbfgs(fun, np.zeros(d + 1))
     w = res.x[:d]
     b = float(res.x[d])
     if not (np.all(np.isfinite(w)) and math.isfinite(b)):

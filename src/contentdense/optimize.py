@@ -7,8 +7,10 @@ reproducible: no randomness, no data-dependent thread scheduling.
 Weng & Keerthi, JMLR 2008; Fan et al., JMLR 2008): each iteration solves
 the Newton system inside a trust region by Steihaug's conjugate gradient,
 which needs only Hessian-vector products, and grows or shrinks the region
-by how well the quadratic model predicted the decrease. Every run from
-the same start point takes the same steps.
+by how well the quadratic model predicted the decrease. The objective is
+evaluated once per point: one call gives the value, the gradient and the
+Hessian-vector product there. Every run from the same start point takes
+the same steps.
 
 Inner products of 1-D arrays are ``_dot(a, b)``, which sums the products
 with ``np.add.reduce`` in one fixed order. BLAS ddot (``a.dot(b)``,
@@ -44,6 +46,10 @@ CG_TOL = 0.1  # CG stops once the residual is this share of the gradient
 # fit has converged when its gradient fell by STALL_DECREASE.
 STALL_RESOLUTION = 1e-12
 STALL_DECREASE = 1e-6
+MAX_ITERS = 300  # trust-region Newton steps per fit
+TOL = 1e-6  # gradient infinity norm at which a fit has converged
+
+HessianProduct = Callable[[np.ndarray], np.ndarray]  # v -> H v at a point
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -63,7 +69,7 @@ class MinimizeResult:
     converged: bool
 
 
-def _steihaug_cg(hv: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
+def _steihaug_cg(hv: HessianProduct, g: np.ndarray,
                  radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Approximate minimizer s of g.s + s.Hs/2 within ||s|| <= radius, and
     the residual r = -g - Hs. Conjugate gradient from s = 0 stops when the
@@ -97,28 +103,29 @@ def _steihaug_cg(hv: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
     return s, r
 
 
-def minimize_tron(fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
-                  hess: Callable[[np.ndarray],
-                                 Callable[[np.ndarray], np.ndarray]],
+def minimize_tron(fun: Callable[[np.ndarray],
+                                tuple[float, np.ndarray, HessianProduct]],
                   x0: np.ndarray,
-                  max_iters: int = 200,
-                  tol: float = 1e-6) -> MinimizeResult:
+                  max_iters: int = MAX_ITERS,
+                  tol: float = TOL) -> MinimizeResult:
     """Minimize a smooth convex function given by ``fun(x) -> (value,
-    gradient)``, with ``hess(x)`` the function v -> (Hessian at x) v.
+    gradient, hv)``, with ``hv`` the function v -> (Hessian at x) v: one
+    evaluation per point gives all three.
 
     Runs trust-region Newton-CG until the gradient infinity norm drops to
     ``tol``, the trust region collapses (see STALL_RESOLUTION) or
     ``max_iters`` iterations pass; a collapsed run has converged when its
     gradient 2-norm fell to STALL_DECREASE of the starting one. The
     objective value never increases from one accepted iterate to the
-    next. ``iterations`` counts every trust-region step, taken or not.
+    next, and the conjugate-gradient products always use the accepted
+    iterate's ``hv``. ``iterations`` counts every trust-region step,
+    taken or not.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
-    f, g = fun(x)
+    f, g, hv = fun(x)
     if not (math.isfinite(f) and np.all(np.isfinite(g))):
         raise NumericError("objective is non-finite at the start point")
     gnorm0 = radius = _norm(g)
-    hv = hess(x)
     iterations = 0
     for iterations in range(1, max_iters + 1):
         if np.abs(g).max() <= tol:
@@ -127,7 +134,7 @@ def minimize_tron(fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
         gs = _dot(g, s)
         predicted = -0.5 * (gs - _dot(s, r))
         x_new = x + s
-        f_new, g_new = fun(x_new)
+        f_new, g_new, hv_new = fun(x_new)
         actual = f - f_new if math.isfinite(f_new) else -math.inf
         snorm = _norm(s)
         if iterations == 1:
@@ -145,8 +152,7 @@ def minimize_tron(fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
         else:
             radius = max(radius, min(alpha * snorm, SIGMA[2] * radius))
         if actual > ETA[0] * predicted:
-            x, f, g = x_new, f_new, g_new
-            hv = hess(x)
+            x, f, g, hv = x_new, f_new, g_new, hv_new
         if (abs(actual) <= STALL_RESOLUTION * abs(f)
                 and abs(predicted) <= STALL_RESOLUTION * abs(f)):
             converged = (np.abs(g).max() <= tol

@@ -245,17 +245,17 @@ def test_criterion_04_gradient_check():
             b = float(rng.normal())
             c = float(rng.uniform(0.1, 4.0))
             for loss in ("logistic", "hinge"):
-                _, grad_w, grad_b = objective_and_grad(w, b, X, y, c, loss)
+                _, grad_w, grad_b, _ = objective_and_grad(w, b, X, y, c, loss)
                 num_w = np.empty_like(w)
                 for j in range(n_cols):
                     wp, wm = w.copy(), w.copy()
                     wp[j] += h
                     wm[j] -= h
-                    fp, _, _ = objective_and_grad(wp, b, X, y, c, loss)
-                    fm, _, _ = objective_and_grad(wm, b, X, y, c, loss)
+                    fp, _, _, _ = objective_and_grad(wp, b, X, y, c, loss)
+                    fm, _, _, _ = objective_and_grad(wm, b, X, y, c, loss)
                     num_w[j] = (fp - fm) / (2 * h)
-                fp, _, _ = objective_and_grad(w, b + h, X, y, c, loss)
-                fm, _, _ = objective_and_grad(w, b - h, X, y, c, loss)
+                fp, _, _, _ = objective_and_grad(w, b + h, X, y, c, loss)
+                fm, _, _, _ = objective_and_grad(w, b - h, X, y, c, loss)
                 num_b = (fp - fm) / (2 * h)
                 assert float(np.max(np.abs(grad_w - num_w))) <= 1e-5
                 assert abs(grad_b - num_b) <= 1e-5

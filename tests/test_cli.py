@@ -499,18 +499,18 @@ def test_every_evaluate_fit_converges(pinned_corpus, monkeypatch):
     second layer and its calibration fits (squared hinge)."""
     monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 1)
     results, losses = [], set()
-    solver, hessian = learn.minimize_lbfgs, learn.hessian_product
+    solver, objective = learn.minimize_lbfgs, learn.objective_and_grad
 
     def fit(*args, **kwargs):
         results.append(solver(*args, **kwargs))
         return results[-1]
 
-    def hessian_at(*args):
+    def objective_at(*args):
         losses.add(args[-1])
-        return hessian(*args)
+        return objective(*args)
 
     monkeypatch.setattr(learn, "minimize_lbfgs", fit)
-    monkeypatch.setattr(learn, "hessian_product", hessian_at)
+    monkeypatch.setattr(learn, "objective_and_grad", objective_at)
     gen = pinned_corpus / "gen"
     assert main(["evaluate", "--corpus", str(gen / "corpus.jsonl"),
                  "--labels", str(gen / "labels.tsv"), "--mode", "all",

@@ -9,7 +9,6 @@ from contentdense.kernels import (
     LOSS_HINGE,
     LOSS_LOGISTIC,
     build_csr,
-    hessian_product,
     margins,
     objective_and_grad,
     pack_csr,
@@ -88,7 +87,7 @@ class TestObjective:
             w = rng.normal(size=X.n_cols)
             b = float(rng.normal())
             c = float(rng.uniform(0.1, 4.0))
-            value, _, _ = objective_and_grad(w, b, X, y, c, loss)
+            value, _, _, _ = objective_and_grad(w, b, X, y, c, loss)
             expected = reference_objective(X, y, w, b, c, loss)
             assert value == pytest.approx(expected, rel=1e-12)
 
@@ -99,15 +98,15 @@ class TestObjective:
             w = rng.normal(size=X.n_cols) * 0.5
             b = float(rng.normal()) * 0.5
             c = 1.3
-            _, grad_w, grad_b = objective_and_grad(w, b, X, y, c, loss)
+            _, grad_w, grad_b, _ = objective_and_grad(w, b, X, y, c, loss)
             for j in range(X.n_cols):
                 wp = w.copy(); wp[j] += h
                 wm = w.copy(); wm[j] -= h
-                fp, _, _ = objective_and_grad(wp, b, X, y, c, loss)
-                fm, _, _ = objective_and_grad(wm, b, X, y, c, loss)
+                fp, _, _, _ = objective_and_grad(wp, b, X, y, c, loss)
+                fm, _, _, _ = objective_and_grad(wm, b, X, y, c, loss)
                 assert grad_w[j] == pytest.approx((fp - fm) / (2 * h), abs=1e-5)
-            fp, _, _ = objective_and_grad(w, b + h, X, y, c, loss)
-            fm, _, _ = objective_and_grad(w, b - h, X, y, c, loss)
+            fp, _, _, _ = objective_and_grad(w, b + h, X, y, c, loss)
+            fm, _, _, _ = objective_and_grad(w, b - h, X, y, c, loss)
             assert grad_b == pytest.approx((fp - fm) / (2 * h), abs=1e-5)
 
 
@@ -153,7 +152,7 @@ class TestHessianProduct:
         rng = np.random.default_rng(43)
         for X, y, w, b, c in criterion_4_problems(rng, 20):
             v = rng.normal(size=X.n_cols + 1)
-            product = hessian_product(w, b, X, y, c, loss)(v)
+            product = objective_and_grad(w, b, X, y, c, loss)[3](v)
             expected = reference_hessian(X, y, w, b, c, loss) @ v
             np.testing.assert_allclose(product, expected, rtol=1e-12,
                                        atol=1e-12)
@@ -172,12 +171,12 @@ class TestHessianProduct:
                 reach = h * np.abs(margins(X, v[:-1], v[-1]))
                 if np.any(np.abs(1.0 - m) <= 100 * reach):
                     continue
-            _, gp_w, gp_b = objective_and_grad(w + h * v[:-1], b + h * v[-1],
-                                               X, y, c, loss)
-            _, gm_w, gm_b = objective_and_grad(w - h * v[:-1], b - h * v[-1],
-                                               X, y, c, loss)
+            _, gp_w, gp_b, _ = objective_and_grad(
+                w + h * v[:-1], b + h * v[-1], X, y, c, loss)
+            _, gm_w, gm_b, _ = objective_and_grad(
+                w - h * v[:-1], b - h * v[-1], X, y, c, loss)
             numeric = (np.append(gp_w, gp_b) - np.append(gm_w, gm_b)) / (2 * h)
-            product = hessian_product(w, b, X, y, c, loss)(v)
+            product = objective_and_grad(w, b, X, y, c, loss)[3](v)
             np.testing.assert_allclose(product, numeric, rtol=1e-5, atol=1e-5)
             checked += 1
         assert checked >= 15
@@ -187,8 +186,8 @@ def test_zero_weights_balanced_logistic_loss_is_ln2():
     rng = np.random.default_rng(9)
     X, _ = random_problem(rng, n=12)
     y = np.array([1.0, -1.0] * 6)
-    value, _, _ = objective_and_grad(np.zeros(X.n_cols), 0.0, X, y, 1.0,
-                                     LOSS_LOGISTIC)
+    value, _, _, _ = objective_and_grad(np.zeros(X.n_cols), 0.0, X, y, 1.0,
+                                        LOSS_LOGISTIC)
     assert value / len(y) == pytest.approx(math.log(2), abs=1e-12)
 
 
@@ -197,7 +196,8 @@ def test_squared_hinge_zero_beyond_unit_margin():
     X = build_csr([vec], 1)
     y = np.ones(1)
     w = np.array([5.0])
-    value, grad_w, grad_b = objective_and_grad(w, 0.0, X, y, 1.0, LOSS_HINGE)
+    value, grad_w, grad_b, _ = objective_and_grad(w, 0.0, X, y, 1.0,
+                                                  LOSS_HINGE)
     assert value == pytest.approx(0.5 * 25.0)
     assert grad_w[0] == pytest.approx(5.0)
     assert grad_b == 0.0
@@ -275,7 +275,7 @@ class TestSummationOrder:
                 for k in range(X.indptr[r], X.indptr[r + 1]):
                     acc[X.indices[k]] += float(X.data[k]) * float(gz[r])
             expected = [float(wj) + c * a for wj, a in zip(w, acc)]
-            _, grad_w, _ = objective_and_grad(w, b, X, y, c, loss)
+            _, grad_w, _, _ = objective_and_grad(w, b, X, y, c, loss)
             assert grad_w.tolist() == expected
 
     def test_interleaved_order_keeps_each_row_in_csr_order(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contentdense import learn
+from contentdense import kernels, learn
 from contentdense.corpus import AnnotatedLead
 from contentdense.errors import (
     DataLeakError,
@@ -28,6 +28,7 @@ from contentdense.kernels import (
     pack_csr,
 )
 from contentdense.labeling import CONTENT_DENSE, NON_CONTENT_DENSE
+from contentdense.optimize import TOL
 from contentdense.learn import (
     MODE_DECISION_FUSION,
     MODE_FEATURE_FUSION,
@@ -36,7 +37,6 @@ from contentdense.learn import (
     MODES,
     FusionModel,
     LeadClassifier,
-    TOL,
     LinearModel,
     TrainConfig,
     accuracy,
@@ -177,7 +177,7 @@ class TestTrainLinear:
         model = train_linear(X, label_to_y(y), "TOY", LOSS_LOGISTIC, c=1.0)
         assert abs(model.weights[0]) < 1e-4
         assert abs(model.bias) < 1e-4
-        value, _, _ = objective_and_grad(
+        value, _, _, _ = objective_and_grad(
             model.weights, model.bias, X, np.array([1.0, -1.0]), 1.0,
             LOSS_LOGISTIC)
         assert value == pytest.approx(2.0 * math.log(2.0), rel=1e-6)
@@ -190,9 +190,41 @@ class TestTrainLinear:
                              SPACE_MI, loss, c=1.0)
         y = np.array([1.0 if labels[l.id] == CONTENT_DENSE else -1.0
                       for l in train])
-        _, grad_w, grad_b = objective_and_grad(
+        _, grad_w, grad_b, _ = objective_and_grad(
             model.weights, model.bias, X, y, 1.0, loss)
         assert max(np.abs(grad_w).max(), abs(grad_b)) <= TOL
+
+    @pytest.mark.parametrize("loss", [LOSS_LOGISTIC, LOSS_HINGE])
+    def test_one_margins_pass_per_objective_call_and_product(
+            self, corpus, rows, bundle, loss, monkeypatch):
+        """A fit takes one ``margins`` pass per objective call and one per
+        Hessian-vector product: the Hessian at a point is built from the
+        margins its objective call computed."""
+        train, _, labels = corpus
+        X = bundle.matrix(rows[1], [SPACE_MI])
+        passes, calls, products = [], [], []
+        margins, objective = kernels.margins, learn.objective_and_grad
+
+        def counted_margins(*args):
+            passes.append(1)
+            return margins(*args)
+
+        def counted_objective(*args):
+            calls.append(1)
+            *values, hessian = objective(*args)
+
+            def product(v):
+                products.append(1)
+                return hessian(v)
+
+            return (*values, product)
+
+        monkeypatch.setattr(kernels, "margins", counted_margins)
+        monkeypatch.setattr(learn, "objective_and_grad", counted_objective)
+        train_linear(X, label_to_y([labels[l.id] for l in train]), SPACE_MI,
+                     loss, c=1.0)
+        assert len(calls) > 1 and products
+        assert len(passes) == len(calls) + len(products)
 
     def test_mismatched_lengths(self):
         with pytest.raises(ValidationError):

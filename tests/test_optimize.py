@@ -22,15 +22,9 @@ def quadratic(center, scales):
 
     def fun(x):
         d = x - center
-        return 0.5 * float(scales @ (d * d)), scales * d
+        return 0.5 * float(scales @ (d * d)), scales * d, lambda v: scales * v
 
     return fun
-
-
-def diagonal_hessian(scales):
-    """``hess`` of a quadratic() with these scales: v -> scales * v."""
-    scales = np.asarray(scales, dtype=float)
-    return lambda x: lambda v: scales * v
 
 
 class TestMinimizeLbfgs:
@@ -39,8 +33,7 @@ class TestMinimizeLbfgs:
     def test_reaches_quadratic_minimum(self):
         scales = [1.0, 4.0, 0.25]
         fun = quadratic([1.0, -2.0, 3.0], scales)
-        res = minimize_tron(fun, diagonal_hessian(scales), np.zeros(3),
-                            tol=1e-10)
+        res = minimize_tron(fun, np.zeros(3), tol=1e-10)
         assert res.converged
         np.testing.assert_allclose(res.x, [1.0, -2.0, 3.0], atol=1e-8)
         assert np.max(np.abs(res.grad)) <= 1e-10
@@ -49,8 +42,7 @@ class TestMinimizeLbfgs:
         rng = np.random.default_rng(2)
         scales = 10.0 ** rng.uniform(-3, 3, size=12)
         center = rng.normal(size=12)
-        res = minimize_tron(quadratic(center, scales),
-                            diagonal_hessian(scales), np.zeros(12),
+        res = minimize_tron(quadratic(center, scales), np.zeros(12),
                             max_iters=500, tol=1e-8)
         assert res.converged
         np.testing.assert_allclose(res.x, center, atol=1e-4)
@@ -60,12 +52,11 @@ class TestMinimizeLbfgs:
         base = quadratic([2.0, 2.0], [1.0, 30.0])
 
         def fun(x):
-            f, g = base(x)
+            f, g, hv = base(x)
             trace.append(f)
-            return f, g
+            return f, g, hv
 
-        minimize_tron(fun, diagonal_hessian([1.0, 30.0]),
-                      np.array([-5.0, 5.0]), tol=1e-9)
+        minimize_tron(fun, np.array([-5.0, 5.0]), tol=1e-9)
         # The trace includes rejected trial steps; accepted iterates are
         # the running minima and must be non-increasing.
         best = math.inf
@@ -77,13 +68,46 @@ class TestMinimizeLbfgs:
         for earlier, later in zip(accepted, accepted[1:]):
             assert later <= earlier + 1e-12
 
+    def test_rejected_step_keeps_the_accepted_hessian(self):
+        """Each point's ``hv`` records where it was made. The first two
+        trial points give an infinite objective, so their steps are
+        rejected; every other point of this quadratic, whose model is
+        exact, is accepted. Every conjugate-gradient product uses the
+        ``hv`` of the iterate accepted last."""
+        base = quadratic([1.0, -2.0, 3.0], [1.0, 4.0, 0.25])
+        events = []  # ("eval", x, rejected) and ("product", made at, None)
+
+        def fun(x):
+            f, g, hv = base(x)
+            rejected = sum(e[0] == "eval" for e in events) in (1, 2)
+            events.append(("eval", x.copy(), rejected))
+            made_at = x.copy()
+
+            def product(v):
+                events.append(("product", made_at, None))
+                return hv(v)
+
+            return (math.inf if rejected else f), g, product
+
+        res = minimize_tron(fun, np.zeros(3), tol=1e-10)
+        accepted, after_rejection, rejections = None, 0, 0
+        for kind, x, rejected in events:
+            if kind == "eval":
+                rejections += rejected
+                if not rejected:
+                    accepted = x
+            else:
+                np.testing.assert_array_equal(x, accepted)
+                after_rejection += rejections > 0
+        assert rejections == 2 and after_rejection > 0
+        assert res.converged
+        np.testing.assert_array_equal(accepted, res.x)
+
     def test_deterministic(self):
         scales = [3.0, 1.0, 9.0, 0.5]
         fun = quadratic([0.3, -0.7, 0.1, 2.0], scales)
-        res1 = minimize_tron(fun, diagonal_hessian(scales), np.ones(4),
-                             tol=1e-10)
-        res2 = minimize_tron(fun, diagonal_hessian(scales), np.ones(4),
-                             tol=1e-10)
+        res1 = minimize_tron(fun, np.ones(4), tol=1e-10)
+        res2 = minimize_tron(fun, np.ones(4), tol=1e-10)
         assert np.array_equal(res1.x, res2.x)
         assert res1.value == res2.value
 
@@ -111,18 +135,17 @@ class TestMinimizeLbfgs:
 
         def fun(x):
             d = (x - center).view(NoBlas)
-            return 0.5 * float(np.add.reduce(scales * d * d)), scales * d
+            return (0.5 * float(np.add.reduce(scales * d * d)), scales * d,
+                    lambda v: scales * v)
 
         for name in ("dot", "vdot", "inner", "matmul"):
             monkeypatch.setattr(np, name, no_blas)
-        res = minimize_tron(fun, diagonal_hessian(scales), np.zeros(12),
-                            max_iters=500, tol=1e-8)
+        res = minimize_tron(fun, np.zeros(12), max_iters=500, tol=1e-8)
         assert isinstance(res.grad, NoBlas)
         assert res.converged
 
     def test_result_type(self):
-        res = minimize_tron(quadratic([0.0], [1.0]), diagonal_hessian([1.0]),
-                            np.zeros(1))
+        res = minimize_tron(quadratic([0.0], [1.0]), np.zeros(1))
         assert isinstance(res, MinimizeResult)
 
 
