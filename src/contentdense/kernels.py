@@ -7,23 +7,21 @@ Training a linear model means evaluating
 its gradient and its Hessian's products with vectors many times per fit,
 across grid search, cross-validation folds, and learning-curve points.
 These evaluations are the package's hot path. One call makes one margin
-pass and gives the value, the gradient and the Hessian at its point. They
-are vectorized numpy: the margin is a gather of ``w`` at the stored column
-indices followed by an ``np.bincount`` sum per row, and the weight
-gradient is an ``np.bincount`` scatter back onto the columns; a
-Hessian-vector product is one of each. Both are bitwise deterministic run
-to run.
+pass and gives the value, the gradient and the Hessian at its point. The
+two sparse products run in scipy's compiled ``_sparsetools`` extension,
+loaded from its file, so that neither ``scipy`` nor ``scipy.sparse`` is
+imported:
 
-``np.bincount`` adds its weights into their bins one after another, in the
-order given. In CSR order a row's terms go into the same bin back to back,
-so each add waits for the one before it. The margin sum therefore walks
-the stored values interleaved (``CsrMatrix.interleaved``): every row's
-k-th value comes before any row's (k+1)-th, so consecutive adds go to
-different bins. Within a row the values keep their CSR order, so each
-row's sum is the same sequence of float64 adds from 0.0 as a left-to-right
-loop over the row, and gives the same bits. The gradient's column sums
-stay in CSR order, so that each column's sum runs over its rows in
-increasing row order.
+* the margins ``X w`` are ``csr_matvec``, which sums each row left to
+  right from 0.0, in CSR order;
+* the column sums ``X^T r`` are ``csc_matvec`` over the same arrays read
+  as the CSC form of ``X^T``, so its shape is given swapped, as
+  (n_cols, n_rows). It adds each row's terms into their columns, rows in
+  increasing order, so each column is summed over its rows in increasing
+  row order from 0.0.
+
+Both orders are fixed, so the results are bitwise deterministic run to
+run.
 
 Supported losses (``y`` in {-1, +1}, margin ``m = y * (x.w + b)``):
 
@@ -35,9 +33,12 @@ Supported losses (``y`` in {-1, +1}, margin ``m = y * (x.w + b)``):
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from typing import Sequence
 
 import numpy as np
@@ -50,9 +51,35 @@ LOSS_HINGE = "hinge"
 LOSSES = (LOSS_LOGISTIC, LOSS_HINGE)
 
 
+def _load_sparsetools():
+    """scipy's ``sparse/_sparsetools`` extension, loaded from its file.
+    ``find_spec`` locates the scipy package without running its
+    ``__init__``, and the module is registered under this package's name,
+    so no ``scipy`` module is imported. Raises ImportError naming the paths
+    it looked for when the file is missing."""
+    spec = importlib.util.find_spec("scipy")
+    bases = (spec.submodule_search_locations if spec else None) or ()
+    paths = [os.path.join(base, "sparse", "_sparsetools" + suffix)
+             for base in bases for suffix in EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        looked = ", ".join(paths) or "scipy/sparse/_sparsetools"
+        raise ImportError("scipy's compiled sparse kernels are missing: "
+                          f"looked for {looked}")
+    name = f"{__package__}._sparsetools"
+    loader = ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    return module
+
+
+_sparsetools = _load_sparsetools()
+
+
 def backend() -> str:
     """Name of the kernel implementation, recorded with benchmark runs."""
-    return "numpy"
+    return "scipy-sparsetools"
 
 
 @dataclass
@@ -72,22 +99,9 @@ class CsrMatrix:
 
     @cached_property
     def rows(self) -> np.ndarray:
-        """Row index per stored value, for the per-row gather and scatter."""
+        """Row index per stored value."""
         return np.repeat(np.arange(self.n_rows, dtype=np.int64),
                          self.row_lengths)
-
-    @cached_property
-    def interleaved(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, indices, data) of the stored values, every row's k-th
-        value before any row's (k+1)-th and each row's values in CSR
-        order: a stable sort by position within the row. Positions are
-        cast to the smallest unsigned type that holds them, because
-        numpy's stable sort of 8- and 16-bit integers is a radix sort."""
-        position = (np.arange(len(self.data))
-                    - np.repeat(self.indptr[:-1], self.row_lengths))
-        small = np.min_scalar_type(self.row_lengths.max(initial=0))
-        order = np.argsort(position.astype(small), kind="stable")
-        return self.rows[order], self.indices[order], self.data[order]
 
 
 def pack_csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
@@ -131,17 +145,33 @@ def build_csr(vectors: Sequence, dim: int) -> CsrMatrix:
     return pack_csr(rows, cols, vals, len(vectors), dim)
 
 
+def _check_vector(v: np.ndarray, n: int, what: str) -> None:
+    """The extension reads ``v`` unchecked: refuse anything but n float64s."""
+    if not (isinstance(v, np.ndarray) and v.dtype == np.float64
+            and v.shape == (n,)):
+        raise ValidationError(
+            f"{what} must be a float64 vector of shape ({n},), got "
+            f"{getattr(v, 'dtype', type(v).__name__)} {np.shape(v)}")
+
+
 def margins(X: CsrMatrix, w: np.ndarray, b: float) -> np.ndarray:
     """Decision values x_i.w + b for every row, each row summed left to
-    right from 0.0 (over the interleaved order; see the module notes)."""
-    rows, indices, data = X.interleaved
-    return np.bincount(rows, weights=data * w[indices], minlength=X.n_rows) + b
+    right from 0.0."""
+    _check_vector(w, X.n_cols, "weights")
+    z = np.zeros(X.n_rows)
+    _sparsetools.csr_matvec(X.n_rows, X.n_cols, X.indptr, X.indices, X.data,
+                            w, z)
+    return z + b
 
 
 def _column_sums(X: CsrMatrix, r: np.ndarray) -> np.ndarray:
-    """X^T r: each column's sum over its rows, in increasing row order."""
-    return np.bincount(X.indices, weights=X.data * np.repeat(r, X.row_lengths),
-                       minlength=X.n_cols)
+    """X^T r: each column's sum over its rows, in increasing row order.
+    The CSR arrays are the CSC form of X^T, hence the swapped shape."""
+    _check_vector(r, X.n_rows, "row values")
+    out = np.zeros(X.n_cols)
+    _sparsetools.csc_matvec(X.n_cols, X.n_rows, X.indptr, X.indices, X.data,
+                            r, out)
+    return out
 
 
 def objective_and_grad(w: np.ndarray, b: float, X: CsrMatrix, y: np.ndarray,

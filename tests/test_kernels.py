@@ -8,6 +8,7 @@ from contentdense.features import SparseFeatureVector
 from contentdense.kernels import (
     LOSS_HINGE,
     LOSS_LOGISTIC,
+    _column_sums,
     build_csr,
     margins,
     objective_and_grad,
@@ -278,16 +279,56 @@ class TestSummationOrder:
             _, grad_w, _, _ = objective_and_grad(w, b, X, y, c, loss)
             assert grad_w.tolist() == expected
 
-    def test_interleaved_order_keeps_each_row_in_csr_order(self):
-        rng = np.random.default_rng(23)
+
+def bincount_margins(X, w, b):
+    """Reference: each row's products added into its bin one after
+    another, in CSR order, from 0.0."""
+    return np.bincount(X.rows, weights=X.data * w[X.indices],
+                       minlength=X.n_rows) + b
+
+
+def bincount_column_sums(X, r):
+    """Reference: each stored value's product added into its column's bin,
+    rows in increasing order, from 0.0."""
+    return np.bincount(X.indices, weights=X.data * r[X.rows],
+                       minlength=X.n_cols)
+
+
+def spread(rng, n):
+    """Mixed-sign values from 1e-3 to 1e3 in magnitude."""
+    return rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-3, 3, n)
+
+
+def test_compiled_kernels_equal_the_bincount_reference_byte_for_byte():
+    """A compiled kernel whose compiler fused ``a*b + s`` into one
+    multiply-add would round differently; this catches such a build."""
+    rng = np.random.default_rng(24)
+    for _ in range(25):
         for X in ragged_matrices(rng):
-            rows, indices, data = X.interleaved
-            position = [0] * X.n_rows
-            seen = []
-            for r, j, v in zip(rows.tolist(), indices.tolist(), data.tolist()):
-                k = X.indptr[r] + position[r]
-                assert (j, v) == (X.indices[k], X.data[k])
-                seen.append(position[r])
-                position[r] += 1
-            assert position == np.diff(X.indptr).tolist()
-            assert seen == sorted(seen)  # every k-th entry before any (k+1)-th
+            w = spread(rng, X.n_cols)
+            r = spread(rng, X.n_rows)
+            b = float(rng.normal())
+            assert (margins(X, w, b).tobytes()
+                    == bincount_margins(X, w, b).tobytes())
+            assert (_column_sums(X, r).tobytes()
+                    == bincount_column_sums(X, r).tobytes())
+
+
+class TestVectorChecks:
+    """The compiled kernels check no bounds, so a vector of the wrong
+    length or type is refused before the call."""
+
+    def test_short_weights_rejected(self):
+        X = ragged_matrix(np.random.default_rng(25), [2, 0, 3], 6)
+        with pytest.raises(ValidationError, match=r"shape \(6,\)"):
+            margins(X, np.ones(5), 0.0)
+
+    def test_short_row_values_rejected(self):
+        X = ragged_matrix(np.random.default_rng(26), [2, 0, 3], 6)
+        with pytest.raises(ValidationError, match=r"shape \(3,\)"):
+            _column_sums(X, np.ones(2))
+
+    def test_non_float64_weights_rejected(self):
+        X = ragged_matrix(np.random.default_rng(27), [2, 0, 3], 6)
+        with pytest.raises(ValidationError, match="float64"):
+            margins(X, np.ones(6, dtype=np.float32), 0.0)
