@@ -16,6 +16,7 @@ from .combine import (
     binomial_superiority_check,
     load_pairs,
     save_pairs,
+    score_pairs,
     sweep_cutoffs,
 )
 from .corpus import (
@@ -115,6 +116,7 @@ __all__ = [
     "save_corpus",
     "save_pairs",
     "score_leads",
+    "score_pairs",
     "select_mi_vocabulary",
     "sweep_cutoffs",
     "train_decision_fusion",

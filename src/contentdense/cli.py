@@ -6,11 +6,17 @@ Subcommands cover the full pipeline: ``generate`` (synthetic corpus),
 model), ``evaluate`` (cross-validation report files), and ``combine``
 (summary-combination cutoff sweep).
 
+``label``, ``predict`` and ``combine`` decode and score their input file
+in line ranges, one per usable CPU, each other than the first in a forked
+child (``evaluation.map_line_ranges``); they fall back to one pass over
+the whole file, which raises any error, when a range fails or a lead id
+repeats across ranges. ``evaluate`` trains its folds in forked workers.
+
 All randomness flows from ``--seed``; re-running any subcommand with the
-same inputs and seed writes byte-identical files. Output files are
-written atomically (temp file + rename). Exit codes: 0 success, 2 usage,
-a distinct code per package error class (see ``_EXIT_CODES``), 14 for
-file-system errors, 1 for anything unexpected.
+same inputs and seed writes byte-identical files, whatever the CPU count.
+Output files are written atomically (temp file + rename). Exit codes: 0
+success, 2 usage, a distinct code per package error class (see
+``_EXIT_CODES``), 14 for file-system errors, 1 for anything unexpected.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .combine import (
     baseline_always_dense,
     baseline_article_length,
     load_pairs,
+    score_pairs,
     sweep_cutoffs,
 )
 from .corpus import (
@@ -58,6 +65,7 @@ from .evaluation import (
     curve_sizes,
     learning_curve,
     make_folds,
+    map_line_ranges,
     split_train_dev,
     strata_from_predictions,
     train_modes,
@@ -240,11 +248,32 @@ def cmd_generate(args) -> None:
           f"{args.profile!r} -> {out}")
 
 
+def _by_line_ranges(path: str, work: Callable[[tuple | None], tuple],
+                    unique_ids: bool = True) -> list:
+    """The columns (lists) that ``work(None)`` gives for the whole file at
+    ``path``, gathered instead, in file order, from ``work(span)`` over the
+    file's line ranges where ``map_line_ranges`` runs them. The gathered
+    columns are thrown away when a range failed, or, with ``unique_ids``,
+    when an id of the first column (the records' ids) repeats across
+    ranges; ``work(None)`` then runs here and raises what it always has."""
+    parts = map_line_ranges(path, work)
+    if parts is not None:
+        columns = [[v for part in column for v in part]
+                   for column in zip(*parts)]
+        if not unique_ids or len(set(columns[0])) == len(columns[0]):
+            return columns
+    return list(work(None))
+
+
 def cmd_label(args) -> None:
-    leads = load_corpus(args.corpus)
-    if not leads:
+    def work(span):
+        leads = load_corpus(args.corpus, span)
+        scores, skipped = score_leads(leads, args.min_summary_words)
+        return [lead.id for lead in leads], scores, skipped
+
+    ids, scores, skipped = _by_line_ranges(args.corpus, work)
+    if not ids:
         raise ValidationError(f"{args.corpus}: corpus is empty")
-    scores, skipped = score_leads(leads, args.min_summary_words)
     labels = percentile_label(scores, *args.percentiles)
     out = _out_dir(args)
     _write_atomic(out / "scores.tsv", "".join(
@@ -253,7 +282,7 @@ def cmd_label(args) -> None:
     _write_atomic(out / "labels.tsv", "".join(
         f"{hl.lead_id}\t{hl.label}\n" for hl in labels
     ))
-    print(f"scored {len(scores)} of {len(leads)} leads "
+    print(f"scored {len(scores)} of {len(ids)} leads "
           f"({len(skipped)} skipped: missing or short summary)")
     n_dense = sum(1 for hl in labels if hl.label == LABELS[0])
     print(f"labeled {n_dense} {LABELS[0]} / {len(labels) - n_dense} "
@@ -298,16 +327,20 @@ def cmd_train(args) -> None:
 
 def cmd_predict(args) -> None:
     classifier = load_classifier(args.model)
-    leads = load_corpus(args.corpus)
-    if not leads:
+
+    def work(span):
+        leads = load_corpus(args.corpus, span)
+        return [lead.id for lead in leads], classifier.margins(leads).tolist()
+
+    ids, margins = _by_line_ranges(args.corpus, work)
+    if not ids:
         raise ValidationError(f"{args.corpus}: corpus is empty")
     out = _out_dir(args)
-    z = classifier.margins(leads)
-    lines = [f"{lead.id}\t{p:.6f}\t{margin_label(m)}\n"
-             for lead, m, p in zip(leads, z.tolist(),
-                                   classifier.proba_from_margins(z).tolist())]
+    probs = classifier.proba_from_margins(np.array(margins)).tolist()
+    lines = [f"{lead_id}\t{p:.6f}\t{margin_label(m)}\n"
+             for lead_id, m, p in zip(ids, margins, probs)]
     _write_atomic(out / "predictions.tsv", "".join(lines))
-    print(f"predicted {len(leads)} leads with {classifier.mode} model "
+    print(f"predicted {len(ids)} leads with {classifier.mode} model "
           f"-> {out / 'predictions.tsv'}")
 
 
@@ -392,9 +425,12 @@ def cmd_evaluate(args) -> None:
 
 
 def cmd_combine(args) -> None:
-    pairs = load_pairs(args.pairs)
-    classifier = load_classifier(args.model)
-    rows = sweep_cutoffs(pairs, classifier, cutoffs=tuple(args.cutoffs))
+    def work(span):
+        pairs = load_pairs(args.pairs, span)
+        return (score_pairs(pairs, load_classifier(args.model)),)
+
+    (scores,) = _by_line_ranges(args.pairs, work, unique_ids=False)
+    rows = sweep_cutoffs(scores, cutoffs=tuple(args.cutoffs))
     out = _out_dir(args)
     lines = [
         "# human-preference ties count as correct for either system choice\n",
@@ -409,7 +445,7 @@ def cmd_combine(args) -> None:
         )
     _write_atomic(out / "combination.tsv", "".join(lines))
     best = max(rows, key=lambda r: (r.pct_correct, -r.cutoff))
-    print(f"swept {len(rows)} cutoffs over {len(pairs)} pairs "
+    print(f"swept {len(rows)} cutoffs over {len(scores)} pairs "
           f"-> {out / 'combination.tsv'}")
     print(f"best cutoff {best.cutoff:g}: {best.pct_correct:.2f}% correct "
           f"({best.n_system_chosen} system picks)")

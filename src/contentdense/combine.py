@@ -2,10 +2,11 @@
 
 Both summaries of an article are scored with a trained classifier's
 content-dense probability; the system summary is emitted when the score
-difference (system minus lead) clears a cutoff. sweep_cutoffs scores every
-pair once and applies that rule at each cutoff of a sweep. Includes the two
-reference baselines (always-dense, article-length logistic) and an exact
-binomial check for whether a combination beats a fixed success rate.
+difference (system minus lead) clears a cutoff. score_pairs scores every
+pair once, and sweep_cutoffs applies that rule to the scores at each
+cutoff of a sweep. Includes the two reference baselines (always-dense,
+article-length logistic) and an exact binomial check for whether a
+combination beats a fixed success rate.
 
 Correctness against human preference counts a tie judgment as correct for
 either choice.
@@ -18,7 +19,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -107,37 +108,52 @@ class CutoffRow:
         return 100.0 * self.n_correct / self.n_total
 
 
-def sweep_cutoffs(pairs: Sequence[SummaryPair], classifier,
-                  cutoffs: Sequence[float] = DEFAULT_CUTOFFS,
-                  ) -> list[CutoffRow]:
-    """Evaluate the combination rule at each cutoff.
+class PairScore(NamedTuple):
+    """A pair's content_dense probabilities, of its system summary and of
+    its lead summary, with the pair's human preference."""
+
+    system: float
+    lead: float
+    human_preference: str
+
+
+def score_pairs(pairs: Sequence[SummaryPair], classifier) -> list[PairScore]:
+    """Score both summaries of every pair, in one batch.
 
     ``classifier`` is anything with probabilities(leads) -> the
     content_dense probability of each lead, normally a trained
-    LeadClassifier. Summaries are scored once, in one batch; every cutoff
-    reuses the same score differences, so decisions are a pure function of
-    (scores, cutoff).
+    LeadClassifier.
     """
-    if not pairs:
-        raise ValidationError("no summary pairs to sweep")
-    scores = classifier.probabilities(
+    probs = classifier.probabilities(
         [s for pair in pairs for s in (pair.system_summary, pair.lead_summary)])
-    diffs = [float(system) - float(lead)
-             for system, lead in zip(scores[0::2], scores[1::2])]
+    return [PairScore(float(system), float(lead), pair.human_preference)
+            for pair, system, lead in zip(pairs, probs[0::2], probs[1::2])]
+
+
+def sweep_cutoffs(scores: Sequence[PairScore],
+                  cutoffs: Sequence[float] = DEFAULT_CUTOFFS,
+                  ) -> list[CutoffRow]:
+    """Evaluate the combination rule at each cutoff over scored pairs
+    (``score_pairs``). Every cutoff reuses the same score differences, so
+    decisions are a pure function of (scores, cutoff).
+    """
+    if not scores:
+        raise ValidationError("no summary pairs to sweep")
+    diffs = [score.system - score.lead for score in scores]
     rows = []
     for cutoff in cutoffs:
         chosen = [PREF_SYSTEM if d >= cutoff else PREF_LEAD for d in diffs]
         breakdown = Counter(
-            pair.human_preference
-            for pair, choice in zip(pairs, chosen) if choice == PREF_SYSTEM
+            score.human_preference
+            for score, choice in zip(scores, chosen) if choice == PREF_SYSTEM
         )
         n_correct = sum(
-            pair.human_preference in (choice, PREF_TIE)
-            for pair, choice in zip(pairs, chosen)
+            score.human_preference in (choice, PREF_TIE)
+            for score, choice in zip(scores, chosen)
         )
         rows.append(CutoffRow(
             cutoff=float(cutoff),
-            n_total=len(pairs),
+            n_total=len(scores),
             n_system_chosen=sum(c == PREF_SYSTEM for c in chosen),
             chosen_pref_system=breakdown.get(PREF_SYSTEM, 0),
             chosen_pref_lead=breakdown.get(PREF_LEAD, 0),
@@ -255,11 +271,13 @@ def pair_from_record(rec) -> SummaryPair:
     return SummaryPair(*fields, json_field(rec, "human_preference", str))
 
 
-def load_pairs(path: str | Path) -> list[SummaryPair]:
-    """Load a JSON-lines pair file, naming the file and line of any bad
+def load_pairs(path: str | Path, span: tuple[int, int] | None = None,
+               ) -> list[SummaryPair]:
+    """Load a JSON-lines pair file, or the records in its byte range
+    ``span`` (``corpus.line_spans``), naming the file and line of any bad
     record."""
     pairs = []
-    for lineno, rec in json_lines(path):
+    for lineno, rec in json_lines(path, span):
         try:
             pairs.append(pair_from_record(rec))
         except ContentDenseError as e:

@@ -462,16 +462,24 @@ def lead_from_record(rec) -> AnnotatedLead:
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
-def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """(line number, line with its line end) for each line of a UTF-8 file.
-    Lines end at "\\n", "\\r\\n" or a bare "\\r" and are decoded one at a
-    time; a line that is not UTF-8, or a byte-order mark opening line 1,
-    raises CorpusFormatError naming the file and the line."""
+def text_lines(path: str | Path, span: tuple[int, int] | None = None,
+               ) -> Iterator[tuple[int, str]]:
+    """(line number, line with its line end) for each line of a UTF-8 file,
+    or of its bytes ``span`` = (start, stop) when given, a range that
+    ``line_spans`` cut; line numbers then count from the range's first
+    line. Lines end at "\\n", "\\r\\n" or a bare "\\r" and are decoded one at
+    a time; a line that is not UTF-8, or a byte-order mark opening line 1
+    of the file, raises CorpusFormatError naming the file and the line."""
+    start, stop = span or (0, None)
     with Path(path).open("rb") as fh:
-        if fh.peek(len(codecs.BOM_UTF8)).startswith(codecs.BOM_UTF8):
+        if not start and fh.peek(len(codecs.BOM_UTF8)).startswith(
+                codecs.BOM_UTF8):
             raise CorpusFormatError(
                 f"{path}: line 1: starts with a UTF-8 byte-order mark (U+FEFF)")
-        lines = (raw for chunk in fh for raw in chunk.splitlines(keepends=True))
+        fh.seek(start)
+        chunks = fh if stop is None else _chunks_before(fh, stop)
+        lines = (raw for chunk in chunks
+                 for raw in chunk.splitlines(keepends=True))
         for lineno, raw in enumerate(lines, start=1):
             try:
                 line = raw.decode("utf-8")
@@ -481,11 +489,44 @@ def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
+def _chunks_before(fh, stop: int) -> Iterator[bytes]:
+    """The "\\n"-ended chunks of binary file ``fh`` from where it stands up
+    to byte ``stop``."""
+    left = stop - fh.tell()
+    for chunk in fh:
+        if left <= 0:
+            return
+        yield chunk[:left]
+        left -= len(chunk)
+
+
+def line_spans(path: str | Path, n: int) -> list[tuple[int, int]]:
+    """Cut the file at ``path`` into at most ``n`` byte ranges (start,
+    stop) of about equal size, in file order. Each cut falls just after a
+    "\\n", so no line, and no UTF-8 character, is split; no range is empty.
+    A file with no "\\n" to cut at, or ``n`` = 1, gives one range, and an
+    empty file none."""
+    size = Path(path).stat().st_size
+    cuts = [0]
+    with Path(path).open("rb") as fh:
+        for k in range(1, n):
+            # The first line start at or after the k-th share's end.
+            fh.seek(max(k * size // n, cuts[-1] + 1) - 1)
+            fh.readline()
+            if fh.tell() >= size:
+                break
+            cuts.append(fh.tell())
+    cuts.append(size)
+    return [(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
+
+
+def json_lines(path: str | Path, span: tuple[int, int] | None = None,
+               ) -> Iterator[tuple[int, object]]:
     """(line number, parsed value) for each non-blank line of a JSON-lines
-    file (``text_lines``). A line that is not JSON, or holds an escaped lone
-    surrogate, raises CorpusFormatError naming the file and the line."""
-    for lineno, line in text_lines(path):
+    file, or of its byte range ``span`` (``text_lines``). A line that is
+    not JSON, or holds an escaped lone surrogate, raises CorpusFormatError
+    naming the file and the line."""
+    for lineno, line in text_lines(path, span):
         if not line.strip():
             continue
         try:
@@ -498,16 +539,18 @@ def json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
         yield lineno, value
 
 
-def load_corpus(path: str | Path) -> list[AnnotatedLead]:
-    """Load a JSON-lines corpus. Deterministic and order-preserving.
+def load_corpus(path: str | Path, span: tuple[int, int] | None = None,
+                ) -> list[AnnotatedLead]:
+    """Load a JSON-lines corpus, or the records in its byte range ``span``
+    (``line_spans``). Deterministic and order-preserving.
 
     Raises CorpusFormatError / ValidationError / ParseError naming the
-    file and the offending line number; DuplicateIdError when two records
-    share an id.
+    file and the offending line number (within ``span``, when given);
+    DuplicateIdError when two records share an id.
     """
     leads: list[AnnotatedLead] = []
     seen: set[str] = set()
-    for lineno, rec in json_lines(path):
+    for lineno, rec in json_lines(path, span):
         try:
             lead = lead_from_record(rec)
         except (CorpusFormatError, ValidationError, ParseError) as e:

@@ -12,6 +12,8 @@ worker processes, one per usable CPU (never more than there are folds),
 when the platform can fork; otherwise, or with one CPU, they run the folds
 in the calling process. Each fold depends only on the leads, the labels
 and the fold plan, so the results do not depend on the worker count.
+``map_line_ranges`` runs a function over byte ranges of a file the same
+way, one range per usable CPU.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import AnnotatedLead
+from .corpus import AnnotatedLead, line_spans
 from .errors import ContentDenseError, NumericError, ValidationError, prefixed
 from .features import (
     SPACE_MRC,
@@ -306,6 +308,86 @@ def _fork_pool(work: Callable[[int], object], n_workers: int):
                                mp_context=multiprocessing.get_context("fork"),
                                initializer=_adopt_fold_work,
                                initargs=(work,))
+
+
+def map_line_ranges(path, work: Callable[[tuple[int, int]], object],
+                    ) -> list | None:
+    """``work(span)`` for each byte range ``corpus.line_spans`` cuts the
+    file at ``path`` into, one range per usable CPU, in file order.
+
+    The first range runs here. Each other range runs in a forked child,
+    which reads the file itself, writes nothing to stdout or stderr, sends
+    back the pickled value of ``work`` through a pipe and leaves through
+    ``os._exit``; a child reports a failure by its exit status alone,
+    never by a pickled exception. Returns None, having run no range, with
+    one usable CPU, where processes cannot fork, or when the file gives
+    fewer than two ranges; returns None too when a child could not be
+    started or any range raised an Exception. Every child is reaped on
+    every way out; when a range fails or this process is interrupted, the
+    children left are killed first.
+    """
+    import pickle
+    import signal
+
+    n_ranges = _usable_cpus()
+    if n_ranges < 2 or not hasattr(os, "fork"):
+        return None
+    pids: list[int] = []
+    pipes: list[int] = []  # read ends, one per child
+    try:
+        spans = line_spans(path, n_ranges)
+        if len(spans) < 2:
+            return None
+        for span in spans[1:]:
+            r, w = os.pipe()
+            pipes.append(r)
+            # SIGINT waits until the child's pid is recorded here; the
+            # child keeps it blocked and is killed if this process stops.
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                pid = os.fork()
+                if not pid:
+                    _send_from_child(work, span, w)
+                pids.append(pid)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                os.close(w)
+        results = [work(spans[0])]
+        for r in pipes:
+            with open(r, "rb", closefd=False) as fh:
+                data = fh.read()
+            status = os.waitpid(pids[0], 0)[1]
+            del pids[0]  # reaped
+            if os.waitstatus_to_exitcode(status) != 0:
+                return None
+            results.append(pickle.loads(data))
+        return results
+    except Exception:
+        return None
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for r in pipes:
+            os.close(r)
+
+
+def _send_from_child(work: Callable[[tuple[int, int]], object],
+                     span: tuple[int, int], fd: int):
+    """In a forked child: write ``work(span)`` pickled to ``fd``, then
+    leave through ``os._exit``, with status 0 only when all of it was
+    written. No exit handler or buffered output of the parent's runs."""
+    import pickle
+    import sys
+
+    code = 1
+    try:
+        sys.stdout = sys.stderr = None  # print and warnings write nothing
+        with open(fd, "wb") as fh:
+            pickle.dump(work(span), fh, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def cross_validate(leads: Sequence[AnnotatedLead],

@@ -24,6 +24,7 @@ from contentdense.combine import (
     SummaryPair,
     binomial_superiority_check,
     save_pairs,
+    score_pairs,
     sweep_cutoffs,
 )
 from contentdense.corpus import AnnotatedLead, Sentence, WordPosTuple, parse_ptb_tree
@@ -424,7 +425,8 @@ def test_criterion_10_combination_structure():
                     system_summary=sys_sum,
                     human_preference=prefs[int(rng.integers(3))]))
             cutoffs = sorted(float(c) for c in rng.uniform(-1, 1, size=9))
-            rows = sweep_cutoffs(pairs, StubScorer(probs), cutoffs)
+            scores = score_pairs(pairs, StubScorer(probs))
+            rows = sweep_cutoffs(scores, cutoffs)
             chosen = [row.n_system_chosen for row in rows]
             assert chosen == sorted(chosen, reverse=True)
 
@@ -440,7 +442,7 @@ def test_criterion_10_combination_structure():
             pairs.append(SummaryPair(
                 article_id=f"qart{j}", lead_summary=lead_sum,
                 system_summary=sys_sum, human_preference=pref))
-        rows = sweep_cutoffs(pairs, StubScorer(probs),
+        rows = sweep_cutoffs(score_pairs(pairs, StubScorer(probs)),
                              [-0.5, -0.1, 0.0, 0.1, 0.5])
         assert max(row.pct_correct for row in rows) == 100.0
 

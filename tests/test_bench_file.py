@@ -5,7 +5,8 @@ from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "BENCH_pipeline.json"
 FIELDS = {"pr", "sha", "workload", "seed", "seconds", "setup_s", "wall_s",
-          "peak_rss_mb", "accuracy", "pairs", "host"}
+          "peak_rss_mb", "accuracy", "pairs", "host",
+          "children_peak_rss_mb"}
 PER_RUN = ("seed", "setup_s", "wall_s", "peak_rss_mb", "accuracy")
 
 

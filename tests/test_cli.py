@@ -10,12 +10,15 @@ import io
 import json
 import multiprocessing
 import operator
+import os
+import pickle
 import re
 import time
 import warnings
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -27,7 +30,9 @@ from contentdense.combine import (
     PREF_SYSTEM,
     PREF_TIE,
     SummaryPair,
+    load_pairs,
     save_pairs,
+    score_pairs,
 )
 from contentdense.corpus import (
     AnnotatedLead,
@@ -44,7 +49,11 @@ from contentdense.errors import (
     NumericError,
     SingleClassError,
 )
-from contentdense.evaluation import cross_validate, make_folds
+from contentdense.evaluation import (
+    cross_validate,
+    make_folds,
+    map_line_ranges,
+)
 from contentdense.features import FeatureBundle, FeatureTable
 from contentdense.learn import MODES, load_classifier
 from contentdense.synthetic import generate_corpus
@@ -582,6 +591,193 @@ class TestFoldWorkers:
         assert runs[1] == runs[2]
         assert runs[1] == (_exit_code(SingleClassError()), "",
                            "error: fold 3: planted in fold 3\n")
+
+
+@pytest.fixture(scope="module")
+def pr_model_path(workspace):
+    out = workspace["root"] / "model_pr"
+    code = main(["train", "--corpus", workspace["corpus"],
+                 "--lexicon", workspace["lexicon"], "--mode", "pr",
+                 "--c-grid", "1.0", "--seed", "0", "--out", str(out)])
+    assert code == 0
+    return out / "model.json"
+
+
+def record_spans(path) -> list[tuple[int, int]]:
+    """(start, stop) byte offsets of each line of a file."""
+    ends = np.cumsum([len(line) for line in
+                      Path(path).read_bytes().splitlines(keepends=True)])
+    return list(zip([0, *ends[:-1].tolist()], ends.tolist()))
+
+
+def cut_at(spans, cuts) -> list[tuple[int, int]]:
+    """The byte ranges that cutting before each record index in ``cuts``
+    makes of a file whose records lie at ``spans``."""
+    edges = [0, *sorted(cuts), len(spans)]
+    return [(spans[a][0], spans[b - 1][1]) for a, b in zip(edges, edges[1:])]
+
+
+def without_parses(record_line: str) -> str:
+    rec = json.loads(record_line)
+    for sentence in rec.get("sentences", rec.get("system_summary", {}).get(
+            "sentences", [])):
+        sentence.pop("parse", None)
+    return json.dumps(rec) + "\n"
+
+
+class TestRangeWorkers:
+    """`label`, `predict` and `combine` cut their input file into one line
+    range per usable CPU and decode and score each range in its own
+    process; forcing the CPU count to 1 runs the single whole-file pass.
+    Files, stdout, stderr and exit codes are the same either way: a failed
+    range, or an id in two ranges, falls back to the whole-file pass and
+    its error. No child process outlives a command."""
+
+    @pytest.fixture
+    def ranges(self, monkeypatch):
+        """What each of the CLI's map_line_ranges calls gave back."""
+        seen = []
+
+        def spy(path, work):
+            seen.append(map_line_ranges(path, work))
+            return seen[-1]
+        monkeypatch.setattr(cli, "map_line_ranges", spy)
+        return seen
+
+    def run(self, monkeypatch, cpus, argv, out):
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: cpus)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--out", str(out)])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        files = ({p.name: p.read_bytes() for p in out.iterdir()}
+                 if out.exists() else None)
+        return (code, stdout.getvalue().replace(str(out), "OUT"),
+                stderr.getvalue(), files)
+
+    def argv(self, command, corpus, pairs, model):
+        return {"label": ["label", "--corpus", str(corpus)],
+                "predict": ["predict", "--corpus", str(corpus),
+                            "--model", str(model)],
+                "combine": ["combine", "--pairs", str(pairs),
+                            "--model", str(model)]}[command]
+
+    @pytest.mark.parametrize("command", ["label", "predict", "combine"])
+    def test_outputs_do_not_depend_on_the_cpu_count(
+            self, workspace, pairs_path, fusion_model_path, tmp_path,
+            monkeypatch, ranges, command):
+        argv = self.argv(command, workspace["corpus"], pairs_path,
+                         fusion_model_path)
+        runs = {cpus: self.run(monkeypatch, cpus, argv, tmp_path / str(cpus))
+                for cpus in (1, 2)}
+        assert runs[1] == runs[2]
+        assert runs[1][0] == 0 and runs[1][2] == "" and runs[1][3]
+        assert ranges[0] is None and len(ranges[1]) == 2
+
+    # name -> (commands, text of the corpus lines -> damaged text, code)
+    DAMAGE = {
+        "malformed_last_record": (("label", "predict", "combine"),
+                                  lambda lines: [*lines, "{not json\n"], 4),
+        "id_in_two_ranges": (("label", "predict"),
+                             lambda lines: [*lines, lines[0]], 5),
+        "empty": (("label", "predict", "combine"), lambda lines: [], 6),
+        "blank_lines": (("label", "predict", "combine"),
+                        lambda lines: ["\n"] * 40, 6),
+        "last_record_unparsed": (
+            ("predict", "combine"),
+            lambda lines: [*lines[:-1], without_parses(lines[-1])], 11),
+    }
+
+    @pytest.mark.parametrize("command, damage", [
+        (command, damage) for damage, (commands, _, _) in DAMAGE.items()
+        for command in commands])
+    def test_errors_do_not_depend_on_the_cpu_count(
+            self, workspace, pairs_path, pr_model_path, tmp_path, monkeypatch,
+            ranges, command, damage):
+        _, edit, code = self.DAMAGE[damage]
+        source = pairs_path if command == "combine" else workspace["corpus"]
+        damaged = tmp_path / "input.jsonl"
+        damaged.write_text("".join(edit(
+            read(source).splitlines(keepends=True))), encoding="utf-8")
+        argv = self.argv(command, damaged, damaged, pr_model_path)
+        runs = {cpus: self.run(monkeypatch, cpus, argv, tmp_path / str(cpus))
+                for cpus in (1, 2)}
+        assert runs[1] == runs[2]
+        assert runs[1][0] == code
+        assert runs[1][2].startswith("error: ")
+        assert runs[1][2].count("\n") == 1
+        if damage == "id_in_two_ranges":  # each range alone is well-formed
+            assert len(ranges[-1]) == 2
+        elif damage == "blank_lines":  # every range holds no record
+            assert len(ranges[-1]) == 2
+            assert not any(v for part in ranges[-1] for v in part)
+
+    def test_a_child_failure_is_its_exit_status(self, tmp_path, monkeypatch):
+        """A child that sent a whole result but exits nonzero fails the
+        ranges as one that sent nothing does."""
+        path = tmp_path / "lines.txt"
+        path.write_bytes(b"one\ntwo\n")
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
+        assert map_line_ranges(path, lambda span: span) == [(0, 4), (4, 8)]
+
+        def send_then_fail(work, span, fd):
+            with open(fd, "wb") as fh:
+                pickle.dump(work(span), fh)
+            os._exit(1)
+        monkeypatch.setattr(evaluation, "_send_from_child", send_then_fail)
+        assert map_line_ranges(path, lambda span: span) is None
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_an_interrupt_reaps_every_child(self, workspace, tmp_path,
+                                            monkeypatch):
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
+        load_corpus = cli.load_corpus
+
+        def interrupted(path, span=None):
+            if span is not None and span[0] == 0:  # this process's range
+                raise KeyboardInterrupt
+            return load_corpus(path, span)
+        monkeypatch.setattr(cli, "load_corpus", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["label", "--corpus", workspace["corpus"],
+                  "--out", str(tmp_path)])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert not (tmp_path / "scores.tsv").exists()
+
+    @settings(max_examples=25, deadline=None)
+    @given(cuts=st.sets(st.integers(1, 119), max_size=6),
+           block=st.integers(1, 130))
+    def test_lead_scores_do_not_depend_on_where_the_file_is_cut(
+            self, workspace, fusion_model_path, cuts, block):
+        """Cut at any record boundaries, with any scoring block size, the
+        ranges' margins and probabilities are the whole file's, bit for
+        bit."""
+        path = workspace["corpus"]
+        classifier = load_classifier(fusion_model_path)
+        whole = classifier.margins(load_corpus(path))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(learn, "SCORE_BLOCK", block)
+            parts = np.concatenate([
+                classifier.margins(load_corpus(path, span))
+                for span in cut_at(record_spans(path), cuts)])
+        assert parts.tobytes() == whole.tobytes()
+        assert (classifier.proba_from_margins(parts).tobytes()
+                == classifier.proba_from_margins(whole).tobytes())
+
+    @settings(max_examples=10, deadline=None)
+    @given(cuts=st.sets(st.integers(1, 19), max_size=4))
+    def test_pair_scores_do_not_depend_on_where_the_file_is_cut(
+            self, pairs_path, fusion_model_path, cuts):
+        classifier = load_classifier(fusion_model_path)
+        whole = score_pairs(load_pairs(pairs_path), classifier)
+        parts = [score for span in cut_at(record_spans(pairs_path), cuts)
+                 for score in score_pairs(load_pairs(pairs_path, span),
+                                          classifier)]
+        assert parts == whole
 
 
 class TestDevelopmentMatrices:

@@ -16,6 +16,7 @@ from contentdense.combine import (
     binomial_superiority_check,
     load_pairs,
     save_pairs,
+    score_pairs,
     sweep_cutoffs,
     train_length_model,
 )
@@ -63,9 +64,9 @@ class StubScorer:
         return [self.scores[lead.id] for lead in leads]
 
 
-def stub_for(pairs, score_pairs):
+def stub_for(pairs, pair_probs):
     scores = {}
-    for pair, (sys_score, lead_score) in zip(pairs, score_pairs):
+    for pair, (sys_score, lead_score) in zip(pairs, pair_probs):
         scores[pair.system_summary.id] = sys_score
         scores[pair.lead_summary.id] = lead_score
     return StubScorer(scores)
@@ -111,20 +112,21 @@ class TestDecide:
 
     def test_clear_win_for_system(self):
         pair = make_pair("p1", PREF_SYSTEM)
-        rows = sweep_cutoffs([pair], stub_for([pair], [(0.9, 0.3)]),
-                             [0.5, 0.6 - 1e-7, 0.6 + 1e-7])
+        scores = score_pairs([pair], stub_for([pair], [(0.9, 0.3)]))
+        rows = sweep_cutoffs(scores, [0.5, 0.6 - 1e-7, 0.6 + 1e-7])
         assert [r.n_system_chosen for r in rows] == [1, 1, 0]
 
     def test_zero_difference_at_zero_cutoff_goes_system(self):
         pair = make_pair("p2", PREF_TIE)
-        rows = sweep_cutoffs([pair], stub_for([pair], [(0.6, 0.6)]),
-                             [0.0, 5e-324])
+        scores = score_pairs([pair], stub_for([pair], [(0.6, 0.6)]))
+        rows = sweep_cutoffs(scores, [0.0, 5e-324])
         assert [r.n_system_chosen for r in rows] == [1, 0]
         assert rows[0].chosen_pref_tie == 1
 
     def test_small_deficit_goes_lead(self):
         pair = make_pair("p3", PREF_LEAD)
-        (row,) = sweep_cutoffs([pair], stub_for([pair], [(0.4, 0.6)]), [0.1])
+        scores = score_pairs([pair], stub_for([pair], [(0.4, 0.6)]))
+        (row,) = sweep_cutoffs(scores, [0.1])
         assert row.n_system_chosen == 0
 
     def test_decision_invariants_enforced(self):
@@ -143,7 +145,7 @@ class TestDecide:
                            system_summary=leads[0],
                            human_preference=PREF_SYSTEM)
         scorer = RecordingScorer(clf)
-        (row,) = sweep_cutoffs([pair], scorer, [0.0])
+        (row,) = sweep_cutoffs(score_pairs([pair], scorer), [0.0])
         assert row.n_system_chosen in (0, 1)
         assert len(scorer.seen) == 2
         assert all(0.0 < p < 1.0 for p in scorer.seen)
@@ -154,7 +156,7 @@ class TestDecide:
                            system_summary=summary_lead("bare", ("no", "tree")),
                            human_preference=PREF_LEAD)
         with pytest.raises(MissingParseError):
-            sweep_cutoffs([pair], clf, [0.0])
+            sweep_cutoffs(score_pairs([pair], clf), [0.0])
 
 
 class TestSweepCutoffs:
@@ -162,7 +164,7 @@ class TestSweepCutoffs:
         prefs = [PREF_SYSTEM, PREF_LEAD, PREF_TIE, PREF_LEAD, PREF_SYSTEM]
         pairs = [make_pair(f"p{i}", pref) for i, pref in enumerate(prefs)]
         scorer = stub_for(pairs, [(0.7, 0.7)] * len(pairs))
-        (row,) = sweep_cutoffs(pairs, scorer, [0.0])
+        (row,) = sweep_cutoffs(score_pairs(pairs, scorer), [0.0])
         assert row.n_system_chosen == 5
         assert row.n_correct == sum(p in (PREF_SYSTEM, PREF_TIE)
                                     for p in prefs)
@@ -171,21 +173,21 @@ class TestSweepCutoffs:
         prefs = [PREF_LEAD, PREF_LEAD, PREF_TIE, PREF_LEAD]
         pairs = [make_pair(f"p{i}", pref) for i, pref in enumerate(prefs)]
         scorer = stub_for(pairs, [(0.8, 0.5)] * len(pairs))
-        (row,) = sweep_cutoffs(pairs, scorer, [0.5])
+        (row,) = sweep_cutoffs(score_pairs(pairs, scorer), [0.5])
         assert row.n_system_chosen == 0
         assert row.n_correct == 4
 
     def test_perfect_separation_at_matching_cutoff(self):
         pairs = []
-        score_pairs = []
+        pair_probs = []
         for i in range(6):
             pairs.append(make_pair(f"s{i}", PREF_SYSTEM))
-            score_pairs.append((0.9, 0.5))
+            pair_probs.append((0.9, 0.5))
         for i in range(4):
             pairs.append(make_pair(f"l{i}", PREF_LEAD))
-            score_pairs.append((0.6, 0.5))
-        scorer = stub_for(pairs, score_pairs)
-        (row,) = sweep_cutoffs(pairs, scorer, [0.3])
+            pair_probs.append((0.6, 0.5))
+        scorer = stub_for(pairs, pair_probs)
+        (row,) = sweep_cutoffs(score_pairs(pairs, scorer), [0.3])
         assert row.n_system_chosen == 6
         assert row.chosen_pref_system == 6
         assert row.n_correct == 10
@@ -198,10 +200,10 @@ class TestSweepCutoffs:
             n = int(rng.integers(2, 9))
             pairs = [make_pair(f"p{i}", prefs[int(rng.integers(3))])
                      for i in range(n)]
-            score_pairs = [(float(rng.uniform()), float(rng.uniform()))
-                           for _ in range(n)]
-            rows = sweep_cutoffs(pairs, stub_for(pairs, score_pairs),
-                                 DEFAULT_CUTOFFS)
+            pair_probs = [(float(rng.uniform()), float(rng.uniform()))
+                          for _ in range(n)]
+            scores = score_pairs(pairs, stub_for(pairs, pair_probs))
+            rows = sweep_cutoffs(scores, DEFAULT_CUTOFFS)
             counts = [r.n_system_chosen for r in rows]
             assert counts == sorted(counts, reverse=True)
             for row in rows:
@@ -211,7 +213,7 @@ class TestSweepCutoffs:
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValidationError):
-            sweep_cutoffs([], StubScorer({}), [0.0])
+            sweep_cutoffs(score_pairs([], StubScorer({})), [0.0])
 
 
 class TestBaselineAlwaysDense:

@@ -21,10 +21,12 @@ from contentdense.corpus import (
     default_lexicon_path,
     json_field,
     lead_to_record,
+    line_spans,
     load_corpus,
     load_lexicon,
     parse_ptb_tree,
     save_corpus,
+    text_lines,
 )
 from contentdense.errors import (
     CorpusFormatError,
@@ -573,6 +575,56 @@ class TestLoadCorpus:
         rec = lead_to_record(make_lead(summary=(WordPosTuple("cat", "NN"),)))
         assert list(rec.keys()) == ["id", "domain", "lead_text", "sentences",
                                     "summary", "article_word_count"]
+
+
+@pytest.fixture(scope="module")
+def spans_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("spans")
+
+
+class TestLineSpans:
+    """line_spans cuts a file into byte ranges, each cut just after a
+    "\\n", and text_lines reads the ranges as the whole file's lines."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(st.tuples(st.text(st.sampled_from("ab é名\r\t")),
+                                    st.sampled_from(["\n", "\r\n", "\r"])),
+                          max_size=12),
+           last=st.text(st.sampled_from("ab名")),
+           n=st.integers(1, 5))
+    def test_ranges_cover_the_file_and_split_no_line(self, spans_dir, lines,
+                                                     last, n):
+        path = spans_dir / "lines.txt"
+        data = "".join(text + end for text, end in lines) + last
+        path.write_bytes(data.encode("utf-8"))
+        size = path.stat().st_size
+        spans = line_spans(path, n)
+        assert [b for _, b in spans[:-1]] == [a for a, _ in spans[1:]]
+        if size:
+            assert spans[0][0] == 0 and spans[-1][1] == size
+        else:
+            assert spans == []
+        assert all(a < b for a, b in spans)
+        assert 1 <= len(spans) <= n or not size
+        raw = path.read_bytes()
+        assert all(raw[a - 1:a] == b"\n" for a, _ in spans[1:])
+        # The first cut is the first line start at or after the first share.
+        starts = [k + 1 for k, byte in enumerate(raw[:-1]) if byte == 10
+                  and k + 1 >= max(size // n, 1)]
+        if n > 1 and starts:
+            assert spans[1][0] == starts[0]
+        else:
+            assert len(spans) <= 1
+        assert [line for span in spans for _, line in text_lines(path, span)
+                ] == [line for _, line in text_lines(path)]
+
+    def test_a_range_numbers_its_own_lines(self, spans_dir):
+        path = spans_dir / "bad.txt"
+        path.write_bytes(b"one\ntwo\n\xff\n")
+        with pytest.raises(CorpusFormatError, match="line 3: not UTF-8"):
+            list(text_lines(path))
+        with pytest.raises(CorpusFormatError, match="line 2: not UTF-8"):
+            list(text_lines(path, (4, 10)))
 
 
 class TestJsonField:

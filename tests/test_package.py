@@ -28,14 +28,44 @@ def run_python(code, *, first_on_path=None):
                           capture_output=True, text=True, env=env, timeout=60)
 
 
-def test_importing_the_cli_leaves_out_the_process_pool_modules():
+POOL_MODULES = ("sorted(m for m in sys.modules"
+                " if m.split('.')[0] in ('multiprocessing', 'concurrent'))")
+
+# label, predict and combine over two line ranges each, output discarded.
+RANGED_COMMANDS = """
+import contextlib, io
+from contentdense import combine, evaluation
+evaluation._usable_cpus = lambda: 2
+out = {out!r}
+leads = contentdense.synthetic.generate_corpus(40, 'standard', 1).leads
+contentdense.corpus.save_corpus(leads, out + '/corpus.jsonl')
+combine.save_pairs([combine.SummaryPair(f'a{{k}}', leads[2 * k],
+                                        leads[2 * k + 1], 'tie')
+                    for k in range(20)], out + '/pairs.jsonl')
+argvs = [['label', '--corpus', out + '/corpus.jsonl', '--out', out],
+         ['train', '--corpus', out + '/corpus.jsonl', '--mode', 'mrc',
+          '--c-grid', '1', '--percentiles', '40,60', '--out', out],
+         ['predict', '--corpus', out + '/corpus.jsonl',
+          '--model', out + '/model.json', '--out', out],
+         ['combine', '--pairs', out + '/pairs.jsonl',
+          '--model', out + '/model.json', '--out', out]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [contentdense.cli.main(argv) for argv in argvs]
+assert codes == [0, 0, 0, 0], codes
+"""
+
+
+def test_importing_the_cli_leaves_out_the_process_pool_modules(tmp_path):
     """Only `evaluate`'s fold dispatch needs them, and it imports them
-    itself, so that every other command starts without their cost."""
+    itself, so that every other command starts without their cost.
+    `label`, `predict` and `combine` fork their range workers without
+    them."""
     proc = run_python(
-        "import sys, contentdense.cli; print(sorted(m for m in sys.modules"
-        " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+        "import sys, contentdense.cli; print(" + POOL_MODULES + ")\n"
+        + RANGED_COMMANDS.format(out=str(tmp_path))
+        + "print(" + POOL_MODULES + ")")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_importing_the_cli_imports_no_scipy_module():
