@@ -26,6 +26,7 @@ are 30 word-POS tuples with class-dependent overlap with the lead (about
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -34,6 +35,7 @@ import numpy as np
 from .corpus import (
     DOMAINS,
     AnnotatedLead,
+    Parse,
     Sentence,
     intern_pairs,
     intern_tags,
@@ -83,11 +85,34 @@ SPARSE_TEMPLATES = (
 )
 
 
-# Preterminal labels of each template, in slot order.
-_TEMPLATE_POS = {
-    template: intern_tags(re.findall(r"\((\S+) \{\}\)", template))
+# Each template's preterminal labels, in slot order, and its parse. A
+# template fixes its sentences' leaf count and rules, and its formatted text
+# is canonical, since no generated word holds whitespace or a parenthesis.
+_TEMPLATE_SHAPES = {
+    template: (intern_tags(re.findall(r"\((\S+) \{\}\)", template)),
+               parse_ptb_tree(template.format(*"abcdefgh")))
     for template in DENSE_TEMPLATES + SPARSE_TEMPLATES
 }
+
+# The bounds of a lead's draws after its channel states, in stream order,
+# keyed by (word, rate, shape state, true class): 16 fillers, 3 markers, 2
+# extra slots, 2 templates and the overlap count; then, keyed by the overlap
+# count, its slot picks and the summary noise. numpy draws an array of
+# bounds exactly as it draws one scalar per bound, so each run is one call.
+_LEAD_BOUNDS = {
+    (word, rate, shape, dense): (
+        np.array([0] * 23 + [low]),
+        np.array([len(_FILLERS)] * _SLOTS_PER_LEAD
+                 + [len(DENSE_MARKERS if word else SPARSE_MARKERS)] * 3
+                 + [len(LEXICON_WORDS if rate else _DECOYS)] * 2
+                 + [len(DENSE_TEMPLATES if shape else SPARSE_TEMPLATES)] * 2
+                 + [high]))
+    for word, rate, shape, dense in itertools.product((False, True), repeat=4)
+    for low, high in [_OVERLAP_DENSE if dense else _OVERLAP_SPARSE]
+}
+_SUMMARY_BOUNDS = [np.array([_SLOTS_PER_LEAD] * k
+                            + [len(_SUMMARY_NOISE)] * (_SUMMARY_LEN - k))
+                   for k in range(_SUMMARY_LEN + 1)]
 
 
 @dataclass(frozen=True)
@@ -99,10 +124,6 @@ class SyntheticCorpus:
     lexicon_words: tuple[str, ...]
     dense_markers: tuple[str, ...]
     sparse_markers: tuple[str, ...]
-
-
-def _channel_state(rng: np.random.Generator, dense: bool, p: float) -> bool:
-    return dense if rng.random() < p else not dense
 
 
 def generate_corpus(n: int, profile: str = PROFILE_STANDARD,
@@ -128,43 +149,37 @@ def generate_corpus(n: int, profile: str = PROFILE_STANDARD,
     true_labels = {}
     for i in range(n):
         dense = i % 2 == 0
-        word_state = _channel_state(rng, dense, p_signal)
-        rate_state = _channel_state(rng, dense, p_signal)
-        shape_state = _channel_state(rng, dense, p_signal)
+        word_state, rate_state, shape_state = (
+            dense if r < p_signal else not dense
+            for r in rng.random(3).tolist())
+        draws = rng.integers(
+            *_LEAD_BOUNDS[word_state, rate_state, shape_state, dense]).tolist()
 
-        # Each run of same-bound draws is one batched call; numpy's
-        # Generator gives the same values, in the same stream order, as
-        # one scalar call per slot.
-        slots = [_FILLERS[j] for j in
-                 rng.integers(len(_FILLERS), size=_SLOTS_PER_LEAD).tolist()]
+        slots = [_FILLERS[j] for j in draws[:_SLOTS_PER_LEAD]]
         marker_pool = DENSE_MARKERS if word_state else SPARSE_MARKERS
-        picks = rng.integers(len(marker_pool), size=len(_MARKER_SLOTS))
-        for slot, j in zip(_MARKER_SLOTS, picks.tolist()):
+        for slot, j in zip(_MARKER_SLOTS, draws[16:19]):
             slots[slot] = marker_pool[j]
         for slot, word in zip(_LEXICON_FIXED_SLOTS, LEXICON_WORDS):
             slots[slot] = word
         extra_pool = LEXICON_WORDS if rate_state else _DECOYS
-        picks = rng.integers(len(extra_pool), size=len(_LEXICON_EXTRA_SLOTS))
-        for slot, j in zip(_LEXICON_EXTRA_SLOTS, picks.tolist()):
+        for slot, j in zip(_LEXICON_EXTRA_SLOTS, draws[19:21]):
             slots[slot] = extra_pool[j]
 
         templates = DENSE_TEMPLATES if shape_state else SPARSE_TEMPLATES
         sentences = []
         pos_tags: list[str] = []
-        for half, t in enumerate(rng.integers(len(templates), size=2).tolist()):
+        for half, t in enumerate(draws[21:23]):
             template = templates[t]
             chunk = intern_words(slots[half * 8:(half + 1) * 8])
-            pos = _TEMPLATE_POS[template]
-            parse = parse_ptb_tree(template.format(*chunk))
+            pos, shape = _TEMPLATE_SHAPES[template]
+            parse = Parse(template.format(*chunk), shape.n_leaves, shape.rules)
             sentences.append(Sentence(tokens=chunk, pos=pos, parse=parse))
             pos_tags.extend(pos)
 
-        low, high = _OVERLAP_DENSE if dense else _OVERLAP_SPARSE
-        n_overlap = int(rng.integers(low, high))
-        picks = rng.integers(_SLOTS_PER_LEAD, size=n_overlap)
-        summary = [(slots[p], pos_tags[p]) for p in picks.tolist()]
-        noise = rng.integers(len(_SUMMARY_NOISE), size=_SUMMARY_LEN - n_overlap)
-        summary += [(_SUMMARY_NOISE[j], "NN") for j in noise.tolist()]
+        n_overlap = draws[23]
+        picks = rng.integers(_SUMMARY_BOUNDS[n_overlap]).tolist()
+        summary = [(slots[p], pos_tags[p]) for p in picks[:n_overlap]]
+        summary += [(_SUMMARY_NOISE[j], "NN") for j in picks[n_overlap:]]
         summary = [summary[j] for j in rng.permutation(len(summary)).tolist()]
 
         mean_count = 900.0 if dense else 750.0

@@ -13,7 +13,14 @@ from pathlib import Path
 
 import numpy as np
 
-from contentdense.corpus import AnnotatedLead, Sentence, load_corpus, save_corpus
+from contentdense import corpus, synthetic
+from contentdense.corpus import (
+    AnnotatedLead,
+    Sentence,
+    load_corpus,
+    parse_ptb_tree,
+    save_corpus,
+)
 from contentdense.evaluation import train_modes
 from contentdense.features import FeatureTable
 from contentdense.kernels import LOSS_LOGISTIC, pack_csr
@@ -97,7 +104,17 @@ def test_decision_fusion_reaches_the_train_platt_and_margin_sites():
     assert scored["kernels.margins"] == 4  # three first-layer models, one second
 
 
-def test_every_parse_reaches_the_parse_sites(tmp_path):
+def test_every_parse_reaches_the_parse_sites(tmp_path, monkeypatch):
+    # Count the parses that really run, under the tracer's wrappers: the
+    # generator reuses one parse per template, so only the load parses.
+    real_calls = []
+
+    def counted(bracketed):
+        real_calls.append(bracketed)
+        return parse_ptb_tree(bracketed)
+
+    for module in (corpus, synthetic):
+        monkeypatch.setattr(module, "parse_ptb_tree", counted)
     tracer = load_tracer()
     unparsed = AnnotatedLead(
         id="plain", domain="general", lead_text="Dogs ran.",
@@ -112,7 +129,8 @@ def test_every_parse_reaches_the_parse_sites(tmp_path):
         loaded = load_corpus(path)
     finally:
         run.uninstall()
-    parsed = [s for lead in generated + loaded for s in lead.sentences
-              if s.parse is not None]
-    assert len(parsed) == 80
-    assert run.metrics(wall_s=0.0)["corpus.parse_calls"] == len(parsed)
+    assert all(s.parse is not None
+               for lead in generated for s in lead.sentences)
+    assert len(real_calls) == sum(
+        s.parse is not None for lead in loaded for s in lead.sentences) == 40
+    assert run.metrics(wall_s=0.0)["corpus.parse_calls"] == len(real_calls)

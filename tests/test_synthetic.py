@@ -6,7 +6,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from contentdense.corpus import save_corpus
+from contentdense import synthetic
+from contentdense.corpus import parse_ptb_tree, save_corpus
 from contentdense.errors import ValidationError
 from contentdense.labeling import (
     CONTENT_DENSE,
@@ -18,8 +19,10 @@ from contentdense.labeling import (
 from contentdense.learn import MODE_FEATURE_FUSION, MODE_MRC, TrainConfig
 from contentdense.evaluation import cross_validate
 from contentdense.synthetic import (
+    DENSE_TEMPLATES,
     LEXICON_WORDS,
     PROFILES,
+    SPARSE_TEMPLATES,
     generate_corpus,
 )
 from test_features import select_mi
@@ -62,6 +65,16 @@ class TestGeneration:
                 assert s.parse is not None
                 assert s.parse.n_leaves == len(s.tokens)
 
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_each_parse_is_its_text_parsed(self, profile):
+        # The generator parses each template once and reuses its rules.
+        sentences = [s for lead in generate_corpus(60, profile, 4).leads
+                     for s in lead.sentences]
+        for s in sentences:
+            assert s.parse == parse_ptb_tree(s.parse.text)
+        n_templates = len(DENSE_TEMPLATES + SPARSE_TEMPLATES)
+        assert len({s.parse.rules for s in sentences}) == n_templates
+
     def test_every_lead_contains_the_full_lexicon(self, standard):
         for lead in standard.leads:
             for word in LEXICON_WORDS:
@@ -90,11 +103,21 @@ class TestGeneration:
         assert PROFILES == {"standard": 0.7, "separable": 1.0, "zero": 0.5}
 
 
-# The generator's batched draws, as (bound, size): 16 filler slots, 3
-# marker slots, 2 extra slots from either rate pool, 2 template picks, and
-# the summary noise (30 minus an overlap in [4, 9) or [22, 27)).
+# Runs of draws with one bound, as (bound, size): 16 filler slots, 3 marker
+# slots, 2 extra slots from either rate pool, 2 template picks, and the
+# summary noise (30 minus an overlap in [4, 9) or [22, 27)).
 BATCHED_DRAWS = [(60, 16), (40, 3), (2, 2), (5000, 2),
                  *((2000, m) for m in (*range(4, 9), *range(22, 27)))]
+
+# Every array of bounds the generator draws with, as (lows or None, highs):
+# each lead's run after its channel states, keyed by the states and class,
+# and its summary run, keyed by the overlap count.
+BOUND_ARRAYS = {
+    **{"lead-" + "".join(str(int(b)) for b in key): bounds
+       for key, bounds in synthetic._LEAD_BOUNDS.items()},
+    **{f"summary-{k}": (None, highs)
+       for k, highs in enumerate(synthetic._SUMMARY_BOUNDS)},
+}
 
 # SHA-256 of save_corpus output, fixed before the draws were batched.
 CORPUS_DIGESTS = {
@@ -107,10 +130,16 @@ CORPUS_DIGESTS = {
 }
 
 
+def _advance(rng, offset):
+    rng.random()
+    for _ in range(offset):  # start mid-way through a 64-bit word
+        rng.integers(60)
+
+
 class TestRandomStream:
-    """The generator relies on numpy drawing a batch exactly as it draws
-    the same number of scalars; a numpy release that breaks this must
-    fail here, not silently change every corpus."""
+    """The generator relies on numpy drawing a batch, or an array of
+    bounds, exactly as it draws the same number of scalars; a numpy release
+    that breaks this must fail here, not silently change every corpus."""
 
     @pytest.mark.parametrize("bound, size", BATCHED_DRAWS)
     @pytest.mark.parametrize("offset", [0, 1])
@@ -118,11 +147,34 @@ class TestRandomStream:
         batched = np.random.default_rng(7)
         scalar = np.random.default_rng(7)
         for rng in (batched, scalar):
-            rng.random()
-            for _ in range(offset):  # start mid-way through a 64-bit word
-                rng.integers(60)
+            _advance(rng, offset)
         assert (batched.integers(bound, size=size).tolist()
                 == [int(scalar.integers(bound)) for _ in range(size)])
+        assert batched.random() == scalar.random()
+
+    @pytest.mark.parametrize("name", sorted(BOUND_ARRAYS))
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_an_array_of_bounds_equals_scalar_draws(self, name, offset):
+        lows, highs = BOUND_ARRAYS[name]
+        args = (highs,) if lows is None else (lows, highs)
+        scalar_lows = [0] * len(highs) if lows is None else lows.tolist()
+        batched = np.random.default_rng(7)
+        scalar = np.random.default_rng(7)
+        for rng in (batched, scalar):
+            _advance(rng, offset)
+        assert (batched.integers(*args).tolist()
+                == [int(scalar.integers(lo, hi))
+                    for lo, hi in zip(scalar_lows, highs.tolist())])
+        assert batched.random() == scalar.random()
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_a_batch_of_floats_equals_scalar_draws(self, offset):
+        batched = np.random.default_rng(7)
+        scalar = np.random.default_rng(7)
+        for rng in (batched, scalar):
+            _advance(rng, offset)
+        assert (batched.random(3).tolist()
+                == [scalar.random() for _ in range(3)])
         assert batched.random() == scalar.random()
 
     @pytest.mark.parametrize("args", sorted(CORPUS_DIGESTS))
