@@ -7,10 +7,10 @@ model), ``evaluate`` (cross-validation report files), and ``combine``
 (summary-combination cutoff sweep).
 
 ``label``, ``predict`` and ``combine`` decode and score their input file
-in line ranges, one per usable CPU, each other than the first in a forked
-child (``evaluation.map_line_ranges``); they fall back to one pass over
-the whole file, which raises any error, when a range fails or a lead id
-repeats across ranges. ``evaluate`` trains its folds in forked workers.
+in line ranges, one per usable CPU, each in a forked child
+(``evaluation.map_line_ranges``); they fall back to one pass over the
+whole file, which raises any error, when a range fails or a lead id
+repeats across ranges. ``evaluate`` trains each fold in a forked child.
 
 All randomness flows from ``--seed``; re-running any subcommand with the
 same inputs and seed writes byte-identical files, whatever the CPU count.

@@ -7,13 +7,11 @@ selection and the fusion second layer), one fold is held out for testing.
 The test fold for iteration t is the same regardless of which classifier
 modes are evaluated, so accuracies are comparable across modes.
 
-``cross_validate`` and ``learning_curve`` train their folds in forked
-worker processes, one per usable CPU (never more than there are folds),
-when the platform can fork; otherwise, or with one CPU, they run the folds
-in the calling process. Each fold depends only on the leads, the labels
-and the fold plan, so the results do not depend on the worker count.
-``map_line_ranges`` runs a function over byte ranges of a file the same
-way, one range per usable CPU.
+``cross_validate`` and ``learning_curve`` train each fold, and
+``map_line_ranges`` runs each byte range of a file, in a forked child
+(``fork_map``), one per usable CPU; the calling process only gathers the
+results. With one CPU, or where the platform cannot fork, the folds run in
+the calling process. No result depends on the number of children.
 """
 
 from __future__ import annotations
@@ -201,7 +199,7 @@ def _plan_folds(modes: str | Sequence[str], leads: Sequence[AnnotatedLead],
     table), after checking the modes, the labels, every fold index and
     that ``table`` (a new one over ``leads`` when None) holds every lead,
     so that a bad argument fails before anything trains. The table has
-    counted what the modes need, for forked fold workers to inherit. When
+    counted what the modes need, for forked fold children to inherit. When
     a mode needs the MRC space, the returned lexicon is that space, built
     once for every fold."""
     mode_list = [modes] if isinstance(modes, str) else list(modes)
@@ -247,98 +245,62 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-_fold_work: Callable[[int], object] | None = None  # set in pool workers
-
-
-def _adopt_fold_work(work: Callable[[int], object]) -> None:
-    global _fold_work
-    _fold_work = work
-
-
-def _run_fold_in_worker(t: int):
-    return _fold_work(t)
-
-
 def _map_folds(work: Callable[[int], object],
                fold_iter: Sequence[int]) -> list:
-    """``work(t)`` for every fold t of ``fold_iter``, in that order.
-
-    With two or more usable CPUs and folds, and where processes can fork,
-    the folds run in a pool of forked workers, one per CPU but no more
-    than the folds. The workers inherit ``work`` (and everything it
-    refers to) through the fork, so only fold indices go to them and only
-    the plain data ``work`` returns comes back. Otherwise the folds run
-    here. A ContentDenseError re-raises as its own type with the fold
-    index in its message; of several failing folds the lowest is
-    reported. The pool is shut down and its workers joined on every way
-    out.
-    """
-    n_workers = min(_usable_cpus(), len(fold_iter))
-    pool = _fork_pool(work, n_workers) if n_workers > 1 else None
-    try:
-        if pool is None:
-            outcomes = [lambda t=t: work(t) for t in fold_iter]
-        else:
-            outcomes = [pool.submit(_run_fold_in_worker, t).result
-                        for t in fold_iter]
-        results = []
-        for t, outcome in zip(fold_iter, outcomes):
-            try:
-                results.append(outcome())
-            except ContentDenseError as e:
-                raise prefixed(e, f"fold {t}")
+    """``work(t)`` for every fold t of ``fold_iter``, in that order, each
+    in a forked child (``fork_map``). Where that runs nothing or a fold
+    fails, the folds run here, in order: a ContentDenseError re-raises as
+    its own type with the fold index in its message, the lowest first."""
+    results = fork_map(work, fold_iter)
+    if results is not None:
         return results
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-
-
-def _fork_pool(work: Callable[[int], object], n_workers: int):
-    """A process pool of ``n_workers`` forked workers that run ``work``,
-    or None where processes cannot fork. Forked, not spawned: a spawned
-    worker would import the package again and be sent the leads and the
-    table. The imports stay here so that importing the package does not
-    pay for them."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    return ProcessPoolExecutor(n_workers,
-                               mp_context=multiprocessing.get_context("fork"),
-                               initializer=_adopt_fold_work,
-                               initargs=(work,))
+    results = []
+    for t in fold_iter:
+        try:
+            results.append(work(t))
+        except ContentDenseError as e:
+            raise prefixed(e, f"fold {t}")
+    return results
 
 
 def map_line_ranges(path, work: Callable[[tuple[int, int]], object],
                     ) -> list | None:
     """``work(span)`` for each byte range ``corpus.line_spans`` cuts the
-    file at ``path`` into, one range per usable CPU, in file order.
+    file at ``path`` into, one range per usable CPU, in file order, each
+    range in a forked child (``fork_map``). None, having run no range,
+    when the file cannot be cut or gives fewer than two ranges, and
+    wherever ``fork_map`` gives None."""
+    try:
+        spans = line_spans(path, _usable_cpus())
+    except Exception:
+        return None
+    return fork_map(work, spans)
 
-    The first range runs here. Each other range runs in a forked child,
-    which reads the file itself, writes nothing to stdout or stderr, sends
-    back the pickled value of ``work`` through a pipe and leaves through
-    ``os._exit``; a child reports a failure by its exit status alone,
-    never by a pickled exception. Returns None, having run no range, with
-    one usable CPU, where processes cannot fork, or when the file gives
-    fewer than two ranges; returns None too when a child could not be
-    started or any range raised an Exception. Every child is reaped on
-    every way out; when a range fails or this process is interrupted, the
-    children left are killed first.
+
+def fork_map(work: Callable[[object], object], items: Sequence,
+             ) -> list | None:
+    """``[work(item) for item in items]``, each item run in a forked
+    child; this process only gathers the results.
+
+    n = min(usable CPUs, items) children fork, and child i runs the share
+    ``items[i::n]``, so no result depends on n. A child inherits ``work``
+    through the fork, writes nothing to stdout or stderr, sends its
+    results pickled through a pipe, leaves through ``os._exit`` and
+    reports a failure by its exit status alone. Returns None, having run
+    nothing, when n < 2 or processes cannot fork, and when a child could
+    not start, exited nonzero or sent a short result. Every child is
+    reaped on every way out, and killed first on a failure or interrupt.
     """
     import pickle
     import signal
 
-    n_ranges = _usable_cpus()
-    if n_ranges < 2 or not hasattr(os, "fork"):
+    n = min(_usable_cpus(), len(items))
+    if n < 2 or not hasattr(os, "fork"):
         return None
     pids: list[int] = []
     pipes: list[int] = []  # read ends, one per child
     try:
-        spans = line_spans(path, n_ranges)
-        if len(spans) < 2:
-            return None
-        for span in spans[1:]:
+        for i in range(n):
             r, w = os.pipe()
             pipes.append(r)
             # SIGINT waits until the child's pid is recorded here; the
@@ -347,20 +309,21 @@ def map_line_ranges(path, work: Callable[[tuple[int, int]], object],
             try:
                 pid = os.fork()
                 if not pid:
-                    _send_from_child(work, span, w)
+                    _send_from_child(work, items[i::n], w)
                 pids.append(pid)
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                 os.close(w)
-        results = [work(spans[0])]
-        for r in pipes:
+        results = [None] * len(items)
+        for i, r in enumerate(pipes):
             with open(r, "rb", closefd=False) as fh:
                 data = fh.read()
             status = os.waitpid(pids[0], 0)[1]
             del pids[0]  # reaped
             if os.waitstatus_to_exitcode(status) != 0:
                 return None
-            results.append(pickle.loads(data))
+            # a share of the wrong length raises ValueError here
+            results[i::n] = pickle.loads(data)
         return results
     except Exception:
         return None
@@ -372,11 +335,12 @@ def map_line_ranges(path, work: Callable[[tuple[int, int]], object],
             os.close(r)
 
 
-def _send_from_child(work: Callable[[tuple[int, int]], object],
-                     span: tuple[int, int], fd: int):
-    """In a forked child: write ``work(span)`` pickled to ``fd``, then
-    leave through ``os._exit``, with status 0 only when all of it was
-    written. No exit handler or buffered output of the parent's runs."""
+def _send_from_child(work: Callable[[object], object], share: Sequence,
+                     fd: int):
+    """In a forked child: write ``[work(item) for item in share]`` pickled
+    to ``fd``, then leave through ``os._exit``, with status 0 only when
+    all of it was written. No exit handler or buffered output of the
+    parent's runs."""
     import pickle
     import sys
 
@@ -384,7 +348,8 @@ def _send_from_child(work: Callable[[tuple[int, int]], object],
     try:
         sys.stdout = sys.stderr = None  # print and warnings write nothing
         with open(fd, "wb") as fh:
-            pickle.dump(work(span), fh, pickle.HIGHEST_PROTOCOL)
+            pickle.dump([work(item) for item in share], fh,
+                        pickle.HIGHEST_PROTOCOL)
         code = 0
     finally:
         os._exit(code)
@@ -407,8 +372,8 @@ def cross_validate(leads: Sequence[AnnotatedLead],
     trained from the first-layer folds is identical across modes. Returns
     one CrossValidationResult for a single mode, or a dict keyed by mode.
     Counts come from ``table`` (one over ``leads`` when none is given),
-    which must hold every lead. Folds may train in forked worker
-    processes (see the module notes).
+    which must hold every lead. Each fold trains in a forked child (see
+    the module notes).
 
     Training failures carry the fold index in their message.
     """
@@ -483,8 +448,8 @@ def learning_curve(leads: Sequence[AnnotatedLead],
     ``cross_validate``. Sizes beyond the available pool are dropped; if
     none fit the curve has a single point at the full pool size. Counts
     come from ``table`` (one over ``leads`` when none is given), which
-    must hold every lead. Folds may train in forked worker processes (see
-    the module notes).
+    must hold every lead. Each fold trains in a forked child (see the
+    module notes).
     """
     config = config or TrainConfig()
     mode_list, plan, fold_iter, fold_rows, y, lexicon, table = _plan_folds(

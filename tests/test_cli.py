@@ -8,7 +8,6 @@ import gc
 import hashlib
 import io
 import json
-import multiprocessing
 import operator
 import os
 import pickle
@@ -531,10 +530,10 @@ def test_every_evaluate_fit_converges(pinned_corpus, monkeypatch):
 
 
 class TestFoldWorkers:
-    """`evaluate` trains its folds in forked workers, one per usable CPU;
-    forcing the CPU count to 1 runs them in the calling process. Outputs,
-    errors and exit codes are the same either way, and no worker process
-    outlives the command."""
+    """`evaluate` trains each fold in a forked child, one child per usable
+    CPU; forcing the CPU count to 1 runs them in the calling process.
+    Outputs, errors and exit codes are the same either way, and no child
+    process outlives the command."""
 
     def run(self, monkeypatch, cpus, argv, out):
         monkeypatch.setattr(evaluation, "_usable_cpus", lambda: cpus)
@@ -542,9 +541,12 @@ class TestFoldWorkers:
         with contextlib.redirect_stdout(stdout), \
                 contextlib.redirect_stderr(stderr):
             code = main([*argv, "--out", str(out)])
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        files = ({p.name: p.read_bytes() for p in out.iterdir()}
+                 if out.exists() else None)
         return (code, stdout.getvalue().replace(str(out), "OUT"),
-                stderr.getvalue())
+                stderr.getvalue(), files)
 
     def test_outputs_do_not_depend_on_the_worker_count(self, workspace,
                                                        tmp_path, monkeypatch):
@@ -556,17 +558,30 @@ class TestFoldWorkers:
                 for cpus in (1, 2)}
         assert runs[1] == runs[2]
         assert runs[1][0] == 0
-        names = sorted(p.name for p in (tmp_path / "1").iterdir())
-        assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
-        assert "accuracy_by_size.tsv" in names
-        for name in names:
-            assert ((tmp_path / "1" / name).read_bytes()
-                    == (tmp_path / "2" / name).read_bytes()), name
+        assert "accuracy_by_size.tsv" in runs[1][3]
+
+    def test_a_dead_fold_child_changes_nothing(self, workspace, tmp_path,
+                                               monkeypatch):
+        """Fold children that exit 1 without sending anything make
+        `evaluate` train the folds in its own process, with the files,
+        stdout, stderr and exit code of a one-CPU run."""
+        argv = ["evaluate", "--corpus", workspace["corpus"],
+                "--lexicon", workspace["lexicon"],
+                "--labels", workspace["labels"], "--mode", "mrc",
+                "--c-grid", "1", "--seed", "0", "--sizes", "40"]
+        runs = {1: self.run(monkeypatch, 1, argv, tmp_path / "1")}
+        monkeypatch.setattr(evaluation, "_send_from_child",
+                            lambda work, share, fd: os._exit(1))
+        runs[2] = self.run(monkeypatch, 2, argv, tmp_path / "2")
+        assert runs[1] == runs[2]
+        assert runs[1][0] == 0
+        assert "accuracy_by_size.tsv" in runs[1][3]
 
     def test_a_failing_fold_reports_the_lowest_index(self, workspace,
                                                      tmp_path, monkeypatch):
-        """Folds 3 and 6 fail, fold 3 only after a pause: with two workers
-        fold 6 fails first, and fold 3 is still the one reported."""
+        """Folds 3 and 6 fail, fold 3 only after a pause: with two
+        children fold 6 fails first, and fold 3 is still the one
+        reported."""
         leads = load_corpus(workspace["corpus"])
         plan = make_folds([lead.id for lead in leads], k=10, seed=0)
         # A fold's training leads start with the fold after it.
@@ -590,7 +605,7 @@ class TestFoldWorkers:
                 for cpus in (1, 2)}
         assert runs[1] == runs[2]
         assert runs[1] == (_exit_code(SingleClassError()), "",
-                           "error: fold 3: planted in fold 3\n")
+                           "error: fold 3: planted in fold 3\n", None)
 
 
 @pytest.fixture(scope="module")
@@ -722,9 +737,9 @@ class TestRangeWorkers:
         monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
         assert map_line_ranges(path, lambda span: span) == [(0, 4), (4, 8)]
 
-        def send_then_fail(work, span, fd):
+        def send_then_fail(work, share, fd):
             with open(fd, "wb") as fh:
-                pickle.dump(work(span), fh)
+                pickle.dump([work(span) for span in share], fh)
             os._exit(1)
         monkeypatch.setattr(evaluation, "_send_from_child", send_then_fail)
         assert map_line_ranges(path, lambda span: span) is None
@@ -733,17 +748,21 @@ class TestRangeWorkers:
 
     def test_an_interrupt_reaps_every_child(self, workspace, tmp_path,
                                             monkeypatch):
+        """An interrupt while this process waits for its first child kills
+        and reaps every child, and no output is written."""
         monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
-        load_corpus = cli.load_corpus
+        waitpid, waits = os.waitpid, []
 
-        def interrupted(path, span=None):
-            if span is not None and span[0] == 0:  # this process's range
+        def interrupted(pid, options):
+            waits.append(pid)
+            if len(waits) == 1:
                 raise KeyboardInterrupt
-            return load_corpus(path, span)
-        monkeypatch.setattr(cli, "load_corpus", interrupted)
+            return waitpid(pid, options)
+        monkeypatch.setattr(os, "waitpid", interrupted)
         with pytest.raises(KeyboardInterrupt):
             main(["label", "--corpus", workspace["corpus"],
                   "--out", str(tmp_path)])
+        assert len(waits) == 3  # the interrupted wait, then one per child
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert not (tmp_path / "scores.tsv").exists()

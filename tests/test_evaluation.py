@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import multiprocessing
 import os
 from collections import Counter
 
@@ -377,15 +376,17 @@ class TestSplitTrainDev:
 class TestMapFolds:
     """The fold dispatch of cross_validate and learning_curve."""
 
-    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_results_come_back_in_fold_order(self, monkeypatch, cpus):
+        """With two or more CPUs every fold runs in a forked child."""
         monkeypatch.setattr(evaluation, "_usable_cpus", lambda: cpus)
-        results = evaluation._map_folds(lambda t: (t, os.getpid()),
-                                        [0, 2, 5, 7])
-        assert [t for t, _ in results] == [0, 2, 5, 7]
-        forks = cpus > 1 and "fork" in multiprocessing.get_all_start_methods()
+        folds = [0, 1, 2, 4, 5, 7, 9]
+        results = evaluation._map_folds(lambda t: (t, os.getpid()), folds)
+        assert [t for t, _ in results] == folds
+        forks = cpus > 1 and hasattr(os, "fork")
         assert {pid == os.getpid() for _, pid in results} == {not forks}
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_other_errors_pass_through_and_workers_are_joined(
@@ -399,7 +400,8 @@ class TestMapFolds:
 
         with pytest.raises(KeyError, match="not a package error"):
             evaluation._map_folds(work, [0, 1, 2])
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestLearningCurve:

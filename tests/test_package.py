@@ -31,14 +31,18 @@ def run_python(code, *, first_on_path=None):
 POOL_MODULES = ("sorted(m for m in sys.modules"
                 " if m.split('.')[0] in ('multiprocessing', 'concurrent'))")
 
-# label, predict and combine over two line ranges each, output discarded.
-RANGED_COMMANDS = """
+# label, predict and combine over two line ranges each, and evaluate over
+# two fold children, output discarded.
+FORKING_COMMANDS = """
 import contextlib, io
 from contentdense import combine, evaluation
 evaluation._usable_cpus = lambda: 2
 out = {out!r}
-leads = contentdense.synthetic.generate_corpus(40, 'standard', 1).leads
+corpus = contentdense.synthetic.generate_corpus(40, 'standard', 1)
+leads = corpus.leads
 contentdense.corpus.save_corpus(leads, out + '/corpus.jsonl')
+with open(out + '/true.tsv', 'w') as fh:
+    fh.writelines(f'{{k}}\\t{{v}}\\n' for k, v in corpus.true_labels.items())
 combine.save_pairs([combine.SummaryPair(f'a{{k}}', leads[2 * k],
                                         leads[2 * k + 1], 'tie')
                     for k in range(20)], out + '/pairs.jsonl')
@@ -48,21 +52,23 @@ argvs = [['label', '--corpus', out + '/corpus.jsonl', '--out', out],
          ['predict', '--corpus', out + '/corpus.jsonl',
           '--model', out + '/model.json', '--out', out],
          ['combine', '--pairs', out + '/pairs.jsonl',
-          '--model', out + '/model.json', '--out', out]]
+          '--model', out + '/model.json', '--out', out],
+         ['evaluate', '--corpus', out + '/corpus.jsonl',
+          '--labels', out + '/true.tsv', '--mode', 'mrc', '--c-grid', '1',
+          '--sizes', '20', '--out', out + '/evaluate']]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [contentdense.cli.main(argv) for argv in argvs]
-assert codes == [0, 0, 0, 0], codes
+assert codes == [0, 0, 0, 0, 0], codes
 """
 
 
 def test_importing_the_cli_leaves_out_the_process_pool_modules(tmp_path):
-    """Only `evaluate`'s fold dispatch needs them, and it imports them
-    itself, so that every other command starts without their cost.
-    `label`, `predict` and `combine` fork their range workers without
-    them."""
+    """No command needs them: `label`, `predict` and `combine` fork their
+    range children, and `evaluate` its fold children, with ``os.fork``,
+    so every command starts and runs without their cost."""
     proc = run_python(
         "import sys, contentdense.cli; print(" + POOL_MODULES + ")\n"
-        + RANGED_COMMANDS.format(out=str(tmp_path))
+        + FORKING_COMMANDS.format(out=str(tmp_path))
         + "print(" + POOL_MODULES + ")")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[]"]
