@@ -57,6 +57,7 @@ from .kernels import (
 )
 from .labeling import CONTENT_DENSE, NON_CONTENT_DENSE
 from .optimize import (
+    _sigmoid,
     fit_platt_sigmoid,
     minimize_tron as minimize_lbfgs,  # named for perfbench's tracer until ROADMAP item 8
 )
@@ -127,13 +128,6 @@ def accuracy(z: np.ndarray, y: np.ndarray) -> float:
     if len(z) != len(y) or not len(y):
         raise ValidationError(f"{len(z)} margins for {len(y)} labels")
     return int(np.count_nonzero((z >= 0.0) == (y > 0))) / len(y)
-
-
-def _sigmoid(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
 
 
 @dataclass
@@ -218,7 +212,7 @@ def train_linear(X: CsrMatrix, y: np.ndarray, space_name: str, loss: str,
     until the trust region collapses at float resolution with the gradient
     reduced (optimize.minimize_tron). The bias is not regularized.
     Deterministic.
-    Every fit in the package goes through here.
+    Every fit in the package, the Platt fit too, goes through minimize_tron.
     """
     n, d = X.n_rows, X.n_cols
     if n != len(y):

@@ -19,10 +19,9 @@ on, the kernels add in different orders, and the last bits of every fit,
 and so the model files, would then depend on the machine. A Euclidean norm
 is ``math.sqrt(_dot(v, v))``.
 
-``fit_platt_sigmoid`` fits the two-parameter calibration p = sigmoid(a*m + b)
-mapping decision margins to probabilities, with the smoothed targets
-(N+ + 1)/(N+ + 2) and 1/(N- + 2) in place of hard 0/1 labels, by a damped
-Newton iteration on the cross-entropy objective.
+``fit_platt_sigmoid`` fits the calibration p = sigmoid(a*m + b) from decision
+margins to probabilities by ``minimize_tron``. ``_sigmoid``, the one logistic
+function, takes one ``math.exp`` per value (no SIMD loop).
 """
 
 from __future__ import annotations
@@ -161,20 +160,29 @@ def minimize_tron(fun: Callable[[np.ndarray],
     return MinimizeResult(x, f, g, iterations, bool(np.abs(g).max() <= tol))
 
 
+def _sigmoid(z: float) -> float:
+    if z >= 0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)
+
+
 def _softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
-def fit_platt_sigmoid(margins: np.ndarray, y: np.ndarray,
-                      max_iters: int = 100, tol: float = 1e-10,
-                      ) -> tuple[float, float]:
+def fit_platt_sigmoid(margins: np.ndarray,
+                      y: np.ndarray) -> tuple[float, float]:
     """Fit (a, b) of p = sigmoid(a*margin + b) to binary outcomes.
 
     ``y`` holds +1/-1 outcomes. Targets are smoothed: positives aim at
     (N+ + 1)/(N+ + 2), negatives at 1/(N- + 2), which keeps the fit finite
     even on separable margins. When all margins are (numerically) equal
     there is nothing to scale, so the slope is 0 and the intercept is the
-    log-odds of the mean target.
+    log-odds of the mean target. Otherwise ``minimize_tron`` fits (a, b)
+    from (0, log((N+ + 1)/(N- + 1))) on the margins standardized to mean 0
+    and variance 1, which keeps the 2x2 Hessian well conditioned also when
+    the margins lie close together far from 0.
     """
     m = np.asarray(margins, dtype=np.float64)
     yy = np.asarray(y, dtype=np.float64)
@@ -182,45 +190,27 @@ def fit_platt_sigmoid(margins: np.ndarray, y: np.ndarray,
         raise ValidationError("margins and outcomes must be equal-length 1-D")
     n_pos = int((yy > 0).sum())
     n_neg = len(yy) - n_pos
-    t_pos = (n_pos + 1.0) / (n_pos + 2.0)
-    t_neg = 1.0 / (n_neg + 2.0)
-    t = np.where(yy > 0, t_pos, t_neg)
+    t = np.where(yy > 0, (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (n_neg + 2.0))
 
     if float(m.max() - m.min()) < 1e-12:
         mean_t = float(t.mean())
         return 0.0, math.log(mean_t / (1.0 - mean_t))
 
-    def value(a: float, b: float) -> float:
-        u = a * m + b
-        return float((t * _softplus(-u) + (1.0 - t) * _softplus(u)).sum())
+    center, spread = float(m.mean()), float(m.std())
+    z = (m - center) / spread
 
-    a, b = 0.0, math.log((n_pos + 1.0) / (n_neg + 1.0))
-    f = value(a, b)
-    for _ in range(max_iters):
-        u = a * m + b
-        p = 1.0 / (1.0 + np.exp(-np.clip(u, -500, 500)))
+    def fun(x: np.ndarray):
+        a, b = x.tolist()
+        u = a * z + b
+        p = np.array([_sigmoid(v) for v in u.tolist()])
         r = p - t
-        grad_a = _dot(r, m)
-        grad_b = float(r.sum())
-        if max(abs(grad_a), abs(grad_b)) <= tol:
-            break
         h = p * (1.0 - p)
-        haa = _dot(h, m * m) + 1e-12
-        hab = _dot(h, m)
-        hbb = float(h.sum()) + 1e-12
-        det = haa * hbb - hab * hab
-        if det <= 0.0:
-            raise NumericError("singular Hessian in sigmoid calibration")
-        da = -(hbb * grad_a - hab * grad_b) / det
-        db = -(haa * grad_b - hab * grad_a) / det
-        step = 1.0
-        while step >= 1e-10:
-            a_new, b_new = a + step * da, b + step * db
-            f_new = value(a_new, b_new)
-            if f_new < f + 1e-12:
-                a, b, f = a_new, b_new, f_new
-                break
-            step *= 0.5
-        else:
-            break
-    return a, b
+        haa, hab, hbb = _dot(h, z * z), _dot(h, z), float(h.sum())
+        f = float((t * _softplus(-u) + (1.0 - t) * _softplus(u)).sum())
+        g = np.array([_dot(r, z), float(r.sum())])
+        return f, g, lambda v: np.array([haa * v[0] + hab * v[1],
+                                         hab * v[0] + hbb * v[1]])
+
+    x0 = np.array([0.0, math.log((n_pos + 1.0) / (n_neg + 1.0))])
+    a, b = minimize_tron(fun, x0).x.tolist()
+    return a / spread, b - a * center / spread

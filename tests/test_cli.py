@@ -413,7 +413,7 @@ MODEL_DIGESTS = {
     "feature-fusion":
         "1e21337f4bd8faa3f3543cc95fc6cc44879adbfcab9fb82b29ec476a9e32ca4e",
     "decision-fusion":
-        "30580ca0c38cd9f4e5e3dd9127b9c493ba967cea4ddcfe74c4c8ffc2a253e4cf",
+        "e9cbb92dccd4f4551b39ca0643bec71af364cb7c62bb1d49e1ef9c0f0a276928",
 }
 
 
