@@ -10,7 +10,8 @@ model), ``evaluate`` (cross-validation report files), and ``combine``
 in line ranges, one per usable CPU, each in a forked child
 (``evaluation.map_line_ranges``); they fall back to one pass over the
 whole file, which raises any error, when a range fails or a lead id
-repeats across ranges. ``evaluate`` trains each fold in a forked child.
+repeats across ranges. ``evaluate`` trains each fold's cross-validation,
+baseline and learning curve in one forked child; the parent trains none.
 
 All randomness flows from ``--seed``; re-running any subcommand with the
 same inputs and seed writes byte-identical files, whatever the CPU count.
@@ -24,7 +25,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from math import fsum, isfinite
+from math import isfinite
 from os import replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -34,7 +35,7 @@ import numpy as np
 from .combine import (
     DEFAULT_CUTOFFS,
     baseline_always_dense,
-    baseline_article_length,
+    baseline_article_length,  # unused here; kept for perfbench's tracer
     load_pairs,
     score_pairs,
     sweep_cutoffs,
@@ -61,10 +62,12 @@ from .errors import (
     ValidationError,
 )
 from .evaluation import (
-    cross_validate,
+    CrossValidationResult,
+    FoldRun,
+    _map_folds,
+    cross_validate,  # unused here; kept for perfbench's tracer
     curve_sizes,
-    learning_curve,
-    make_folds,
+    learning_curve,  # unused here; kept for perfbench's tracer
     map_line_ranges,
     split_train_dev,
     strata_from_predictions,
@@ -344,32 +347,23 @@ def cmd_predict(args) -> None:
           f"-> {out / 'predictions.tsv'}")
 
 
-def _length_baseline_by_folds(table: FeatureTable, y: np.ndarray,
-                              seed: int) -> tuple[float, float]:
-    """Mean and pooled article-length baseline accuracy over the 10-fold
-    protocol; make_folds deals the table's rows as it deals their ids."""
-    plan = make_folds(range(len(table.leads)), k=10, seed=seed)
-    accs, n_correct = [], 0
-    for t in range(plan.n_folds):
-        test_fold, train_folds, dev_folds = plan.roles(t)
-        test_rows = np.array(plan.folds[test_fold])
-        accs.append(baseline_article_length(
-            np.concatenate([plan.folds[f] for f in train_folds + dev_folds]),
-            test_rows, y, table))
-        n_correct += round(accs[-1] * len(test_rows))
-    return fsum(accs) / len(accs), n_correct / len(table.leads)
-
-
 def cmd_evaluate(args) -> None:
-    lexicon, n_leads, n_skipped, mapping, table, y = _labelled_table(
+    lexicon, n_leads, n_skipped, mapping, table, _ = _labelled_table(
         args, args.labels)
     labeled = table.leads
     modes = list(MODES) if args.mode == "all" else [_internal_mode(args.mode)]
     config = TrainConfig(c_grid=tuple(args.c_grid), seed=args.seed)
     sizes = None if args.sizes is None else curve_sizes(args.sizes)
 
-    results = cross_validate(labeled, mapping, modes, lexicon=lexicon,
-                             k=10, seed=args.seed, config=config, table=table)
+    run = FoldRun(modes, labeled, mapping, lexicon, 10, args.seed, None,
+                  table, config)
+    usable = [] if sizes is None else run.usable_sizes(sizes)
+    # Each fold's cross-validation, baseline and curve train in one child.
+    cv, length, curve = zip(*_map_folds(
+        lambda t: (run.cv(t), run.baseline(t), run.curve(t, usable)),
+        run.fold_iter))
+    results = run.cv_results(cv)
+    length = CrossValidationResult("baseline_article_length", [*length], [])
 
     fold_lines = ["mode\tfold\tn_test\tn_correct\taccuracy\n"]
     conf_lines = ["mode\tpercent\tn_used\tn_correct\taccuracy\n"]
@@ -392,19 +386,16 @@ def cmd_evaluate(args) -> None:
                            f"overall={result.overall_accuracy:.4f}")
 
     dense_fraction = baseline_always_dense(mapping[lead.id] for lead in labeled)
-    length_acc, length_pooled = _length_baseline_by_folds(table, y, args.seed)
     summary_lines.append(f"baseline_always_dense\t{dense_fraction:.6f}\t"
                          f"{dense_fraction:.6f}\n")
-    summary_lines.append(f"baseline_article_length\t{length_acc:.6f}\t"
-                         f"{length_pooled:.6f}\n")
+    summary_lines.append(f"baseline_article_length\t"
+                         f"{length.mean_accuracy:.6f}\t"
+                         f"{length.overall_accuracy:.6f}\n")
 
-    # Written once the curve has run: a failed run writes no file.
     reports = {"folds.tsv": "".join(fold_lines),
                "accuracy_by_confidence.tsv": "".join(conf_lines)}
     if sizes is not None:
-        curves = learning_curve(labeled, mapping, modes, lexicon, sizes,
-                                k=10, seed=args.seed, config=config,
-                                table=table)
+        curves = run.curves(usable, curve)
         size_lines = ["mode\tn_train\tmean_accuracy\n"] + [
             f"{mode}\t{point.n_train}\t{point.mean_accuracy:.6f}\n"
             for mode in modes for point in curves[mode]]
@@ -421,7 +412,7 @@ def cmd_evaluate(args) -> None:
     for row in stdout_rows:
         print(row)
     print(f"baseline always-dense {dense_fraction:.4f}, "
-          f"article-length {length_acc:.4f} -> {out}")
+          f"article-length {length.mean_accuracy:.4f} -> {out}")
 
 
 def cmd_combine(args) -> None:

@@ -7,11 +7,12 @@ selection and the fusion second layer), one fold is held out for testing.
 The test fold for iteration t is the same regardless of which classifier
 modes are evaluated, so accuracies are comparable across modes.
 
-``cross_validate`` and ``learning_curve`` train each fold, and
-``map_line_ranges`` runs each byte range of a file, in a forked child
-(``fork_map``), one per usable CPU; the calling process only gathers the
-results. With one CPU, or where the platform cannot fork, the folds run in
-the calling process. No result depends on the number of children.
+A ``FoldRun`` plans the folds once. Each of its folds (in the CLI's
+``evaluate``, its cross-validation, baseline and curve together), and
+each byte range of a file (``map_line_ranges``), runs in a forked child
+(``fork_map``), one per usable CPU; the calling process trains nothing and
+only gathers the results. With one CPU, or where the platform cannot fork,
+the folds run here, and no result depends on the number of children.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .combine import baseline_article_length
 from .corpus import AnnotatedLead, line_spans
 from .errors import ContentDenseError, NumericError, ValidationError, prefixed
 from .features import (
@@ -62,17 +64,13 @@ class FoldPlan:
 
     folds: tuple[tuple[str, ...], ...]
 
-    @property
-    def n_folds(self) -> int:
-        return len(self.folds)
-
     def roles(self, t: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         """(test fold, first-layer training folds, second-layer folds).
 
         The k-1 non-test folds split into floor(k/2) first-layer folds and
         the rest for the second layer; at k=10 that is the 5/4/1 split.
         """
-        k = self.n_folds
+        k = len(self.folds)
         if not 0 <= t < k:
             raise ValidationError(f"fold index {t} outside 0..{k - 1}")
         n_first = k // 2
@@ -190,51 +188,132 @@ def train_modes(modes: Sequence[str],
     return classifiers
 
 
-def _plan_folds(modes: str | Sequence[str], leads: Sequence[AnnotatedLead],
-                labels: Mapping[str, str], lexicon: Iterable[str] | None,
-                k: int, seed: int, fold_subset: Sequence[int] | None,
-                table: FeatureTable | None):
-    """(mode list, fold plan, folds to run in increasing order, each
-    fold's rows in ``table``, ``label_vector(table, labels)``, lexicon,
-    table), after checking the modes, the labels, every fold index and
-    that ``table`` (a new one over ``leads`` when None) holds every lead,
-    so that a bad argument fails before anything trains. The table has
-    counted what the modes need, for forked fold children to inherit. When
-    a mode needs the MRC space, the returned lexicon is that space, built
-    once for every fold."""
-    mode_list = [modes] if isinstance(modes, str) else list(modes)
-    for mode in mode_list:
-        if mode not in MODES:
-            raise ValidationError(f"unknown mode {mode!r}")
-    if len(set(mode_list)) != len(mode_list):
-        raise ValidationError("duplicate modes requested")
-    missing = [l.id for l in leads if l.id not in labels]
-    if missing:
-        raise ValidationError(f"{len(missing)} lead(s) have no label, "
-                              f"e.g. {missing[0]!r}")
-    plan = make_folds([l.id for l in leads], k=k, seed=seed)
-    fold_iter = list(range(k) if fold_subset is None
-                     else sorted(set(fold_subset)))
-    if not fold_iter:
-        raise ValidationError("fold_subset names no fold")
-    for t in fold_iter:
-        plan.roles(t)
-    if table is None:
-        table = FeatureTable(leads)
-    rows = table.rows(leads)  # raises for a lead the table lacks
-    # make_folds deals positions 0..n-1 as it deals the ids at them
-    fold_rows = [rows[list(fold)]
-                 for fold in make_folds(range(len(leads)), k, seed).folds]
-    y = label_vector(table, labels)
-    spaces = {s for m in mode_list for s in MODE_SPACES[m]}
-    if spaces - {SPACE_PR}:
-        table.words
-    if SPACE_PR in spaces:
-        table.rules
-    if (lexicon is not None and not isinstance(lexicon, FeatureSpace)
-            and SPACE_MRC in spaces):
-        lexicon = mrc_space(lexicon)
-    return mode_list, plan, fold_iter, fold_rows, y, lexicon, table
+class FoldRun:
+    """One fold plan: ``cv(t)``, ``baseline(t)`` and ``curve(t, sizes)``
+    train and score fold t alone; ``cv_results`` and ``curves`` gather
+    their results over ``fold_iter``. Building one checks the modes, the
+    labels, the fold indices and that ``table`` (new over ``leads`` when
+    None) holds every lead, then counts what the modes need in it for
+    forked children to inherit; ``lexicon`` becomes the MRC space if used."""
+
+    def __init__(self, modes: str | Sequence[str], leads, labels, lexicon,
+                 k: int, seed: int, fold_subset, table, config: TrainConfig,
+                 top_k: int = 500):
+        self.modes = [modes] if isinstance(modes, str) else list(modes)
+        for mode in self.modes:
+            if mode not in MODES:
+                raise ValidationError(f"unknown mode {mode!r}")
+        if len(set(self.modes)) != len(self.modes):
+            raise ValidationError("duplicate modes requested")
+        missing = [l.id for l in leads if l.id not in labels]
+        if missing:
+            raise ValidationError(f"{len(missing)} lead(s) have no label, "
+                                  f"e.g. {missing[0]!r}")
+        self.plan = make_folds([l.id for l in leads], k=k, seed=seed)
+        self.fold_iter = list(range(k) if fold_subset is None
+                              else sorted(set(fold_subset)))
+        if not self.fold_iter:
+            raise ValidationError("fold_subset names no fold")
+        for t in self.fold_iter:
+            self.plan.roles(t)
+        table = FeatureTable(leads) if table is None else table
+        rows = table.rows(leads)  # raises for a lead the table lacks
+        # make_folds deals positions 0..n-1 as it deals the ids at them
+        self.fold_rows = [rows[list(fold)] for fold in
+                          make_folds(range(len(leads)), k, seed).folds]
+        self.y = label_vector(table, labels)
+        spaces = {s for m in self.modes for s in MODE_SPACES[m]}
+        if spaces - {SPACE_PR}:
+            table.words
+        if SPACE_PR in spaces:
+            table.rules
+        if (lexicon is not None and not isinstance(lexicon, FeatureSpace)
+                and SPACE_MRC in spaces):
+            lexicon = mrc_space(lexicon)
+        self.labels, self.lexicon, self.table = labels, lexicon, table
+        self.seed, self.config, self.top_k = seed, config, top_k
+
+    def _rows(self, folds: Iterable[int]) -> np.ndarray:
+        return np.concatenate([self.fold_rows[f] for f in folds])
+
+    def cv(self, t: int) -> dict[str, tuple[list[float], list[float]]]:
+        """Each mode's margins and probabilities on test fold t."""
+        _, first, second = self.plan.roles(t)
+        classifiers = train_modes(self.modes, self._rows(first),
+                                  self._rows(second), self.y, self.lexicon,
+                                  self.table, self.config, self.top_k)
+        scores = {}
+        for mode, clf in classifiers.items():
+            z = clf.model.score(clf.bundle, self.fold_rows[t])
+            scores[mode] = (z.tolist(), clf.proba_from_margins(z).tolist())
+        return scores
+
+    def baseline(self, t: int) -> FoldAccuracy:
+        """The article-length baseline on test fold t, trained on the
+        first-layer folds and then the second-layer folds."""
+        _, first, second = self.plan.roles(t)
+        test_rows = self.fold_rows[t]
+        acc = baseline_article_length(self._rows(first + second), test_rows,
+                                      self.y, self.table)
+        return FoldAccuracy(fold=t, n_test=len(test_rows),
+                            n_correct=round(acc * len(test_rows)))
+
+    def usable_sizes(self, sizes: Iterable[int]) -> list[int]:
+        """``curve_sizes(sizes)`` that every fold's pool of non-test leads
+        holds, or the smallest pool's size alone when none fits."""
+        n = sum(map(len, self.fold_rows))
+        pool_min = min(n - len(self.fold_rows[t]) for t in self.fold_iter)
+        return [s for s in curve_sizes(sizes) if s <= pool_min] or [pool_min]
+
+    def curve(self, t: int, sizes: Sequence[int]) -> dict[str, list[float]]:
+        """Each mode's test-fold accuracy at each of ``sizes``, fold t."""
+        pool = np.random.default_rng([self.seed, t]).permutation(
+            self._rows(f for f in range(len(self.fold_rows)) if f != t))
+        by_split: dict[bool, list[str]] = {}  # needs development data -> modes
+        for mode in self.modes:
+            by_split.setdefault(mode == MODE_DECISION_FUSION
+                                or len(self.config.sorted_c_grid) > 1,
+                                []).append(mode)
+        test_rows = self.fold_rows[t]
+        accs: dict[str, list[float]] = {m: [] for m in self.modes}
+        for size in sizes:
+            prefix = pool[:size]
+            for needs_dev, group in by_split.items():
+                train_rows, dev_rows = (split_train_dev(prefix) if needs_dev
+                                        else (prefix, prefix[:0]))
+                classifiers = train_modes(group, train_rows, dev_rows, self.y,
+                                          self.lexicon, self.table,
+                                          self.config, self.top_k)
+                for mode, clf in classifiers.items():
+                    accs[mode].append(accuracy(
+                        clf.model.score(clf.bundle, test_rows),
+                        self.y[test_rows]))
+        return accs
+
+    def cv_results(self, per_fold) -> dict[str, CrossValidationResult]:
+        """A CrossValidationResult per mode from ``cv``'s results."""
+        results = {m: CrossValidationResult(m, [], []) for m in self.modes}
+        for t, scores in zip(self.fold_iter, per_fold):
+            for mode, (margins, probas) in scores.items():
+                correct = 0
+                for lead_id, m, p in zip(self.plan.folds[t], margins, probas):
+                    predicted = margin_label(m)
+                    correct += predicted == self.labels[lead_id]
+                    results[mode].predictions.append(Prediction(
+                        lead_id=lead_id, fold=t, proba=p,
+                        predicted=predicted, actual=self.labels[lead_id]))
+                results[mode].folds.append(FoldAccuracy(
+                    fold=t, n_test=len(self.plan.folds[t]), n_correct=correct))
+        return results
+
+    def curves(self, sizes, per_fold) -> dict[str, list[LearningCurvePoint]]:
+        """Each mode's learning curve from ``curve``'s results at
+        ``sizes``, averaged over the folds."""
+        return {m: [LearningCurvePoint(n_train=s,
+                                       mean_accuracy=math.fsum(a) / len(a),
+                                       fold_accuracies=a)
+                    for s, a in zip(sizes, zip(*(f[m] for f in per_fold)))]
+                for m in self.modes}
 
 
 def _usable_cpus() -> int:
@@ -377,35 +456,9 @@ def cross_validate(leads: Sequence[AnnotatedLead],
 
     Training failures carry the fold index in their message.
     """
-    config = config or TrainConfig()
-    mode_list, plan, fold_iter, fold_rows, y, lexicon, table = _plan_folds(
-        modes, leads, labels, lexicon, k, seed, fold_subset, table)
-
-    def test_scores(t: int) -> dict[str, tuple[list[float], list[float]]]:
-        """Each mode's margins and probabilities on test fold t."""
-        _, first, second = plan.roles(t)
-        train_rows = np.concatenate([fold_rows[f] for f in first])
-        dev_rows = np.concatenate([fold_rows[f] for f in second])
-        classifiers = train_modes(mode_list, train_rows, dev_rows, y,
-                                  lexicon, table, config, top_k)
-        scores = {}
-        for mode, clf in classifiers.items():
-            z = clf.model.score(clf.bundle, fold_rows[t])
-            scores[mode] = (z.tolist(), clf.proba_from_margins(z).tolist())
-        return scores
-
-    results = {m: CrossValidationResult(m, [], []) for m in mode_list}
-    for t, scores in zip(fold_iter, _map_folds(test_scores, fold_iter)):
-        for mode, (margins, probas) in scores.items():
-            correct = 0
-            for lead_id, m, p in zip(plan.folds[t], margins, probas):
-                predicted = margin_label(m)
-                correct += predicted == labels[lead_id]
-                results[mode].predictions.append(Prediction(
-                    lead_id=lead_id, fold=t, proba=p,
-                    predicted=predicted, actual=labels[lead_id]))
-            results[mode].folds.append(FoldAccuracy(
-                fold=t, n_test=len(plan.folds[t]), n_correct=correct))
+    run = FoldRun(modes, leads, labels, lexicon, k, seed, fold_subset, table,
+                  config or TrainConfig(), top_k)
+    results = run.cv_results(_map_folds(run.cv, run.fold_iter))
     return results[modes] if isinstance(modes, str) else results
 
 
@@ -451,40 +504,11 @@ def learning_curve(leads: Sequence[AnnotatedLead],
     must hold every lead. Each fold trains in a forked child (see the
     module notes).
     """
-    config = config or TrainConfig()
-    mode_list, plan, fold_iter, fold_rows, y, lexicon, table = _plan_folds(
-        modes, leads, labels, lexicon, k, seed, fold_subset, table)
-    pool_min = min(len(leads) - len(plan.folds[t]) for t in fold_iter)
-    usable = [s for s in curve_sizes(sizes) if s <= pool_min] or [pool_min]
-    by_split: dict[bool, list[str]] = {}  # needs development data -> modes
-    for mode in mode_list:
-        by_split.setdefault(mode == MODE_DECISION_FUSION
-                            or len(config.sorted_c_grid) > 1, []).append(mode)
-
-    def size_accuracies(t: int) -> dict[str, list[float]]:
-        """Each mode's test-fold accuracy at each usable size, fold t."""
-        pool = np.concatenate([fold_rows[f] for f in range(k) if f != t])
-        pool = pool[np.random.default_rng([seed, t]).permutation(len(pool))]
-        test_rows = fold_rows[t]
-        accs: dict[str, list[float]] = {m: [] for m in mode_list}
-        for size in usable:
-            prefix = pool[:size]
-            for needs_dev, group in by_split.items():
-                train_rows, dev_rows = (split_train_dev(prefix) if needs_dev
-                                        else (prefix, prefix[:0]))
-                classifiers = train_modes(group, train_rows, dev_rows, y,
-                                          lexicon, table, config, top_k)
-                for mode, clf in classifiers.items():
-                    accs[mode].append(accuracy(
-                        clf.model.score(clf.bundle, test_rows), y[test_rows]))
-        return accs
-
-    per_fold = _map_folds(size_accuracies, fold_iter)
-    curves = {m: [LearningCurvePoint(n_train=s,
-                                     mean_accuracy=math.fsum(a) / len(a),
-                                     fold_accuracies=a)
-                  for s, a in zip(usable, zip(*(f[m] for f in per_fold)))]
-              for m in mode_list}
+    run = FoldRun(modes, leads, labels, lexicon, k, seed, fold_subset, table,
+                  config or TrainConfig(), top_k)
+    usable = run.usable_sizes(sizes)
+    curves = run.curves(usable, _map_folds(lambda t: run.curve(t, usable),
+                                           run.fold_iter))
     return curves[modes] if isinstance(modes, str) else curves
 
 

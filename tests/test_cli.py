@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contentdense import cli, evaluation, learn
+from contentdense import cli, combine, evaluation, learn
 from contentdense.cli import _EXIT_CODES, _exit_code, main
 from contentdense.combine import (
     PREF_LEAD,
@@ -386,7 +386,7 @@ class TestEvaluate:
 
     def test_size_below_two_fails_before_training(self, workspace, tmp_path,
                                                   monkeypatch, capsys):
-        monkeypatch.setattr(cli, "cross_validate", None)  # never reached
+        monkeypatch.setattr(evaluation, "train_modes", None)  # never reached
         out = tmp_path / "out"
         code = main(["evaluate", "--corpus", workspace["corpus"],
                      "--lexicon", workspace["lexicon"],
@@ -606,6 +606,65 @@ class TestFoldWorkers:
         assert runs[1] == runs[2]
         assert runs[1] == (_exit_code(SingleClassError()), "",
                            "error: fold 3: planted in fold 3\n", None)
+
+    def test_a_curve_failure_below_a_cv_failure_is_reported(self, workspace,
+                                                            tmp_path,
+                                                            monkeypatch):
+        """Each fold trains its cross-validation, baseline and curve in
+        turn, so the curve of fold 2 fails before the cross-validation of
+        fold 5, whichever process trains them."""
+        def failing(method, planted, what):
+            def run(self, t, *args):
+                if t == planted:
+                    raise SingleClassError(f"planted in the {what} of fold {t}")
+                return method(self, t, *args)
+            return run
+
+        run_type = evaluation.FoldRun
+        monkeypatch.setattr(run_type, "cv", failing(run_type.cv, 5, "cv"))
+        monkeypatch.setattr(run_type, "curve",
+                            failing(run_type.curve, 2, "curve"))
+        argv = ["evaluate", "--corpus", workspace["corpus"],
+                "--lexicon", workspace["lexicon"],
+                "--labels", workspace["labels"], "--mode", "mrc",
+                "--c-grid", "1", "--seed", "0", "--sizes", "40"]
+        runs = {cpus: self.run(monkeypatch, cpus, argv, tmp_path / str(cpus))
+                for cpus in (1, 2)}
+        assert runs[1] == runs[2]
+        assert runs[1] == (_exit_code(SingleClassError()), "",
+                           "error: fold 2: planted in the curve of fold 2\n",
+                           None)
+
+    def test_one_set_of_children_and_no_fit_here(self, workspace, tmp_path,
+                                                 monkeypatch):
+        """`evaluate --sizes` maps its folds once: with two CPUs one set of
+        children fits every model, the article-length baseline's and the
+        curve's included, and this process fits none; with one CPU this
+        process fits them all."""
+        maps, fit_pids = [], []
+        fork_map = evaluation.fork_map
+
+        def spy(work, items):
+            maps.append(list(items))
+            return fork_map(work, items)
+
+        monkeypatch.setattr(evaluation, "fork_map", spy)
+        for module in (learn, combine):
+            def fit(*args, train_linear=module.train_linear, **kwargs):
+                fit_pids.append(os.getpid())
+                return train_linear(*args, **kwargs)
+            monkeypatch.setattr(module, "train_linear", fit)
+        argv = ["evaluate", "--corpus", workspace["corpus"],
+                "--lexicon", workspace["lexicon"],
+                "--labels", workspace["labels"], "--c-grid", "1",
+                "--seed", "0", "--sizes", "40,90"]
+        for cpus, here in ((2, set()), (1, {os.getpid()})):
+            maps.clear()
+            fit_pids.clear()
+            code = self.run(monkeypatch, cpus, argv, tmp_path / str(cpus))[0]
+            assert code == 0
+            assert maps == [list(range(10))]
+            assert set(fit_pids) == here
 
 
 @pytest.fixture(scope="module")
